@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtrit
 
 from .correlators import (
+    ASYMPTOTIC_GUARD,
     SpacetimePoint,
     asymptotic_biphoton,
     biphoton_scan,
@@ -98,6 +99,7 @@ class LightconeReport:
     verdict: str                          # "pass" | "fail" | "inconclusive"
     ray_slopes: tuple[SlopeFit, ...]
     diagnostics: dict
+    probabilities: tuple[np.ndarray, ...]   # P at each ray's samples, in ray order
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +140,8 @@ def asymptotic_bound_weight(f, d: DispersionRelation,
     """
     v1 = np.atleast_1d(np.asarray(v1, dtype=float))
     v2 = np.atleast_1d(np.asarray(v2, dtype=float))
-    k1 = np.array([d.stationary_point(v) for v in v1])
-    k2 = np.array([d.stationary_point(v) for v in v2])
+    k1 = d.stationary_point(v1)
+    k2 = d.stationary_point(v2)
     pair = f(k1[:, None], k2[None, :]) + f(k2[None, :], k1[:, None])
     den1 = d.omega_dd(k1) * d.omega(k1)
     den2 = d.omega_dd(k2) * d.omega(k2)
@@ -181,7 +183,7 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
             [min(asymptotic_biphoton(f, d, a, b, t1, t2).guard_values)
              for b in (v2_fine[0], v2_fine[-1])]
             for a in (v1_fine[0], v1_fine[-1])])
-        if use_asymptotics and guards.min() >= 10.0:
+        if use_asymptotics and guards.min() >= ASYMPTOTIC_GUARD:
             P = np.empty((v1_fine.size, v2_fine.size))
             for i, a in enumerate(v1_fine):
                 for j, b in enumerate(v2_fine):
@@ -277,7 +279,7 @@ def decay_slope_fit(x, p) -> SlopeFit:
     s2 = float(resid @ resid) / (n - 2) if n > 2 else 0.0
     sxx = float(((lx - lx.mean()) ** 2).sum())
     se = np.sqrt(s2 / sxx) if sxx > 0 else np.inf
-    half = float(_student_t.ppf(0.975, n - 2) * se) if n > 2 else np.inf
+    half = float(stdtrit(n - 2, 0.975) * se) if n > 2 else np.inf
     return SlopeFit(slope, half, n, n_excl)
 
 
@@ -306,6 +308,7 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
     Returns one BoundFit per order carrying C_{n1 n2} as the supremum of
     P (1+|z1|)^{n1} (1+|z2|)^{n2} over the usable samples (n2 applies to
     the frozen detector of pair scans and is 0 for single-photon rays).
+    The evaluated P along every ray is returned in ``probabilities``.
     """
     orders = [int(n) for n in orders]
     ray_data = []
@@ -382,6 +385,7 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
         verdict=verdict,
         ray_slopes=tuple(slopes),
         diagnostics={"ray_verdicts": ray_verdicts},
+        probabilities=tuple(P for _, P in ray_data),
     )
 
 

@@ -7,7 +7,7 @@ output directory.  The defaults-resolved configuration is echoed to
 ``config_effective.ini`` so every run can be reproduced from its own
 output directory byte for byte.
 
-    wgcorr modes    --config cfg.ini [--out DIR] [--threads N]
+    wgcorr modes    --config cfg.ini [--out DIR]
     wgcorr single   --config cfg.ini ...
     wgcorr biphoton --config cfg.ini ...
     wgcorr bounds   --config cfg.ini ...
@@ -26,6 +26,7 @@ import numpy as np
 
 from . import svgplot
 from .bounds import (
+    PROBABILITY_FLOOR,
     Ray,
     bound_fit_csv_rows,
     check_lightcone_decay,
@@ -460,14 +461,14 @@ def cmd_bounds(cfg: Config, out: Path) -> int:
         report = check_lightcone_decay(packet, d, [Ray(t_ray, zs)], orders,
                                        rel_tol=qtol)
         fits.extend(report.fits)
-        res = single_scan(packet, d, zs, t_ray, rel_tol=qtol)
+        P = report.probabilities[0]
         write_csv(out / "lightcone_scan.csv",
                   ("t", "z", "probability", "below_floor"),
-                  [(t_ray, float(z), p, p <= 1e-26)
-                   for z, p in zip(zs, res.values)])
+                  [(t_ray, float(z), p, p <= PROBABILITY_FLOOR)
+                   for z, p in zip(zs, P)])
         svgplot.line_plot(out / "lightcone_scan.svg",
                           [1.0 + float(z) for z in zs],
-                          [("P", list(np.maximum(res.values, 1e-300)))],
+                          [("P", list(np.maximum(P, 1e-300)))],
                           title=f"decay outside the light cone (verdict: {report.verdict})",
                           xlabel="1 + |z|", ylabel="P", logx=True, logy=True)
 
@@ -483,7 +484,7 @@ def cmd_validate(cfg: Config, out: Path) -> int:
     checks = []
 
     vs = np.linspace(-0.95, 0.95, 39)
-    worst = max(abs(d.omega_d(d.stationary_point(v)) - v) for v in vs)
+    worst = np.abs(d.omega_d(d.stationary_point(vs)) - vs).max()
     checks.append(("dispersion_round_trip", worst, 1e-12))
 
     g = normalized_packet(GaussianPacket(0.75, 0.1))
@@ -558,13 +559,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint for grid scans (evaluation is deterministic)")
     args = parser.parse_args(argv)
 
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         cfg = Config(args.config)
         out = Path(args.out) if args.out else Path(cfg.get_str("output", "directory", "out"))

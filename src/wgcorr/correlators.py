@@ -30,6 +30,7 @@ from .quadrature import (
     osc_integrate_2d,
     osc_tensor_scan,
 )
+from .wavepackets import _feature_width
 
 __all__ = [
     "SpacetimePoint",
@@ -93,13 +94,6 @@ def _joint_envelope(f, d: DispersionRelation):
     return env
 
 
-def _feature(packet) -> float | None:
-    try:
-        return 0.5 * packet.effective_width()
-    except (AttributeError, ValueError):
-        return None
-
-
 # ----------------------------------------------------------------------
 # single photon
 # ----------------------------------------------------------------------
@@ -110,7 +104,7 @@ def amplitude_single(packet, d: DispersionRelation, pt: SpacetimePoint,
     prob = OscIntegralProblem(
         envelope=_single_envelope(packet, d),
         z=pt.z, t=pt.t, dispersion=d, domain=packet.support, rel_tol=rel_tol)
-    return osc_integrate_1d(prob, max_width=_feature(packet))
+    return osc_integrate_1d(prob, max_width=_feature_width(packet))
 
 
 def probability_single(packet, d: DispersionRelation, pt: SpacetimePoint,
@@ -171,13 +165,9 @@ def amplitude_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
     axes share one panelization, which keeps detector exchange an exact
     symmetry of the rule.
     """
-    dom = f.axis_domain()
-    p1 = OscIntegralProblem(envelope=lambda k: k, z=pt1.z, t=pt1.t,
-                            dispersion=d, domain=dom, rel_tol=rel_tol)
-    p2 = OscIntegralProblem(envelope=lambda k: k, z=pt2.z, t=pt2.t,
-                            dispersion=d, domain=dom, rel_tol=rel_tol)
-    res = osc_integrate_2d(p1, p2, _joint_envelope(f, d),
-                           max_width=_feature(f), share_breaks=True)
+    res = osc_integrate_2d(_joint_envelope(f, d), d, f.axis_domain(),
+                           pt1.z, pt1.t, pt2.z, pt2.t,
+                           rel_tol=rel_tol, max_width=_feature_width(f))
     return QuadResult(2.0 * res.value, 2.0 * res.error_estimate,
                       res.panels_used, res.method)
 
@@ -258,8 +248,10 @@ def entangled_spacetime_profile(f, d: DispersionRelation,
     v2 = np.atleast_1d(np.asarray(v2, dtype=float))
     ok1 = np.abs(v1) < 1.0
     ok2 = np.abs(v2) < 1.0
-    k1 = np.where(ok1, d.mass * v1 / np.sqrt(np.where(ok1, 1.0 - v1 * v1, 1.0)), 0.0)
-    k2 = np.where(ok2, d.mass * v2 / np.sqrt(np.where(ok2, 1.0 - v2 * v2, 1.0)), 0.0)
+    k1 = np.zeros_like(v1)
+    k2 = np.zeros_like(v2)
+    k1[ok1] = d.stationary_point(v1[ok1])
+    k2[ok2] = d.stationary_point(v2[ok2])
     vals = np.abs(f(k1[:, None], k2[None, :])) ** 2
     valid = ok1[:, None] & ok2[None, :]
     return ProfileResult(v1, v2, np.where(valid, vals, 0.0), valid)
@@ -275,7 +267,7 @@ def single_scan(packet, d: DispersionRelation, z_values, t: float,
     z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
     amps, errs, panels = osc_integrate_1d_many(
         _single_envelope(packet, d), d, z_values, t,
-        packet.support, rel_tol=rel_tol, max_width=_feature(packet))
+        packet.support, rel_tol=rel_tol, max_width=_feature_width(packet))
     pts = [SpacetimePoint(float(z), float(t)) for z in z_values]
     return CorrelationResult.from_amplitudes(
         pts, amps, errs, ["adaptive_panel"] * z_values.size)
@@ -290,7 +282,7 @@ def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
     """
     vals, errs, panels = osc_tensor_scan(
         _joint_envelope(f, d), d, f.axis_domain(), t1, t2,
-        z1_values, z2_values, rel_tol=rel_tol, max_width=_feature(f))
+        z1_values, z2_values, rel_tol=rel_tol, max_width=_feature_width(f))
     return 2.0 * vals, 2.0 * errs, panels
 
 
@@ -303,7 +295,7 @@ def momentum_norm(packet, d: DispersionRelation, rel_tol: float = 1e-11) -> floa
     prob = OscIntegralProblem(
         envelope=lambda k: np.abs(packet(k)) ** 2 / (4.0 * d.omega(k)) + 0.0j,
         z=0.0, t=0.0, dispersion=d, domain=packet.support, rel_tol=rel_tol)
-    return float(osc_integrate_1d(prob, max_width=_feature(packet)).value.real)
+    return float(osc_integrate_1d(prob, max_width=_feature_width(packet)).value.real)
 
 
 def position_norm(packet, d: DispersionRelation, t: float,

@@ -46,12 +46,15 @@ class DispersionRelation:
     def stationary_point(self, v):
         """Momentum k0 with group velocity v, i.e. k0 = m v / sqrt(1 - v^2).
 
-        Raises ValueError for |v| >= 1 (no subluminal solution).
+        Scalar or array.  Raises ValueError if any |v| >= 1 (no subluminal
+        solution).
         """
-        v = float(v)
-        if not abs(v) < 1.0:
+        v = np.asarray(v, dtype=float)
+        inside = np.abs(v) < 1.0
+        if not inside.all():
             raise ValueError(
-                f"frame velocity must satisfy |v| < 1, got v={v} (light-cone boundary excluded)"
+                f"frame velocity must satisfy |v| < 1, got v={float(v[~inside].flat[0])} "
+                "(light-cone boundary excluded)"
             )
         return self.mass * v / np.sqrt(1.0 - v * v)
 

@@ -51,6 +51,10 @@ ABS_FLOOR = 1e-15
 # Largest admissible phase advance per panel: a quarter oscillation.
 _MAX_PHASE_PER_PANEL = 0.5 * np.pi
 
+# The 2-D rule refuses a bisection level that would put more panels than
+# this on an axis, and raises QuadratureError instead.
+MAX_PANELS_AXIS = 60_000
+
 # Kronrod-15 abscissae (ascending) with the embedded Gauss-7 subset at the
 # odd positions.  Standard QUADPACK constants; validated in the test suite
 # against numpy's Gauss-Legendre nodes and exact polynomial moments.
@@ -103,11 +107,15 @@ class OscIntegralProblem:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        lo, hi = self.domain
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"domain must be a finite increasing interval, got {self.domain}")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        _check_domain_tol(self.domain, self.rel_tol)
+
+
+def _check_domain_tol(domain, rel_tol: float) -> None:
+    lo, hi = domain
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"domain must be a finite increasing interval, got {domain}")
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -346,99 +354,6 @@ def osc_integrate_1d_many(
 # 2-D tensor-product rule
 # ----------------------------------------------------------------------
 
-def _axis_weights(d: DispersionRelation, breaks: np.ndarray, z: float, t: float):
-    """Kronrod and Gauss weight vectors including the travelling phase."""
-    nodes, half = _panel_grid(breaks)
-    k = nodes.ravel()
-    phase = np.exp(1j * (k * z - d.omega(k) * t))
-    w15 = (half[:, None] * WGK[None, :]).ravel() * phase
-    gmask = np.zeros(nodes.shape, dtype=bool)
-    gmask[:, GAUSS_SUBSET] = True
-    gmask = gmask.ravel()
-    w7 = (half[:, None] * WG[None, :]).ravel() * phase[gmask]
-    return k, w15, w7, gmask
-
-
-def _tensor_pair(joint_envelope, k1, w15_1, w7_1, g1, k2, w15_2, w7_2, g2,
-                 chunk: int = 512):
-    """Contract the tensor rule in streamed row chunks.
-
-    Returns (K15, G7, weighted L1 scale) for the whole tensor grid.
-    """
-    v15 = 0.0 + 0.0j
-    v7 = 0.0 + 0.0j
-    l1 = 0.0
-    goffset = np.cumsum(g1) - g1
-    aw2 = np.abs(w15_2)
-    aw1 = np.abs(w15_1)
-    for i0 in range(0, k1.size, chunk):
-        sl = slice(i0, min(i0 + chunk, k1.size))
-        block = np.asarray(joint_envelope(k1[sl][:, None], k2[None, :]), dtype=complex)
-        v15 += w15_1[sl] @ (block @ w15_2)
-        l1 += float(aw1[sl] @ (np.abs(block) @ aw2))
-        rows_g = g1[sl]
-        if rows_g.any():
-            j0 = int(goffset[i0])
-            v7 += w7_1[j0:j0 + int(rows_g.sum())] @ (block[rows_g][:, g2] @ w7_2)
-        del block
-    return v15, v7, l1
-
-
-def osc_integrate_2d(
-    p1: OscIntegralProblem,
-    p2: OscIntegralProblem,
-    joint_envelope: Callable,
-    max_width: float | None = None,
-    share_breaks: bool = False,
-    max_levels: int = 4,
-    max_nodes_axis: int = 60_000,
-) -> QuadResult:
-    """Tensor-product panel rule for the double momentum integral.
-
-    The joint envelope couples the axes, so the value is formed as
-    w1^T F w2 with per-axis phase-bearing weight vectors; the error
-    estimate compares the embedded Gauss-7 tensor rule against
-    Kronrod-15 and global panel bisection is applied until the target is
-    met.  ``share_breaks`` forces one common subdivision on both axes
-    (required for exact exchange symmetry of symmetric envelopes; the
-    domains must then agree).
-    """
-    d = p1.dispersion
-    rel_tol = min(p1.rel_tol, p2.rel_tol)
-    if share_breaks:
-        if p1.domain != p2.domain:
-            raise ValueError("share_breaks requires identical axis domains")
-        breaks1 = oscillation_breakpoints(
-            d, p1.domain, [(p1.z, p1.t), (p2.z, p2.t)], max_width=max_width)
-        breaks2 = breaks1
-    else:
-        breaks1 = oscillation_breakpoints(d, p1.domain, [(p1.z, p1.t)], max_width=max_width)
-        breaks2 = oscillation_breakpoints(
-            p2.dispersion, p2.domain, [(p2.z, p2.t)], max_width=max_width)
-
-    for level in range(max_levels + 1):
-        k1, w15_1, w7_1, g1 = _axis_weights(d, breaks1, p1.z, p1.t)
-        k2, w15_2, w7_2, g2 = _axis_weights(p2.dispersion, breaks2, p2.z, p2.t)
-        v15, v7, l1 = _tensor_pair(joint_envelope, k1, w15_1, w7_1, g1,
-                                   k2, w15_2, w7_2, g2)
-        err = abs(v15 - v7)
-        target = max(rel_tol * abs(v15), ABS_FLOOR, ROUNDOFF_FACTOR * l1)
-        panels = (len(breaks1) - 1) * (len(breaks2) - 1)
-        if err <= target:
-            return QuadResult(v15, err, panels, "adaptive_panel")
-        if level == max_levels or 2 * k1.size > 15 * max_nodes_axis:
-            raise QuadratureError(
-                f"2-D quadrature stalled at error {err:.3e} (target {target:.3e}) "
-                f"with {panels} cells",
-                QuadResult(v15, err, panels, "adaptive_panel"),
-            )
-        breaks1 = np.sort(np.concatenate([breaks1, 0.5 * (breaks1[:-1] + breaks1[1:])]))
-        if share_breaks:
-            breaks2 = breaks1
-        else:
-            breaks2 = np.sort(np.concatenate([breaks2, 0.5 * (breaks2[:-1] + breaks2[1:])]))
-
-
 def osc_tensor_scan(
     joint_envelope: Callable,
     d: DispersionRelation,
@@ -454,17 +369,19 @@ def osc_tensor_scan(
 ):
     """Batched 2-D evaluation over a grid of detector-position pairs.
 
-    One shared panelization (valid for every z in either batch) is built
-    per axis, the joint envelope is streamed once per refinement level,
-    and all grid values come out of two matrix products.  Returns
+    One panelization, shared by both axes and valid for every z in either
+    batch, is built; the joint envelope is streamed once per refinement
+    level, and all grid values come out of two matrix products.  Returns
     (values, errors, panels_per_axis) with values shaped
-    (len(z1_values), len(z2_values)).
+    (len(z1_values), len(z2_values)).  Sharing the panels keeps detector
+    exchange an exact symmetry of the rule for a symmetric envelope.
 
     The error target is uniform over the grid: rel_tol times the largest
     grid amplitude.  Grid points far in the tails are then not refined
     to a meaningless per-point relative accuracy; every point still
     carries its own error estimate.
     """
+    _check_domain_tol(domain, rel_tol)
     z1_values = np.atleast_1d(np.asarray(z1_values, dtype=float))
     z2_values = np.atleast_1d(np.asarray(z2_values, dtype=float))
     params = [(float(z1_values.min()), t1), (float(z1_values.max()), t1),
@@ -505,14 +422,39 @@ def osc_tensor_scan(
         errs = np.abs(v15 - v7)
         target = max(rel_tol * float(np.abs(v15).max()), ABS_FLOOR,
                      ROUNDOFF_FACTOR * l1)
-        if (errs <= target).all() or level == max_levels:
-            if (errs > target).any():
-                bad = np.unravel_index(int(np.argmax(errs)), errs.shape)
-                raise QuadratureError(
-                    f"tensor scan stalled at grid point {bad} "
-                    f"(error {errs[bad]:.3e}, target {target:.3e})",
-                    QuadResult(complex(v15[bad]), float(errs[bad]),
-                               (len(breaks) - 1) ** 2, "adaptive_panel"),
-                )
-            return v15, errs, len(breaks) - 1
+        panels = len(breaks) - 1
+        if (errs <= target).all():
+            return v15, errs, panels
+        if level == max_levels or 2 * panels > MAX_PANELS_AXIS:
+            bad = np.unravel_index(int(np.argmax(errs)), errs.shape)
+            raise QuadratureError(
+                f"tensor scan stalled at grid point {bad} "
+                f"(error {errs[bad]:.3e}, target {target:.3e})",
+                QuadResult(complex(v15[bad]), float(errs[bad]),
+                           panels * panels, "adaptive_panel"),
+            )
         breaks = np.sort(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
+
+
+def osc_integrate_2d(
+    joint_envelope: Callable,
+    d: DispersionRelation,
+    domain: tuple[float, float],
+    z1: float,
+    t1: float,
+    z2: float,
+    t2: float,
+    rel_tol: float = 1e-9,
+    max_width: float | None = None,
+) -> QuadResult:
+    """Tensor-product panel rule for one double momentum integral.
+
+    The single-point case of ``osc_tensor_scan``: a 1x1 grid with up to
+    four bisection levels.  ``panels_used`` counts the P x P cells of the
+    final level.
+    """
+    vals, errs, panels = osc_tensor_scan(
+        joint_envelope, d, domain, t1, t2, [z1], [z2], rel_tol=rel_tol,
+        max_width=max_width, max_levels=4, chunk=512)
+    return QuadResult(complex(vals[0, 0]), float(errs[0, 0]), panels * panels,
+                      "adaptive_panel")

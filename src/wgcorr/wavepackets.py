@@ -265,10 +265,8 @@ def biphoton_norm(spec: BiphotonSpec, k_domain: tuple[float, float],
     def env(k1, k2):
         return np.abs(spec(k1, k2)) ** 2 + 0.0j
 
-    p = OscIntegralProblem(envelope=lambda k: k, z=0.0, t=0.0,
-                           dispersion=_UNIT_MASS, domain=k_domain, rel_tol=rel_tol)
-    res = osc_integrate_2d(p, p, env, max_width=_feature_width(spec),
-                           share_breaks=True)
+    res = osc_integrate_2d(env, _UNIT_MASS, k_domain, 0.0, 0.0, 0.0, 0.0,
+                           rel_tol=rel_tol, max_width=_feature_width(spec))
     return float(np.sqrt(res.value.real))
 
 
@@ -282,6 +280,7 @@ def normalize_biphoton(spec: BiphotonSpec, k_domain: tuple[float, float],
 
 
 def _feature_width(obj) -> float | None:
+    """Panel width cap for the quadrature: half the envelope's finest scale."""
     try:
         return 0.5 * obj.effective_width()
     except (AttributeError, ValueError):

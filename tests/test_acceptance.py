@@ -5,7 +5,8 @@ Criteria 1 and 2 are implemented exactly as stated; for the configured
 narrow packet (width 0.1) the large-time expansion parameter
 t * omega'' * width^2 only reaches ~5 by t = 1000, and the measured
 quadrature/asymptotics gap at t = 200 is ~28%, far above the stated 5%,
-with the correction decaying near t^-2 rather than t^-1/2.  Those two
+with the correction decaying with a measured log-log slope of about -1.5
+rather than t^-1/2.  Those two
 tests therefore fail honestly; the numbers are carried in the assertion
 messages.
 """

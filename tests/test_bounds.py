@@ -11,6 +11,7 @@ from wgcorr import (
     check_lightcone_decay,
     decay_slope_fit,
     fit_universal_bound,
+    single_scan,
 )
 from wgcorr.bounds import Ray, bound_fit_csv_rows, summarize_bound_fits
 
@@ -110,6 +111,8 @@ def test_single_photon_lightcone_decay():
     ray = Ray(t=50.0, z_values=np.linspace(60.0, 100.0, 21))
     report = check_lightcone_decay(g, D1, [ray], orders=range(0, 7))
     assert report.verdict == "pass"
+    np.testing.assert_array_equal(report.probabilities[0],
+                                  single_scan(g, D1, ray.z_values, ray.t).values)
     fit6 = [f for f in report.fits if f.orders[0] == 6][0]
     assert np.isfinite(fit6.constant) and fit6.constant > 0
     # global slope is far steeper than -6 for a Gaussian envelope

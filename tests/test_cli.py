@@ -1,4 +1,6 @@
 import csv
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -286,7 +288,9 @@ def test_validate_battery(tmp_path, capsys):
     assert all(r[header.index("passed")] == "true" for r in rows)
 
 
-def test_threads_flag_validated(tmp_path, capsys):
-    cfg, _ = write_cfg(tmp_path, MODES_CFG)
-    assert run_cli("modes", "--config", str(cfg), "--threads", "0") == 2
-    assert run_cli("modes", "--config", str(cfg), "--threads", "2") == 0
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about half a second of every CLI start-up
+    code = "import sys, wgcorr.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

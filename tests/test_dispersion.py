@@ -23,7 +23,7 @@ def test_stationary_point_values():
     assert d.stationary_point(0.6) == pytest.approx(0.75, abs=1e-15)
 
 
-@pytest.mark.parametrize("v", [1.0, -1.0, 1.5, np.inf])
+@pytest.mark.parametrize("v", [1.0, -1.0, 1.5, np.inf, np.array([0.2, -1.0, 0.5])])
 def test_stationary_point_rejects_superluminal(v):
     with pytest.raises(ValueError):
         DispersionRelation(1.0).stationary_point(v)
@@ -37,9 +37,14 @@ def test_mass_must_be_positive(mass):
 
 def test_round_trip_group_velocity():
     d = DispersionRelation(2.5)
-    for v in np.linspace(-0.99, 0.99, 67):
+    vs = np.linspace(-0.99, 0.99, 67)
+    for v in vs:
         k0 = d.stationary_point(v)
         assert abs(d.omega_d(k0) - v) < 1e-12
+    # the array form gives the scalar values exactly
+    k_all = d.stationary_point(vs.reshape(67, 1))
+    assert k_all.shape == (67, 1)
+    np.testing.assert_array_equal(k_all[:, 0], [d.stationary_point(v) for v in vs])
 
 
 def test_omega_bounded_below_by_mass():

@@ -173,7 +173,7 @@ def test_separable_2d_equals_product_of_1d():
     p1 = OscIntegralProblem(e1, z=3.0, t=8.0, dispersion=D1, domain=dom, rel_tol=1e-10)
     p2 = OscIntegralProblem(e2, z=-1.0, t=5.0, dispersion=D1, domain=dom, rel_tol=1e-10)
     joint = lambda k1, k2: e1(k1) * e2(k2)
-    r2d = osc_integrate_2d(p1, p2, joint)
+    r2d = osc_integrate_2d(joint, D1, dom, p1.z, p1.t, p2.z, p2.t, rel_tol=1e-10)
     ra = osc_integrate_1d(p1)
     rb = osc_integrate_1d(p2)
     prod = ra.value * rb.value
@@ -183,9 +183,7 @@ def test_separable_2d_equals_product_of_1d():
 def test_2d_plain_envelope_against_riemann():
     joint = lambda k1, k2: np.exp(-0.5 * (k1**2 + k2**2) - 0.3 * k1 * k2) + 0.0j
     dom = (-6.0, 6.0)
-    p = OscIntegralProblem(gaussian_env(0, 1), z=0.0, t=0.0, dispersion=D1,
-                           domain=dom, rel_tol=1e-10)
-    res = osc_integrate_2d(p, p, joint)
+    res = osc_integrate_2d(joint, D1, dom, 0.0, 0.0, 0.0, 0.0, rel_tol=1e-10)
     n = 4000
     k = np.linspace(dom[0], dom[1], n, endpoint=False)
     h = (dom[1] - dom[0]) / n
@@ -201,10 +199,6 @@ def test_2d_plain_envelope_against_riemann():
 def test_2d_swap_symmetry():
     joint = lambda k1, k2: np.exp(-0.5 * (k1 - k2) ** 2 - 0.1 * (k1 + k2) ** 2) + 0.0j
     dom = (-5.0, 5.0)
-    pa = OscIntegralProblem(gaussian_env(0, 1), z=2.0, t=6.0, dispersion=D1,
-                            domain=dom, rel_tol=1e-10)
-    pb = OscIntegralProblem(gaussian_env(0, 1), z=-1.5, t=9.0, dispersion=D1,
-                            domain=dom, rel_tol=1e-10)
-    r1 = osc_integrate_2d(pa, pb, joint, share_breaks=True)
-    r2 = osc_integrate_2d(pb, pa, joint, share_breaks=True)
+    r1 = osc_integrate_2d(joint, D1, dom, 2.0, 6.0, -1.5, 9.0, rel_tol=1e-10)
+    r2 = osc_integrate_2d(joint, D1, dom, -1.5, 9.0, 2.0, 6.0, rel_tol=1e-10)
     assert abs(r1.value - r2.value) <= 1e-12 * abs(r1.value)
