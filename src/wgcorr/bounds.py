@@ -24,7 +24,6 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .correlators import (
-    ASYMPTOTIC_GUARD,
     SpacetimePoint,
     asymptotic_biphoton,
     biphoton_scan,
@@ -149,8 +148,7 @@ def asymptotic_bound_weight(f, d: DispersionRelation,
 
 
 def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
-                        rel_tol: float = 1e-6, refine: bool = True,
-                        use_asymptotics: bool = True) -> BoundFit:
+                        rel_tol: float = 1e-6) -> BoundFit:
     """Fit C and t0 such that P <= C / ((t0+|t1|) (t0+|t2|)) on the grid.
 
     The scan covers every (t1, t2) pair combined with the velocity grid
@@ -169,74 +167,59 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
     """
     v1_grid = np.asarray(v1_grid, dtype=float)
     v2_grid = np.asarray(v2_grid, dtype=float)
-    v1_fine = _refined_grid(v1_grid) if refine else v1_grid
-    v2_fine = _refined_grid(v2_grid) if refine else v2_grid
-    in_coarse1 = np.isin(v1_fine, v1_grid)
-    in_coarse2 = np.isin(v2_fine, v2_grid)
+    v1_fine = _refined_grid(v1_grid)
+    v2_fine = _refined_grid(v2_grid)
+    coarse = np.ix_(np.isin(v1_fine, v1_grid), np.isin(v2_fine, v2_grid))
+    sub = (slice(None, None, max(1, v1_fine.size // 2)),
+           slice(None, None, max(1, v2_fine.size // 2)))
 
-    entries = []        # (t1, t2, P fine grid, method)
+    sups = []           # (|t1|, |t2|, sup P on the coarse grid, sup P on the refined grid)
+    methods = set()
     cross_checks = []
     for t1, t2 in t_pairs:
         z1 = v1_fine * t1
         z2 = v2_fine * t2
-        guards = np.array([
-            [min(asymptotic_biphoton(f, d, a, b, t1, t2).guard_values)
-             for b in (v2_fine[0], v2_fine[-1])]
-            for a in (v1_fine[0], v1_fine[-1])])
-        if use_asymptotics and guards.min() >= ASYMPTOTIC_GUARD:
-            P = np.empty((v1_fine.size, v2_fine.size))
-            for i, a in enumerate(v1_fine):
-                for j, b in enumerate(v2_fine):
-                    P[i, j] = asymptotic_biphoton(f, d, a, b, t1, t2).probability
-            method = "asymptotic_spa"
+        corners = asymptotic_biphoton(f, d, v1_fine[[0, -1], None], v2_fine[None, [0, -1]],
+                                      t1, t2)
+        if corners.guard_ok.all():
+            P = asymptotic_biphoton(f, d, v1_fine[:, None], v2_fine[None, :],
+                                    t1, t2).probability
+            methods.add("asymptotic_spa")
             # spot-check the asymptotics against the exact evaluator
-            amps, _, _ = biphoton_scan(f, d, t1, t2, z1[::max(1, v1_fine.size // 2)],
-                                       z2[::max(1, v2_fine.size // 2)], rel_tol)
+            amps, _, _ = biphoton_scan(f, d, t1, t2, z1[sub[0]], z2[sub[1]], rel_tol)
             pq = np.abs(amps) ** 2
-            ps = P[::max(1, v1_fine.size // 2), ::max(1, v2_fine.size // 2)]
+            ps = P[sub]
             scale = max(pq.max(), ps.max())
             if scale > 0:
                 cross_checks.append(float(np.abs(pq - ps).max() / scale))
         else:
             amps, _, _ = biphoton_scan(f, d, t1, t2, z1, z2, rel_tol)
             P = np.abs(amps) ** 2
-            method = "adaptive_panel"
-        entries.append((float(t1), float(t2), P, method))
+            methods.add("adaptive_panel")
+        sups.append((abs(float(t1)), abs(float(t2)), P[coarse].max(), P.max()))
+    abs_t1, abs_t2, sup_coarse, sup_fine = np.array(sups, dtype=float).T
 
-    def weighted_sup(t0: float, coarse_only: bool) -> float:
-        best = 0.0
-        for t1, t2, P, _ in entries:
-            if coarse_only:
-                P = P[np.ix_(in_coarse1, in_coarse2)]
-            w = (t0 + abs(t1)) * (t0 + abs(t2))
-            best = max(best, float(P.max()) * w)
-        return best
+    def weighted_sup(t0: float, sup: np.ndarray) -> float:
+        return float((sup * ((t0 + abs_t1) * (t0 + abs_t2))).max())
 
     lo = 10.0 ** T_OFFSET_GRID_DECADES[0] / d.mass
     hi = 10.0 ** T_OFFSET_GRID_DECADES[1] / d.mass
     t0_grid = np.geomspace(lo, hi, T_OFFSET_GRID_POINTS)
-    profile = np.array([weighted_sup(t0, True) for t0 in t0_grid])
+    profile = np.array([weighted_sup(t0, sup_coarse) for t0 in t0_grid])
     i_best = int(np.argmin(profile))
     a = t0_grid[max(i_best - 1, 0)]
     b = t0_grid[min(i_best + 1, t0_grid.size - 1)]
-    t0_best, c_base = _golden_min(lambda x: weighted_sup(x, True), a, b)
+    t0_best, c_base = _golden_min(lambda x: weighted_sup(x, sup_coarse), a, b)
     if profile[i_best] < c_base:
         t0_best, c_base = float(t0_grid[i_best]), float(profile[i_best])
 
-    violation = weighted_sup(t0_best, True) - c_base
-    drift = None
-    if refine:
-        c_fine = weighted_sup(t0_best, False)
-        drift = abs(c_fine - c_base) / c_base if c_base > 0 else 0.0
+    violation = weighted_sup(t0_best, sup_coarse) - c_base
+    c_fine = weighted_sup(t0_best, sup_fine)
+    drift = abs(c_fine - c_base) / c_base if c_base > 0 else 0.0
 
-    asym = None
-    if use_asymptotics:
-        asym = float(asymptotic_bound_weight(f, d, v1_fine, v2_fine).max())
-
-    n_pts = sum(p.size for _, _, p, _ in entries)
-    desc = (f"{len(entries)} time pairs x {v1_grid.size}x{v2_grid.size} velocities "
+    desc = (f"{len(sups)} time pairs x {v1_grid.size}x{v2_grid.size} velocities "
             f"(refined {v1_fine.size}x{v2_fine.size})")
-    diag = {"methods": sorted({m for *_, m in entries})}
+    diag = {"methods": sorted(methods)}
     if cross_checks:
         diag["spa_cross_check_max_rel"] = max(cross_checks)
     return BoundFit(
@@ -247,8 +230,8 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
         t_offset=float(t0_best),
         refinement_drift=drift,
         t_offset_profile=(t0_grid, profile),
-        asymptotic_constant=asym,
-        n_points=n_pts,
+        asymptotic_constant=float(asymptotic_bound_weight(f, d, v1_fine, v2_fine).max()),
+        n_points=len(sups) * v1_fine.size * v2_fine.size,
         diagnostics=diag,
     )
 

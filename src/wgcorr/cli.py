@@ -73,6 +73,13 @@ class ConfigError(Exception):
     pass
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _fmt(value) -> str:
     """CSV cell rendering; floats carry 17 significant digits."""
     if isinstance(value, (bool, np.bool_)):
@@ -163,7 +170,7 @@ class Config:
         return self._get(section, key, default, str, "a string")
 
     def get_float(self, section, key, default=None):
-        return self._get(section, key, default, float, "a number")
+        return self._get(section, key, default, _finite_float, "a finite number")
 
     def get_int(self, section, key, default=None):
         return self._get(section, key, default, int, "an integer")
@@ -180,8 +187,10 @@ class Config:
 
     def get_floats(self, section, key, default=None):
         def conv(raw):
-            return [float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
-        return self._get(section, key, default, conv, "a comma-separated number list")
+            return [_finite_float(tok) for tok in raw.replace(";", ",").split(",")
+                    if tok.strip()]
+        return self._get(section, key, default, conv,
+                         "a comma-separated list of finite numbers")
 
     def get_pairs(self, section, key, default=None):
         def conv(raw):
@@ -191,11 +200,12 @@ class Config:
                 if not tok:
                     continue
                 a, _, b = tok.partition(":")
-                pairs.append((float(a), float(b)))
+                pairs.append((_finite_float(a), _finite_float(b)))
             if not pairs:
                 raise ValueError(raw)
             return pairs
-        return self._get(section, key, default, conv, "a list like 50:50, 800:800")
+        return self._get(section, key, default, conv,
+                         "a list of finite pairs like 50:50, 800:800")
 
     def echo(self, path):
         cp = configparser.ConfigParser()

@@ -117,14 +117,29 @@ def probability_single(packet, d: DispersionRelation, pt: SpacetimePoint,
 
 @dataclass(frozen=True)
 class AsymptoticSingle:
-    probability: float
-    amplitude: complex
-    stationary_momentum: float
-    guard_value: float
-    guard_ok: bool
+    """Scalars for scalar (v, t); otherwise each field is an array shaped by
+    broadcasting the arguments it depends on (stationary_momentum: v only)."""
+
+    probability: float | np.ndarray
+    amplitude: complex | np.ndarray
+    stationary_momentum: float | np.ndarray
+    guard_value: float | np.ndarray
+    guard_ok: bool | np.ndarray
 
 
-def asymptotic_single(packet, d: DispersionRelation, v: float, t: float) -> AsymptoticSingle:
+def _spa_factor(d: DispersionRelation, k0, v, t):
+    """One detector's stationary-phase factor, phases tied to its own frame."""
+    w0 = d.omega(k0)
+    wdd = d.omega_dd(k0)
+    return np.exp(-1j * (t * (w0 - k0 * v) + 0.25 * np.pi)) / (2.0 * np.sqrt(t * w0 * wdd))
+
+
+def _guard(d: DispersionRelation, k0, t, sigma: float):
+    """Stationary-phase trust measure t * omega''(k0) * sigma^2."""
+    return t * d.omega_dd(k0) * sigma * sigma
+
+
+def asymptotic_single(packet, d: DispersionRelation, v, t) -> AsymptoticSingle:
     """Leading stationary-phase value of P(v t, t) for large t.
 
     P ~ |g(k0)|^2 / (4 t omega(k0) omega''(k0)) with k0 the momentum whose
@@ -132,23 +147,19 @@ def asymptotic_single(packet, d: DispersionRelation, v: float, t: float) -> Asym
     shift of the quadratic stationary point.  guard_ok reports whether
     t * omega''(k0) * width^2 has reached the trust threshold; below it
     the leading term can be badly off and the value is advisory only.
+    ``v`` and ``t`` may be arrays; they broadcast against each other.
     """
-    if not t > 0:
+    if not np.all(np.greater(t, 0)):
         raise ValueError(f"asymptotics requires t > 0, got {t}")
     k0 = d.stationary_point(v)
-    w0 = d.omega(k0)
-    wdd = d.omega_dd(k0)
-    g0 = complex(packet(k0))
-    phase = np.exp(-1j * (t * (w0 - k0 * v) + 0.25 * np.pi))
-    amplitude = g0 * phase / (2.0 * np.sqrt(t * w0 * wdd))
-    sigma = packet.effective_width()
-    guard = t * wdd * sigma * sigma
+    g0 = packet(k0)
+    guard = _guard(d, k0, t, packet.effective_width())
     return AsymptoticSingle(
-        probability=abs(g0) ** 2 / (4.0 * t * w0 * wdd),
-        amplitude=complex(amplitude),
-        stationary_momentum=float(k0),
-        guard_value=float(guard),
-        guard_ok=bool(guard >= ASYMPTOTIC_GUARD),
+        probability=np.abs(g0) ** 2 / (4.0 * t * d.omega(k0) * d.omega_dd(k0)),
+        amplitude=g0 * _spa_factor(d, k0, v, t),
+        stationary_momentum=k0,
+        guard_value=guard,
+        guard_ok=guard >= ASYMPTOTIC_GUARD,
     )
 
 
@@ -181,22 +192,17 @@ def probability_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
 
 @dataclass(frozen=True)
 class AsymptoticBiphoton:
-    probability: float
-    amplitude: complex
-    stationary_momenta: tuple[float, float]
-    guard_values: tuple[float, float]
-    guard_ok: bool
+    """Scalars for scalar arguments; otherwise each field is an array shaped by
+    broadcasting the arguments it depends on (k_i0: v_i; guard_values: v_i, t_i)."""
+
+    probability: float | np.ndarray
+    amplitude: complex | np.ndarray
+    stationary_momenta: tuple
+    guard_values: tuple
+    guard_ok: bool | np.ndarray
 
 
-def _spa_factor(d: DispersionRelation, k0: float, v: float, t: float) -> complex:
-    """One detector's stationary-phase factor, phases tied to its own frame."""
-    w0 = d.omega(k0)
-    wdd = d.omega_dd(k0)
-    return np.exp(-1j * (t * (w0 - k0 * v) + 0.25 * np.pi)) / (2.0 * np.sqrt(t * w0 * wdd))
-
-
-def asymptotic_biphoton(f, d: DispersionRelation, v1: float, v2: float,
-                        t1: float, t2: float) -> AsymptoticBiphoton:
+def asymptotic_biphoton(f, d: DispersionRelation, v1, v2, t1, t2) -> AsymptoticBiphoton:
     """Leading two-term stationary-phase value of the joint probability.
 
     Each exchange term of the joint amplitude is evaluated at the same
@@ -205,25 +211,24 @@ def asymptotic_biphoton(f, d: DispersionRelation, v1: float, v2: float,
     exp(-i t_i (omega(k_i0) - k_i0 v_i)) and the e^{-i pi/2} shift.  The
     squared modulus therefore includes the cross term between the two f
     evaluations; for an exchange-symmetric f the terms coincide and the
-    amplitude is twice the single term.
+    amplitude is twice the single term.  ``v1``, ``v2``, ``t1`` and
+    ``t2`` may be arrays; they broadcast against each other.
     """
-    if not (t1 > 0 and t2 > 0):
+    if not (np.all(np.greater(t1, 0)) and np.all(np.greater(t2, 0))):
         raise ValueError("asymptotics requires t1, t2 > 0")
     k10 = d.stationary_point(v1)
     k20 = d.stationary_point(v2)
-    s1 = _spa_factor(d, k10, v1, t1)
-    s2 = _spa_factor(d, k20, v2, t2)
-    pair_sum = complex(f(k10, k20)) + complex(f(k20, k10))
-    amplitude = pair_sum * s1 * s2
+    amplitude = (f(k10, k20) + f(k20, k10)) * _spa_factor(d, k10, v1, t1) \
+        * _spa_factor(d, k20, v2, t2)
     sigma = f.effective_width()
-    g1 = t1 * d.omega_dd(k10) * sigma * sigma
-    g2 = t2 * d.omega_dd(k20) * sigma * sigma
+    g1 = _guard(d, k10, t1, sigma)
+    g2 = _guard(d, k20, t2, sigma)
     return AsymptoticBiphoton(
-        probability=abs(amplitude) ** 2,
-        amplitude=complex(amplitude),
-        stationary_momenta=(float(k10), float(k20)),
-        guard_values=(float(g1), float(g2)),
-        guard_ok=bool(min(g1, g2) >= ASYMPTOTIC_GUARD),
+        probability=np.abs(amplitude) ** 2,
+        amplitude=amplitude,
+        stationary_momenta=(k10, k20),
+        guard_values=(g1, g2),
+        guard_ok=np.minimum(g1, g2) >= ASYMPTOTIC_GUARD,
     )
 
 

@@ -51,9 +51,14 @@ ABS_FLOOR = 1e-15
 # Largest admissible phase advance per panel: a quarter oscillation.
 _MAX_PHASE_PER_PANEL = 0.5 * np.pi
 
-# The 2-D rule refuses a bisection level that would put more panels than
-# this on an axis, and raises QuadratureError instead.
+# The 2-D rule refuses a panelization or bisection level that would put
+# more panels than this on an axis, and raises QuadratureError instead.
 MAX_PANELS_AXIS = 60_000
+
+# Bisection levels and detector positions per phase-matrix block of the
+# batched 1-D rule.
+SCAN1D_MAX_LEVELS = 8
+SCAN1D_CHUNK = 2048
 
 # Kronrod-15 abscissae (ascending) with the embedded Gauss-7 subset at the
 # odd positions.  Standard QUADPACK constants; validated in the test suite
@@ -151,7 +156,6 @@ def oscillation_breakpoints(
     domain: tuple[float, float],
     phase_params: Sequence[tuple[float, float]],
     max_width: float | None = None,
-    min_panels: int = 8,
     max_panels: int = 1 << 20,
 ) -> np.ndarray:
     """Panel breakpoints satisfying the quarter-oscillation constraint.
@@ -160,51 +164,50 @@ def oscillation_breakpoints(
     enforced for every pair, so one subdivision can serve a whole scan.
     ``max_width`` optionally caps panel widths at the envelope's finest
     feature scale so the fixed-order rule resolves the envelope as well.
+    Starting from eight equal panels (or narrower ones under
+    ``max_width``), every violating panel is bisected, one level at a
+    time, until none violates.  Raises ValueError for a non-finite (z, t)
+    and QuadratureError if the panels would exceed ``max_panels``.
     """
+    zt = np.asarray(phase_params, dtype=float).reshape(-1, 2)
+    if not np.isfinite(zt).all():
+        raise ValueError(f"detector positions and times must be finite, got {phase_params}")
     lo, hi = map(float, domain)
     span = hi - lo
-    width0 = span / max(min_panels, 1)
+    width0 = span / 8
     if max_width is not None and max_width > 0:
         width0 = min(width0, float(max_width))
     n0 = max(int(np.ceil(span / width0)), 1)
-    breaks = list(np.linspace(lo, hi, n0 + 1))
-
-    def max_rate(a: float, b: float) -> float:
-        r = 0.0
-        for z, t in phase_params:
-            r = max(r, abs(d.phase_rate(a, z, t)), abs(d.phase_rate(b, z, t)))
-        return r
-
-    out = []
-    stack = [(breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1)]
-    stack.reverse()
+    breaks = np.linspace(lo, hi, n0 + 1)
     tiny = span * 1e-13
-    while stack:
-        a, b = stack.pop()
-        w = b - a
-        if w <= tiny or w * max_rate(a, b) <= _MAX_PHASE_PER_PANEL:
-            out.append(a)
-        else:
-            if len(out) + len(stack) + 2 > max_panels:
-                raise QuadratureError(
-                    f"panel budget {max_panels} exhausted while resolving oscillation on {domain}",
-                    QuadResult(0.0 + 0.0j, np.inf, len(out) + len(stack) + 1, "adaptive_panel"),
-                )
-            mid = 0.5 * (a + b)
-            stack.append((mid, b))
-            stack.append((a, mid))
-    out.append(hi)
-    return np.asarray(out)
+    while True:
+        rate = np.abs(d.phase_rate(breaks, zt[:, :1], zt[:, 1:])).max(axis=0)
+        w = breaks[1:] - breaks[:-1]
+        split = (w > tiny) & (w * np.maximum(rate[:-1], rate[1:]) > _MAX_PHASE_PER_PANEL)
+        n_split = int(split.sum())
+        if n_split == 0:
+            return breaks
+        if w.size + n_split > max_panels:
+            raise QuadratureError(
+                f"panel budget {max_panels} exhausted while resolving oscillation on {domain}",
+                QuadResult(0.0 + 0.0j, np.inf, w.size, "adaptive_panel"),
+            )
+        mids = 0.5 * (breaks[:-1][split] + breaks[1:][split])
+        breaks = np.insert(breaks, np.flatnonzero(split) + 1, mids)
 
 
 def _panel_grid(breaks: np.ndarray):
-    """Kronrod nodes (P, 15) and half-widths (P,) for the given panels."""
+    """Flat Kronrod nodes with their K15 weights, G7 weights and G7 node mask."""
     a = breaks[:-1]
     b = breaks[1:]
     half = 0.5 * (b - a)
     centre = 0.5 * (a + b)
-    nodes = centre[:, None] + half[:, None] * XGK[None, :]
-    return nodes, half
+    k = (centre[:, None] + half[:, None] * XGK[None, :]).ravel()
+    w15 = (half[:, None] * WGK[None, :]).ravel()
+    w7 = (half[:, None] * WG[None, :]).ravel()
+    gmask = np.zeros((half.size, XGK.size), dtype=bool)
+    gmask[:, GAUSS_SUBSET] = True
+    return k, w15, w7, gmask.ravel()
 
 
 # |K15 - G7| cannot be trusted below the arithmetic noise of the sums;
@@ -296,8 +299,6 @@ def osc_integrate_1d_many(
     domain: tuple[float, float],
     rel_tol: float = 1e-9,
     max_width: float | None = None,
-    max_levels: int = 8,
-    chunk: int = 2048,
 ):
     """Batched 1-D evaluation over many detector positions at one time.
 
@@ -306,46 +307,39 @@ def osc_integrate_1d_many(
     matrix product.  A level of global panel bisection is applied when
     any point misses the error target, which is uniform over the batch:
     rel_tol times the largest amplitude (deep-tail points are round-off
-    limited and still carry their own estimates).  Returns
-    (values, errors, panels).
+    limited and still carry their own estimates).  Up to
+    ``SCAN1D_MAX_LEVELS`` levels are tried.  Returns (values, errors, panels).
     """
+    _check_domain_tol(domain, rel_tol)
     z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
     zmin, zmax = float(z_values.min()), float(z_values.max())
     breaks = oscillation_breakpoints(
         d, domain, [(zmin, t), (zmax, t)], max_width=max_width)
-    for _level in range(max_levels + 1):
-        nodes, half = _panel_grid(breaks)
-        k = nodes.ravel()
+    for level in range(SCAN1D_MAX_LEVELS + 1):
+        k, w15, w7, gmask = _panel_grid(breaks)
         base = np.asarray(envelope(k), dtype=complex) * np.exp(-1j * d.omega(k) * t)
-        w15 = (half[:, None] * WGK[None, :]).ravel()
-        gmask = np.zeros(nodes.shape, dtype=bool)
-        gmask[:, GAUSS_SUBSET] = True
-        gmask = gmask.ravel()
-        w7 = (half[:, None] * WG[None, :]).ravel()
         u15 = base * w15
         u7 = base[gmask] * w7
         kg = k[gmask]
         vals15 = np.empty(z_values.size, dtype=complex)
         vals7 = np.empty_like(vals15)
-        for i0 in range(0, z_values.size, chunk):
-            sl = slice(i0, min(i0 + chunk, z_values.size))
-            ph = np.exp(1j * np.outer(z_values[sl], k))
-            vals15[sl] = ph @ u15
+        for i0 in range(0, z_values.size, SCAN1D_CHUNK):
+            sl = slice(i0, min(i0 + SCAN1D_CHUNK, z_values.size))
+            vals15[sl] = np.exp(1j * np.outer(z_values[sl], k)) @ u15
             vals7[sl] = np.exp(1j * np.outer(z_values[sl], kg)) @ u7
-            del ph
         errs = np.abs(vals15 - vals7)
         noise = ROUNDOFF_FACTOR * float(np.abs(u15).sum())
         target = max(rel_tol * float(np.abs(vals15).max()), ABS_FLOOR, noise)
-        if (errs <= target).all() or _level == max_levels:
-            if (errs > target).any():
-                worst = int(np.argmax(errs))
-                raise QuadratureError(
-                    f"batched quadrature stalled at z={z_values[worst]:.6g} "
-                    f"(error {errs[worst]:.3e}, target {target:.3e})",
-                    QuadResult(complex(vals15[worst]), float(errs[worst]),
-                               len(breaks) - 1, "adaptive_panel"),
-                )
+        if (errs <= target).all():
             return vals15, errs, len(breaks) - 1
+        if level == SCAN1D_MAX_LEVELS:
+            worst = int(np.argmax(errs))
+            raise QuadratureError(
+                f"batched quadrature stalled at z={z_values[worst]:.6g} "
+                f"(error {errs[worst]:.3e}, target {target:.3e})",
+                QuadResult(complex(vals15[worst]), float(errs[worst]),
+                           len(breaks) - 1, "adaptive_panel"),
+            )
         mids = 0.5 * (breaks[:-1] + breaks[1:])
         breaks = np.sort(np.concatenate([breaks, mids]))
 
@@ -386,16 +380,11 @@ def osc_tensor_scan(
     z2_values = np.atleast_1d(np.asarray(z2_values, dtype=float))
     params = [(float(z1_values.min()), t1), (float(z1_values.max()), t1),
               (float(z2_values.min()), t2), (float(z2_values.max()), t2)]
-    breaks = oscillation_breakpoints(d, domain, params, max_width=max_width)
+    breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
+                                     max_panels=MAX_PANELS_AXIS)
 
     for level in range(max_levels + 1):
-        nodes, half = _panel_grid(breaks)
-        k = nodes.ravel()
-        gmask = np.zeros(nodes.shape, dtype=bool)
-        gmask[:, GAUSS_SUBSET] = True
-        gmask = gmask.ravel()
-        w15 = (half[:, None] * WGK[None, :]).ravel()
-        w7 = (half[:, None] * WG[None, :]).ravel()
+        k, w15, w7, gmask = _panel_grid(breaks)
 
         def weight_matrix(z_vals, t):
             ph = np.exp(1j * (np.outer(k, z_vals) - d.omega(k)[:, None] * t))

@@ -59,16 +59,15 @@ def small_pair():
     return PumpedPair(PUMP, pump_scale=2.0)
 
 
-def small_grid_fit(f, **kw):
+def small_grid_fit(f):
     v = np.linspace(0.6, 0.8, 5)
-    return fit_universal_bound(f, D1, [(25.0, 25.0), (50.0, 50.0)], v, v,
-                               rel_tol=1e-5, **kw)
+    return fit_universal_bound(f, D1, [(25.0, 25.0), (50.0, 50.0)], v, v, rel_tol=1e-5)
 
 
 def test_zero_pair_gives_zero_constant():
     f = SymmetrizedProduct(GaussianPacket(0.7, 0.2, amplitude=0.0),
                            GaussianPacket(0.9, 0.2))
-    fit = small_grid_fit(f, use_asymptotics=False)
+    fit = small_grid_fit(f)
     assert fit.constant == 0.0
     assert fit.max_violation <= 0.0
 
@@ -92,9 +91,21 @@ def test_universal_bound_holds_by_construction():
 def test_homogeneity_quadratic_in_pair_amplitude():
     # P = |A|^2 with A linear in f: doubling f quadruples every constant
     f = small_pair()
-    fit1 = small_grid_fit(f, use_asymptotics=False)
-    fit2 = small_grid_fit(replace(f, scale=2.0 * f.scale), use_asymptotics=False)
+    fit1 = small_grid_fit(f)
+    fit2 = small_grid_fit(replace(f, scale=2.0 * f.scale))
     assert fit2.constant / fit1.constant == pytest.approx(4.0, rel=1e-6)
+
+
+def test_stationary_phase_route_agrees_with_quadrature():
+    # wide separable pair on a light mode: the guard t w'' sigma^2 passes
+    # at every grid corner, so the fit takes the stationary-phase route
+    d = DispersionRelation(0.2)
+    f = SymmetrizedProduct(GaussianPacket(0.05, 0.3), GaussianPacket(0.04, 0.25))
+    v = np.linspace(0.1, 0.3, 4)
+    fit = fit_universal_bound(f, d, [(40.0, 40.0), (40.0, 60.0)], v, v)
+    assert fit.diagnostics["methods"] == ["asymptotic_spa"]
+    assert fit.diagnostics["spa_cross_check_max_rel"] < 0.05
+    assert fit.max_violation <= 0.0 < fit.constant
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from wgcorr.cli import main
+from wgcorr.cli import Config, ConfigError, main
 
 
 def run_cli(*argv):
@@ -210,6 +210,22 @@ def test_invalid_config_exit_code_and_anchor(tmp_path, capsys):
     line = next(i for i, ln in enumerate(cfg.read_text().splitlines(), start=1)
                 if ln.startswith("width"))
     assert f"{cfg}:{line}" in err
+
+
+@pytest.mark.parametrize("line, bad", [("width = 0.1", "width = nan"),
+                                       ("t_values = 0, 10", "t_values = 0, inf")])
+def test_non_finite_config_number_rejected(tmp_path, capsys, line, bad):
+    cfg, _ = write_cfg(tmp_path, SINGLE_CFG.replace(line, bad))
+    assert run_cli("single", "--config", str(cfg)) == 2
+    lineno = cfg.read_text().splitlines().index(bad) + 1
+    assert f"{cfg}:{lineno}" in capsys.readouterr().err
+
+
+def test_non_finite_config_pair_rejected(tmp_path):
+    path = tmp_path / "pairs.ini"
+    path.write_text("[scan]\nt_pairs = 50:50, 800:-inf\n")
+    with pytest.raises(ConfigError, match=f"{path}:2"):
+        Config(path).get_pairs("scan", "t_pairs")
 
 
 def test_missing_key_reported(tmp_path, capsys):

@@ -121,6 +121,30 @@ def test_asymptotic_guard_flags_narrow_packet():
     assert r.guard_value == pytest.approx(200 * 0.512 * 0.01, rel=1e-12)
 
 
+def test_asymptotic_single_broadcasts_like_scalar_calls():
+    g = GaussianPacket(0.75, 0.3)
+    v = np.linspace(0.1, 0.8, 5)[:, None]
+    t = np.array([[30.0, 200.0, 1500.0]])
+    r = asymptotic_single(g, D1, v, t)
+    for i, j in np.ndindex(5, 3):
+        s = asymptotic_single(g, D1, float(v[i, 0]), float(t[0, j]))
+        for field in ("probability", "amplitude", "stationary_momentum", "guard_value"):
+            got = np.broadcast_to(getattr(r, field), (5, 3))[i, j]
+            assert got == pytest.approx(getattr(s, field), rel=1e-13)
+        assert r.guard_ok[i, j] == s.guard_ok
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda g: amplitude_single(g, D1, SpacetimePoint(np.inf, 10.0)),
+    lambda g: single_scan(g, D1, [1.0, np.nan], 10.0),
+    lambda g: probability_biphoton(pumped_spec(), D1, SpacetimePoint(np.nan, 5.0),
+                                   SpacetimePoint(2.0, 4.0), rel_tol=1e-6),
+], ids=["point_inf_z", "scan_nan_z", "pair_nan_z1"])
+def test_non_finite_points_fail_fast(evaluate):
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(GaussianPacket(0.75, 0.1))
+
+
 # ----------------------------------------------------------------------
 # biphoton
 # ----------------------------------------------------------------------
@@ -244,6 +268,21 @@ def test_asymptotic_biphoton_guard_flags():
     f = pumped_spec()  # pump width 0.1 is far below the trust threshold at t = 300
     r = asymptotic_biphoton(f, D1, 0.6, 0.7, 300.0, 300.0)
     assert not r.guard_ok
+
+
+def test_asymptotic_biphoton_broadcasts_like_scalar_calls():
+    f = pumped_spec()
+    v1 = np.linspace(0.55, 0.85, 4)[:, None]
+    v2 = np.linspace(0.6, 0.8, 3)[None, :]
+    r = asymptotic_biphoton(f, D1, v1, v2, 300.0, 500.0)
+    for i, j in np.ndindex(4, 3):
+        s = asymptotic_biphoton(f, D1, float(v1[i, 0]), float(v2[0, j]), 300.0, 500.0)
+        assert r.probability[i, j] == pytest.approx(s.probability, rel=1e-13)
+        assert r.amplitude[i, j] == pytest.approx(s.amplitude, rel=1e-13)
+        for arr, val in zip(r.stationary_momenta + r.guard_values,
+                            s.stationary_momenta + s.guard_values):
+            assert np.broadcast_to(arr, (4, 3))[i, j] == pytest.approx(val, rel=1e-13)
+        assert r.guard_ok[i, j] == s.guard_ok
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from wgcorr import DispersionRelation, OscIntegralProblem, QuadratureError
+from wgcorr import DispersionRelation, OscIntegralProblem, QuadratureError, quadrature
 from wgcorr.quadrature import (
     GAUSS_SUBSET,
     WG,
     WGK,
     XGK,
     osc_integrate_1d,
+    osc_integrate_1d_many,
     osc_integrate_2d,
+    osc_tensor_scan,
     oscillation_breakpoints,
 )
 
@@ -65,6 +67,55 @@ def test_breakpoints_respect_quarter_oscillation():
     for a, b, w in zip(breaks[:-1], breaks[1:], widths):
         rate = max(abs(d.phase_rate(a, z, t)), abs(d.phase_rate(b, z, t)))
         assert w * rate <= 0.5 * np.pi * (1 + 1e-12)
+
+
+def reference_breakpoints(d, domain, phase_params, max_width=None):
+    """Depth-first scalar panelizer: bisect each panel until it holds."""
+    lo, hi = domain
+    span = hi - lo
+    width0 = span / 8
+    if max_width is not None:
+        width0 = min(width0, max_width)
+    breaks = list(np.linspace(lo, hi, int(np.ceil(span / width0)) + 1))
+    stack = [(breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1)][::-1]
+    out = []
+    while stack:
+        a, b = stack.pop()
+        rate = max(max(abs(d.phase_rate(a, z, t)), abs(d.phase_rate(b, z, t)))
+                   for z, t in phase_params)
+        if b - a <= span * 1e-13 or (b - a) * rate <= 0.5 * np.pi:
+            out.append(a)
+        else:
+            mid = 0.5 * (a + b)
+            stack += [(mid, b), (a, mid)]
+    return np.array(out + [hi])
+
+
+def test_breakpoints_equal_scalar_reference():
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        d = DispersionRelation(rng.uniform(0.2, 2.0))
+        centre, width = rng.uniform(-1.0, 2.0), rng.uniform(0.1, 1.0)
+        dom = (centre - 7.0 * width, centre + 7.0 * width)
+        n_pairs = (1, 2, 4)[case % 3]
+        params = [(rng.uniform(-1.2, 1.2) * t, t) for t in rng.uniform(0.0, 1e3, n_pairs)]
+        max_width = rng.uniform(0.01, 0.5) if case % 2 else None
+        ref = reference_breakpoints(d, dom, params, max_width)
+        np.testing.assert_array_equal(
+            oscillation_breakpoints(d, dom, params, max_width=max_width), ref)
+        # the budget admits exactly the reference panel count
+        if case % 10 == 0 and ref.size > 9:
+            oscillation_breakpoints(d, dom, params, max_width=max_width,
+                                    max_panels=ref.size - 1)
+            with pytest.raises(QuadratureError):
+                oscillation_breakpoints(d, dom, params, max_width=max_width,
+                                        max_panels=ref.size - 2)
+
+
+@pytest.mark.parametrize("z, t", [(np.inf, 100.0), (np.nan, 100.0), (5.0, np.nan)])
+def test_breakpoints_reject_non_finite_phase(z, t):
+    with pytest.raises(ValueError, match="finite"):
+        oscillation_breakpoints(D1, (-1.0, 1.0), [(0.0, 10.0), (z, t)])
 
 
 # ----------------------------------------------------------------------
@@ -202,3 +253,26 @@ def test_2d_swap_symmetry():
     r1 = osc_integrate_2d(joint, D1, dom, 2.0, 6.0, -1.5, 9.0, rel_tol=1e-10)
     r2 = osc_integrate_2d(joint, D1, dom, -1.5, 9.0, 2.0, 6.0, rel_tol=1e-10)
     assert abs(r1.value - r2.value) <= 1e-12 * abs(r1.value)
+
+
+# ----------------------------------------------------------------------
+# batched drivers
+# ----------------------------------------------------------------------
+
+def test_batched_1d_validates_tolerance():
+    with pytest.raises(ValueError, match="rel_tol"):
+        osc_integrate_1d_many(gaussian_env(0.0, 0.5), D1, [0.0, 1.0], 10.0,
+                              (-3.0, 3.0), rel_tol=0.0)
+
+
+def test_tensor_scan_refuses_axis_over_budget_before_sampling(monkeypatch):
+    calls = []
+
+    def joint(k1, k2):
+        calls.append(1)
+        return np.exp(-0.5 * (k1**2 + k2**2)) + 0.0j
+
+    monkeypatch.setattr(quadrature, "MAX_PANELS_AXIS", 20)
+    with pytest.raises(QuadratureError, match="panel budget 20"):
+        osc_tensor_scan(joint, D1, (-4.0, 4.0), 200.0, 200.0, [0.0, 50.0], [0.0])
+    assert not calls
