@@ -45,6 +45,7 @@ from .correlators import (
     momentum_norm,
     position_norm,
     probability_biphoton,
+    probability_error,
     probability_single,
     single_scan,
 )
@@ -407,7 +408,7 @@ def cmd_biphoton(cfg: Config, out: Path) -> int:
             err = errs[i, j]
             p = abs(amp) ** 2
             rows.append((t1, a, t2, b, amp.real, amp.imag, p,
-                         2 * abs(amp) * err + err**2, "adaptive_panel"))
+                         probability_error(abs(amp), err), "adaptive_panel"))
     write_csv(out / "biphoton_scan.csv",
               ("t1", "z1", "t2", "z2", "amp_re", "amp_im", "probability",
                "error", "method"),

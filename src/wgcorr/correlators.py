@@ -30,7 +30,7 @@ from .quadrature import (
     osc_integrate_2d,
     osc_tensor_scan,
 )
-from .wavepackets import _feature_width
+from .wavepackets import _feature_width, _quadrature_domain
 
 __all__ = [
     "SpacetimePoint",
@@ -50,6 +50,7 @@ __all__ = [
     "momentum_norm",
     "position_norm",
     "kg_residual",
+    "probability_error",
 ]
 
 # Stationary phase is trusted once t * omega''(k0) * width^2 reaches this.
@@ -60,6 +61,11 @@ ASYMPTOTIC_GUARD = 10.0
 class SpacetimePoint:
     z: float
     t: float
+
+
+def probability_error(amp_abs, amp_error):
+    """Error bound of P = |A|^2 from |A| and the amplitude's error estimate."""
+    return 2.0 * amp_abs * amp_error + amp_error**2
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class CorrelationResult:
         amplitudes = np.asarray(amplitudes, dtype=complex)
         amp_errors = np.asarray(amp_errors, dtype=float)
         values = np.abs(amplitudes) ** 2
-        p_errors = 2.0 * np.abs(amplitudes) * amp_errors + amp_errors**2
+        p_errors = probability_error(np.abs(amplitudes), amp_errors)
         return cls(tuple(points), amplitudes, values, p_errors, tuple(methods))
 
 
@@ -103,7 +109,7 @@ def amplitude_single(packet, d: DispersionRelation, pt: SpacetimePoint,
     """Detection amplitude A(z, t) by adaptive quadrature over the packet support."""
     prob = OscIntegralProblem(
         envelope=_single_envelope(packet, d),
-        z=pt.z, t=pt.t, dispersion=d, domain=packet.support, rel_tol=rel_tol)
+        z=pt.z, t=pt.t, dispersion=d, domain=_quadrature_domain(packet), rel_tol=rel_tol)
     return osc_integrate_1d(prob, max_width=_feature_width(packet))
 
 
@@ -112,7 +118,7 @@ def probability_single(packet, d: DispersionRelation, pt: SpacetimePoint,
     """P(z, t) = |A(z, t)|^2 and its propagated error estimate."""
     r = amplitude_single(packet, d, pt, rel_tol)
     a = abs(r.value)
-    return a * a, 2.0 * a * r.error_estimate + r.error_estimate**2
+    return a * a, probability_error(a, r.error_estimate)
 
 
 @dataclass(frozen=True)
@@ -176,7 +182,7 @@ def amplitude_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
     axes share one panelization, which keeps detector exchange an exact
     symmetry of the rule.
     """
-    res = osc_integrate_2d(_joint_envelope(f, d), d, f.axis_domain(),
+    res = osc_integrate_2d(_joint_envelope(f, d), d, _quadrature_domain(f),
                            pt1.z, pt1.t, pt2.z, pt2.t,
                            rel_tol=rel_tol, max_width=_feature_width(f))
     return QuadResult(2.0 * res.value, 2.0 * res.error_estimate,
@@ -187,7 +193,7 @@ def probability_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
                          pt2: SpacetimePoint, rel_tol: float = 1e-8) -> tuple[float, float]:
     r = amplitude_biphoton(f, d, pt1, pt2, rel_tol)
     a = abs(r.value)
-    return a * a, 2.0 * a * r.error_estimate + r.error_estimate**2
+    return a * a, probability_error(a, r.error_estimate)
 
 
 @dataclass(frozen=True)
@@ -272,7 +278,7 @@ def single_scan(packet, d: DispersionRelation, z_values, t: float,
     z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
     amps, errs, panels = osc_integrate_1d_many(
         _single_envelope(packet, d), d, z_values, t,
-        packet.support, rel_tol=rel_tol, max_width=_feature_width(packet))
+        _quadrature_domain(packet), rel_tol=rel_tol, max_width=_feature_width(packet))
     pts = [SpacetimePoint(float(z), float(t)) for z in z_values]
     return CorrelationResult.from_amplitudes(
         pts, amps, errs, ["adaptive_panel"] * z_values.size)
@@ -286,7 +292,7 @@ def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
     (len(z1), len(z2)); amplitudes include the exchange doubling.
     """
     vals, errs, panels = osc_tensor_scan(
-        _joint_envelope(f, d), d, f.axis_domain(), t1, t2,
+        _joint_envelope(f, d), d, _quadrature_domain(f), t1, t2,
         z1_values, z2_values, rel_tol=rel_tol, max_width=_feature_width(f))
     return 2.0 * vals, 2.0 * errs, panels
 
@@ -299,7 +305,7 @@ def momentum_norm(packet, d: DispersionRelation, rel_tol: float = 1e-11) -> floa
     """int |g(k)|^2 / (4 omega(k)) dk, the conserved norm of A."""
     prob = OscIntegralProblem(
         envelope=lambda k: np.abs(packet(k)) ** 2 / (4.0 * d.omega(k)) + 0.0j,
-        z=0.0, t=0.0, dispersion=d, domain=packet.support, rel_tol=rel_tol)
+        z=0.0, t=0.0, dispersion=d, domain=_quadrature_domain(packet), rel_tol=rel_tol)
     return float(osc_integrate_1d(prob, max_width=_feature_width(packet)).value.real)
 
 

@@ -4,22 +4,26 @@ Evaluates integrals of the form
 
     I(z, t) = int_domain h(k) exp(i (k z - omega(k) t)) dk
 
-and their two-dimensional tensor products, uniformly from t = 0 up to the
-moderately deep asymptotic regime (t ~ 1e3).  The method is adaptive
-panels with a fixed-order embedded Gauss(7)/Kronrod(15) pair on each
-panel:
+for batches of detector positions z at one time t, and their 2-D tensor
+products, from t = 0 deep into the asymptotic regime (the panel count
+grows linearly in t).  The method is panels with a fixed-order embedded
+Gauss(7)/Kronrod(15) pair on each panel:
 
-* Panels are sized so that no panel spans more than a quarter of the
-  local oscillation period 2*pi/|z - omega'(k) t|.  Because omega' is
+* ``domain`` holds increasing breakpoints, (lo, hi) being the simplest;
+  every breakpoint stays a panel edge, so an envelope kink placed there
+  (a table packet's node) never falls inside a panel.
+* No panel spans more than a quarter of the local oscillation period
+  2*pi/|z - omega'(k) t| for any z of the batch.  Because omega' is
   monotone in k, the largest phase rate on a panel is attained at an
   endpoint, so the constraint is checked exactly from endpoint values.
-  Near a stationary point the endpoint rule automatically yields panels
-  of width ~ sqrt(pi / (omega'' t)), which resolves the quadratic phase.
-* The panel error estimate is |K15 - G7|; a panel whose estimate is
-  large gets bisected.  Refinement stops once the summed estimate drops
-  below max(rel_tol * |I|, ABS_FLOOR, arithmetic noise scale); the noise
-  scale matters because the estimate itself is a difference of large
-  sums and cannot certify below round-off.
+  Near a stationary point this yields panels of width
+  ~ sqrt(pi / (omega'' t)), which resolves the quadratic phase.
+* Each point's error estimate is |sum K15 - sum G7|.  While any point
+  of the batch misses max(rel_tol * largest |I|, ABS_FLOOR, arithmetic
+  noise scale), every panel is bisected, within a level and panel
+  budget; the noise scale matters because the estimate is itself a
+  difference of large sums and cannot certify below round-off.
+* The single-point entries are one-point (1-D) and 1x1 (2-D) scans.
 
 Evaluation is pure and deterministic: the same problem always produces
 the same panel subdivision and the same summation order.
@@ -51,14 +55,16 @@ ABS_FLOOR = 1e-15
 # Largest admissible phase advance per panel: a quarter oscillation.
 _MAX_PHASE_PER_PANEL = 0.5 * np.pi
 
-# The 2-D rule refuses a panelization or bisection level that would put
-# more panels than this on an axis, and raises QuadratureError instead.
+# The 1-D and 2-D rules refuse a panelization or bisection level that
+# would put more panels than these on the domain (1-D) or on an axis
+# (2-D), and raise QuadratureError instead.
+MAX_PANELS_1D = 200_000
 MAX_PANELS_AXIS = 60_000
 
-# Bisection levels and detector positions per phase-matrix block of the
-# batched 1-D rule.
+# Bisection levels of the 1-D rule, and the most phase factors
+# (detector positions x nodes) it holds in one block.
 SCAN1D_MAX_LEVELS = 8
-SCAN1D_CHUNK = 2048
+SCAN1D_BLOCK = 1 << 20
 
 # Kronrod-15 abscissae (ascending) with the embedded Gauss-7 subset at the
 # odd positions.  Standard QUADPACK constants; validated in the test suite
@@ -108,7 +114,7 @@ class OscIntegralProblem:
     z: float
     t: float
     dispersion: DispersionRelation
-    domain: tuple[float, float]
+    domain: tuple[float, ...]
     rel_tol: float = 1e-9
 
     def __post_init__(self):
@@ -116,9 +122,10 @@ class OscIntegralProblem:
 
 
 def _check_domain_tol(domain, rel_tol: float) -> None:
-    lo, hi = domain
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"domain must be a finite increasing interval, got {domain}")
+    edges = np.asarray(domain, dtype=float)
+    if not (edges.ndim == 1 and edges.size >= 2 and np.isfinite(edges).all()
+            and (np.diff(edges) > 0).all()):
+        raise ValueError(f"domain must be finite increasing breakpoints, got {domain}")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
 
@@ -153,18 +160,20 @@ class QuadratureError(RuntimeError):
 
 def oscillation_breakpoints(
     d: DispersionRelation,
-    domain: tuple[float, float],
+    domain: Sequence[float],
     phase_params: Sequence[tuple[float, float]],
     max_width: float | None = None,
     max_panels: int = 1 << 20,
 ) -> np.ndarray:
     """Panel breakpoints satisfying the quarter-oscillation constraint.
 
-    ``phase_params`` is a sequence of (z, t) pairs; the constraint is
-    enforced for every pair, so one subdivision can serve a whole scan.
-    ``max_width`` optionally caps panel widths at the envelope's finest
-    feature scale so the fixed-order rule resolves the envelope as well.
-    Starting from eight equal panels (or narrower ones under
+    ``domain`` holds increasing breakpoints, every one of which stays a
+    panel edge; (lo, hi) is the one-interval case.  ``phase_params`` is a
+    sequence of (z, t) pairs; the constraint is enforced for every pair,
+    so one subdivision can serve a whole scan.  ``max_width`` optionally
+    caps panel widths at the envelope's finest feature scale so the
+    fixed-order rule resolves the envelope as well.  Starting from equal
+    panels on each interval, no wider than an eighth of the domain (or
     ``max_width``), every violating panel is bisected, one level at a
     time, until none violates.  Raises ValueError for a non-finite (z, t)
     and QuadratureError if the panels would exceed ``max_panels``.
@@ -172,13 +181,14 @@ def oscillation_breakpoints(
     zt = np.asarray(phase_params, dtype=float).reshape(-1, 2)
     if not np.isfinite(zt).all():
         raise ValueError(f"detector positions and times must be finite, got {phase_params}")
-    lo, hi = map(float, domain)
-    span = hi - lo
+    edges = np.asarray(domain, dtype=float)
+    span = edges[-1] - edges[0]
     width0 = span / 8
     if max_width is not None and max_width > 0:
         width0 = min(width0, float(max_width))
-    n0 = max(int(np.ceil(span / width0)), 1)
-    breaks = np.linspace(lo, hi, n0 + 1)
+    breaks = np.concatenate(
+        [np.linspace(a, b, max(int(np.ceil((b - a) / width0)), 1) + 1)[:-1]
+         for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]])
     tiny = span * 1e-13
     while True:
         rate = np.abs(d.phase_rate(breaks, zt[:, :1], zt[:, 1:])).max(axis=0)
@@ -215,133 +225,83 @@ def _panel_grid(breaks: np.ndarray):
 ROUNDOFF_FACTOR = 50.0 * np.finfo(float).eps
 
 
-def _panel_values(problem: OscIntegralProblem, lefts: np.ndarray, rights: np.ndarray):
-    """Per-panel K15/G7 estimates plus the weighted L1 scale of each panel."""
-    half = 0.5 * (rights - lefts)
-    centre = 0.5 * (rights + lefts)
-    nodes = centre[:, None] + half[:, None] * XGK[None, :]
-    d = problem.dispersion
-    k = nodes.ravel()
-    f = np.asarray(problem.envelope(k), dtype=complex)
-    f = f * np.exp(1j * (k * problem.z - d.omega(k) * problem.t))
-    f = f.reshape(nodes.shape)
-    v15 = (f * WGK[None, :]).sum(axis=1) * half
-    v7 = (f[:, GAUSS_SUBSET] * WG[None, :]).sum(axis=1) * half
-    l1 = (np.abs(f) * WGK[None, :]).sum(axis=1) * half
-    return v15, v7, l1
-
-
 # ----------------------------------------------------------------------
-# 1-D adaptive driver
+# 1-D rule
 # ----------------------------------------------------------------------
-
-def osc_integrate_1d(
-    problem: OscIntegralProblem,
-    max_width: float | None = None,
-    max_panels: int = 200_000,
-) -> QuadResult:
-    """Adaptive evaluation of one oscillatory integral.
-
-    Panels start from the quarter-oscillation subdivision; the ones with
-    the largest |K15 - G7| estimates are bisected until the summed
-    estimate meets max(rel_tol * |I|, ABS_FLOOR).  Raises QuadratureError
-    (carrying the best value and achieved error) if the panel budget runs
-    out first.
-    """
-    breaks = oscillation_breakpoints(
-        problem.dispersion, problem.domain,
-        [(problem.z, problem.t)], max_width=max_width, max_panels=max_panels,
-    )
-    lefts = breaks[:-1].copy()
-    rights = breaks[1:].copy()
-    v15, v7, l1 = _panel_values(problem, lefts, rights)
-    err = np.abs(v15 - v7)
-
-    span = problem.domain[1] - problem.domain[0]
-    tiny = span * 1e-13
-    while True:
-        order = np.argsort(lefts, kind="stable")
-        value = complex(v15[order].sum())
-        total_err = float(err[order].sum())
-        noise = ROUNDOFF_FACTOR * float(l1.sum())
-        target = max(problem.rel_tol * abs(value), ABS_FLOOR, noise)
-        if total_err <= target:
-            return QuadResult(value, total_err, len(lefts), "adaptive_panel")
-        widths = rights - lefts
-        # splitting a panel whose estimate sits at its own noise scale
-        # only adds round-off, never accuracy
-        splittable = (err > ROUNDOFF_FACTOR * l1) & (widths > tiny)
-        worst = err[splittable].max() if splittable.any() else 0.0
-        split = splittable & (err >= 0.25 * worst)
-        if not split.any() or len(lefts) + int(split.sum()) > max_panels:
-            raise QuadratureError(
-                f"quadrature stalled at error {total_err:.3e} (target {target:.3e}) "
-                f"with {len(lefts)} panels",
-                QuadResult(value, total_err, len(lefts), "adaptive_panel"),
-            )
-        mids = 0.5 * (lefts[split] + rights[split])
-        child_lefts = np.concatenate([lefts[split], mids])
-        child_rights = np.concatenate([mids, rights[split]])
-        cv15, cv7, cl1 = _panel_values(problem, child_lefts, child_rights)
-        lefts = np.concatenate([lefts[~split], child_lefts])
-        rights = np.concatenate([rights[~split], child_rights])
-        v15 = np.concatenate([v15[~split], cv15])
-        v7 = np.concatenate([v7[~split], cv7])
-        l1 = np.concatenate([l1[~split], cl1])
-        err = np.concatenate([err[~split], np.abs(cv15 - cv7)])
-
 
 def osc_integrate_1d_many(
     envelope: Callable,
     d: DispersionRelation,
     z_values: np.ndarray,
     t: float,
-    domain: tuple[float, float],
+    domain: Sequence[float],
     rel_tol: float = 1e-9,
     max_width: float | None = None,
 ):
     """Batched 1-D evaluation over many detector positions at one time.
 
-    One panelization (valid for every z in the batch) is built, the
-    envelope is sampled once, and the per-z phase sums are formed as a
-    matrix product.  A level of global panel bisection is applied when
-    any point misses the error target, which is uniform over the batch:
+    One panelization (valid for every z in the batch) is built and the
+    envelope is sampled once per level.  The phase factors
+    exp(i (k z - omega(k) t)) are formed once per (z, node), in blocks of
+    at most ``SCAN1D_BLOCK``, and one matrix product per block gives the
+    K15 and G7 sums of every z (the G7 nodes are the odd Kronrod
+    positions).  A level of global panel bisection is applied when any
+    point misses the error target, which is uniform over the batch:
     rel_tol times the largest amplitude (deep-tail points are round-off
     limited and still carry their own estimates).  Up to
-    ``SCAN1D_MAX_LEVELS`` levels are tried.  Returns (values, errors, panels).
+    ``SCAN1D_MAX_LEVELS`` levels are tried within ``MAX_PANELS_1D``
+    panels.  Returns (values, errors, panels).
     """
     _check_domain_tol(domain, rel_tol)
     z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
-    zmin, zmax = float(z_values.min()), float(z_values.max())
-    breaks = oscillation_breakpoints(
-        d, domain, [(zmin, t), (zmax, t)], max_width=max_width)
+    if z_values.size == 0:
+        raise ValueError("z_values must hold at least one detector position")
+    params = [(z, t) for z in np.unique([z_values.min(), z_values.max()])]
+    breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
+                                     max_panels=MAX_PANELS_1D)
     for level in range(SCAN1D_MAX_LEVELS + 1):
         k, w15, w7, gmask = _panel_grid(breaks)
-        base = np.asarray(envelope(k), dtype=complex) * np.exp(-1j * d.omega(k) * t)
-        u15 = base * w15
-        u7 = base[gmask] * w7
-        kg = k[gmask]
-        vals15 = np.empty(z_values.size, dtype=complex)
-        vals7 = np.empty_like(vals15)
-        for i0 in range(0, z_values.size, SCAN1D_CHUNK):
-            sl = slice(i0, min(i0 + SCAN1D_CHUNK, z_values.size))
-            vals15[sl] = np.exp(1j * np.outer(z_values[sl], k)) @ u15
-            vals7[sl] = np.exp(1j * np.outer(z_values[sl], kg)) @ u7
-        errs = np.abs(vals15 - vals7)
-        noise = ROUNDOFF_FACTOR * float(np.abs(u15).sum())
-        target = max(rel_tol * float(np.abs(vals15).max()), ABS_FLOOR, noise)
+        f = np.asarray(envelope(k), dtype=complex)
+        weights = np.zeros((2, k.size), dtype=complex)   # K15 and G7 rows
+        weights[0] = f * w15
+        weights[1, gmask] = f[gmask] * w7
+        wt = d.omega(k) * t
+        sums = np.empty((2, z_values.size), dtype=complex)
+        rows = max(SCAN1D_BLOCK // k.size, 1)
+        for i0 in range(0, z_values.size, rows):
+            ph = np.exp(1j * (np.outer(z_values[i0:i0 + rows], k) - wt))
+            sums[:, i0:i0 + rows] = weights @ ph.T
+            del ph
+        vals = sums[0]
+        errs = np.abs(vals - sums[1])
+        noise = ROUNDOFF_FACTOR * float(np.abs(weights[0]).sum())
+        target = max(rel_tol * float(np.abs(vals).max()), ABS_FLOOR, noise)
+        panels = len(breaks) - 1
         if (errs <= target).all():
-            return vals15, errs, len(breaks) - 1
-        if level == SCAN1D_MAX_LEVELS:
+            return vals, errs, panels
+        if level == SCAN1D_MAX_LEVELS or 2 * panels > MAX_PANELS_1D:
             worst = int(np.argmax(errs))
             raise QuadratureError(
                 f"batched quadrature stalled at z={z_values[worst]:.6g} "
-                f"(error {errs[worst]:.3e}, target {target:.3e})",
-                QuadResult(complex(vals15[worst]), float(errs[worst]),
-                           len(breaks) - 1, "adaptive_panel"),
+                f"(error {errs[worst]:.3e}, target {target:.3e}) with {panels} panels",
+                QuadResult(complex(vals[worst]), float(errs[worst]), panels,
+                           "adaptive_panel"),
             )
-        mids = 0.5 * (breaks[:-1] + breaks[1:])
-        breaks = np.sort(np.concatenate([breaks, mids]))
+        breaks = np.sort(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
+
+
+def osc_integrate_1d(problem: OscIntegralProblem,
+                     max_width: float | None = None) -> QuadResult:
+    """One oscillatory integral: the one-point case of ``osc_integrate_1d_many``.
+
+    Raises QuadratureError (carrying the best value and its error
+    estimate) when the target is out of reach within the scan's levels
+    and panel budget.
+    """
+    vals, errs, panels = osc_integrate_1d_many(
+        problem.envelope, problem.dispersion, [problem.z], problem.t,
+        problem.domain, rel_tol=problem.rel_tol, max_width=max_width)
+    return QuadResult(complex(vals[0]), float(errs[0]), panels, "adaptive_panel")
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +311,7 @@ def osc_integrate_1d_many(
 def osc_tensor_scan(
     joint_envelope: Callable,
     d: DispersionRelation,
-    domain: tuple[float, float],
+    domain: Sequence[float],
     t1: float,
     t2: float,
     z1_values: np.ndarray,
@@ -378,6 +338,8 @@ def osc_tensor_scan(
     _check_domain_tol(domain, rel_tol)
     z1_values = np.atleast_1d(np.asarray(z1_values, dtype=float))
     z2_values = np.atleast_1d(np.asarray(z2_values, dtype=float))
+    if z1_values.size == 0 or z2_values.size == 0:
+        raise ValueError("z1_values and z2_values must each hold at least one detector position")
     params = [(float(z1_values.min()), t1), (float(z1_values.max()), t1),
               (float(z2_values.min()), t2), (float(z2_values.max()), t2)]
     breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
@@ -428,7 +390,7 @@ def osc_tensor_scan(
 def osc_integrate_2d(
     joint_envelope: Callable,
     d: DispersionRelation,
-    domain: tuple[float, float],
+    domain: Sequence[float],
     z1: float,
     t1: float,
     z2: float,

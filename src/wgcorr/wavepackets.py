@@ -241,10 +241,9 @@ _UNIT_MASS = DispersionRelation(1.0)  # phase factors drop out at z = t = 0
 def packet_norm(packet, domain: tuple[float, float] | None = None,
                 rel_tol: float = 1e-11) -> float:
     """sqrt of int |g(k)|^2 dk over the packet support."""
-    dom = packet.support if domain is None else domain
     prob = OscIntegralProblem(
-        envelope=lambda k: np.abs(packet(k)) ** 2 + 0.0j,
-        z=0.0, t=0.0, dispersion=_UNIT_MASS, domain=dom, rel_tol=rel_tol)
+        envelope=lambda k: np.abs(packet(k)) ** 2 + 0.0j, z=0.0, t=0.0,
+        dispersion=_UNIT_MASS, domain=_quadrature_domain(packet, domain), rel_tol=rel_tol)
     res = osc_integrate_1d(prob, max_width=_feature_width(packet))
     return float(np.sqrt(res.value.real))
 
@@ -265,8 +264,9 @@ def biphoton_norm(spec: BiphotonSpec, k_domain: tuple[float, float],
     def env(k1, k2):
         return np.abs(spec(k1, k2)) ** 2 + 0.0j
 
-    res = osc_integrate_2d(env, _UNIT_MASS, k_domain, 0.0, 0.0, 0.0, 0.0,
-                           rel_tol=rel_tol, max_width=_feature_width(spec))
+    res = osc_integrate_2d(env, _UNIT_MASS, _quadrature_domain(spec, k_domain),
+                           0.0, 0.0, 0.0, 0.0, rel_tol=rel_tol,
+                           max_width=_feature_width(spec))
     return float(np.sqrt(res.value.real))
 
 
@@ -285,3 +285,21 @@ def _feature_width(obj) -> float | None:
         return 0.5 * obj.effective_width()
     except (AttributeError, ValueError):
         return None
+
+
+def _quadrature_domain(obj, domain=None):
+    """Quadrature breakpoints: ``domain`` plus the interior table nodes of ``obj``.
+
+    ``domain`` defaults to the packet support or the pair's axis domain.
+    A linearly interpolated table has a kink at every node, so panels
+    start there; families without table packets keep the (lo, hi) pair.
+    """
+    if domain is None:
+        domain = obj.axis_domain() if hasattr(obj, "axis_domain") else obj.support
+    parts = (obj.packet1, obj.packet2) if isinstance(obj, SymmetrizedProduct) else (obj,)
+    tables = [p.k for p in parts if isinstance(p, TablePacket)]
+    if not tables:
+        return domain
+    lo, hi = domain
+    nodes = np.unique(np.concatenate(tables))
+    return (lo, *nodes[(nodes > lo) & (nodes < hi)].tolist(), hi)

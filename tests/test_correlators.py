@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -8,6 +10,7 @@ from wgcorr import (
     PumpedPair,
     SpacetimePoint,
     SymmetrizedProduct,
+    TablePacket,
     amplitude_biphoton,
     amplitude_single,
     asymptotic_biphoton,
@@ -23,6 +26,8 @@ from wgcorr import (
     probability_single,
     single_scan,
 )
+from wgcorr import correlators
+from wgcorr.correlators import probability_error
 
 D1 = DispersionRelation(1.0)
 PUMP = GaussianPacket(center=2.0, width=0.1)
@@ -325,6 +330,61 @@ def test_profile_flags_lightcone_violations():
 # ----------------------------------------------------------------------
 # scans, conservation, wave-equation residual
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("v", [0.3, 0.9])
+def test_point_rule_converges_in_ray_tails(v):
+    # far-tail rays of the criterion-1 packet, where local bisection stalled;
+    # the point rule is a one-point scan, bit for bit
+    g = normalized_packet(GaussianPacket(0.75, 0.1))
+    pt = SpacetimePoint(v * 3000.0, 3000.0)
+    r = amplitude_single(g, D1, pt)
+    scan = single_scan(g, D1, [pt.z], pt.t)
+    assert r.panels_used < 5000
+    assert scan.amplitudes[0] == r.value
+    assert scan.error_estimates[0] == probability_error(np.abs(r.value), r.error_estimate)
+
+
+def test_table_scan_panels_start_at_nodes(monkeypatch):
+    # table kinks sit on panel edges, so the scan needs no bisection
+    # level to resolve them
+    k = np.linspace(0.35, 1.15, 21)
+    table = TablePacket(k, np.exp(-0.5 * ((k - 0.75) / 0.1) ** 2))
+    panels = []
+    scan = correlators.osc_integrate_1d_many
+
+    def recording(*args, **kwargs):
+        out = scan(*args, **kwargs)
+        panels.append(out[2])
+        return out
+
+    monkeypatch.setattr(correlators, "osc_integrate_1d_many", recording)
+    single_scan(table, D1, np.linspace(540.0, 660.0, 241), 1000.0)
+    assert panels[0] <= 200
+
+
+def test_scan_phase_block_memory_is_bounded():
+    # 241 points x ~42k nodes at t = 1e4: the whole phase matrix would be
+    # ~160 MB of complex values per array
+    g = normalized_packet(GaussianPacket(0.75, 0.1))
+    z = np.linspace(6000.0 - 60.0, 6000.0 + 60.0, 241)
+    tracemalloc.start()
+    try:
+        single_scan(g, D1, z, 1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: single_scan(GaussianPacket(0.75, 0.1), D1, [], 10.0),
+    lambda: biphoton_scan(pumped_spec(), D1, 4.0, 5.0, [], [1.0]),
+    lambda: biphoton_scan(pumped_spec(), D1, 4.0, 5.0, [1.0], np.array([])),
+], ids=["single_scan", "pair_empty_z1", "pair_empty_z2"])
+def test_empty_grids_rejected(evaluate):
+    with pytest.raises(ValueError, match="at least one detector position"):
+        evaluate()
+
 
 def test_single_scan_matches_pointwise():
     g = GaussianPacket(0.75, 0.15)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from wgcorr import DispersionRelation, OscIntegralProblem, QuadratureError, quadrature
 from wgcorr.quadrature import (
@@ -112,6 +113,19 @@ def test_breakpoints_equal_scalar_reference():
                                         max_panels=ref.size - 2)
 
 
+def test_breakpoints_keep_domain_breakpoints():
+    # every domain breakpoint stays a panel edge; each interval starts as
+    # equal panels no wider than an eighth of the whole domain
+    dom = (0.0, 0.03, 0.5, 2.0)
+    breaks = oscillation_breakpoints(D1, dom, [(0.0, 0.0)])
+    assert set(dom) <= set(breaks)
+    np.testing.assert_array_equal(
+        breaks, np.concatenate([[0.0], [0.03], np.linspace(0.03, 0.5, 3)[1:],
+                                np.linspace(0.5, 2.0, 7)[1:]]))
+    with pytest.raises(ValueError, match="increasing breakpoints"):
+        osc_integrate_1d_many(gaussian_env(0.0, 0.5), D1, [0.0], 1.0, (0.0, 0.5, 0.5, 1.0))
+
+
 @pytest.mark.parametrize("z, t", [(np.inf, 100.0), (np.nan, 100.0), (5.0, np.nan)])
 def test_breakpoints_reject_non_finite_phase(z, t):
     with pytest.raises(ValueError, match="finite"):
@@ -197,14 +211,35 @@ def test_phase_shift_covariance():
     assert abs(r1.value - r2.value) <= 1e-10 * abs(r2.value)
 
 
-def test_unreachable_tolerance_carries_payload():
+def test_error_estimate_bounds_true_error():
+    # first ten problems of acceptance criterion 10, against the same dense
+    # Simpson oracle; below 1e-13 the oracle itself cannot tell
+    rng = np.random.default_rng(123)
+    for case in range(10):
+        d = DispersionRelation(rng.uniform(0.5, 2.0))
+        centre = rng.uniform(-1.0, 1.5)
+        width = rng.uniform(0.15, 0.8)
+        t = rng.uniform(0.0, 100.0)
+        v = rng.uniform(-0.9, 0.9)
+        z = v * t + rng.uniform(-3.0, 3.0)
+        tol = 10.0 ** rng.uniform(-9.0, -6.0)
+        dom = (centre - 7.44 * width, centre + 7.44 * width)
+        env = gaussian_env(centre, width)
+        res = osc_integrate_1d(OscIntegralProblem(env, z=z, t=t, dispersion=d,
+                                                  domain=dom, rel_tol=tol))
+        k = np.linspace(dom[0], dom[1], 2_000_001)
+        oracle = simpson(env(k) * np.exp(1j * (k * z - d.omega(k) * t)), x=k)
+        assert abs(res.value - oracle) <= max(res.error_estimate, 1e-13), case
+
+
+def test_unreachable_tolerance_carries_payload(monkeypatch):
     # needle envelope: the panel budget runs out before the error target
     env = gaussian_env(0.0, 0.002)
+    monkeypatch.setattr(quadrature, "MAX_PANELS_1D", 16)
     with pytest.raises(QuadratureError) as excinfo:
         osc_integrate_1d(
             OscIntegralProblem(env, z=0.0, t=0.0, dispersion=D1,
-                               domain=(-1.0, 1.0), rel_tol=1e-13),
-            max_panels=16)
+                               domain=(-1.0, 1.0), rel_tol=1e-13))
     res = excinfo.value.result
     assert res.panels_used >= 8
     assert np.isfinite(res.error_estimate)

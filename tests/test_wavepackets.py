@@ -115,6 +115,25 @@ def test_packet_normalization():
     assert abs(g.amplitude) == pytest.approx((0.1 * np.sqrt(np.pi)) ** -0.5, rel=1e-9)
 
 
+_TABLE_K = np.linspace(0.35, 1.15, 21)
+_FINE_K = np.linspace(0.35, 1.15, 201)
+_WIDE_K = np.linspace(0.0, 1.5, 201)
+
+
+@pytest.mark.parametrize("table", [
+    TablePacket(_TABLE_K, np.exp(-0.5 * ((_TABLE_K - 0.75) / 0.1) ** 2)),
+    TablePacket(_FINE_K, np.exp(-0.5 * ((_FINE_K - 0.75) / 0.1) ** 2)),
+    TablePacket(_TABLE_K, np.random.default_rng(3).uniform(0.0, 1.0, 21)),
+    TablePacket(_WIDE_K, np.exp(-0.5 * ((_WIDE_K - 0.75) / 0.2) ** 2 + 5j * _WIDE_K)),
+], ids=["gauss21", "gauss201", "random21", "complex201"])
+def test_table_norm_matches_interpolant_closed_form(table):
+    # |g|^2 is quadratic between nodes: int = sum h (|a|^2 + |b|^2 + Re(a b*)) / 3
+    a, b = table.values[:-1], table.values[1:]
+    exact = np.sum(np.diff(table.k) * (np.abs(a) ** 2 + np.abs(b) ** 2
+                                       + (a * b.conj()).real) / 3.0)
+    assert abs(packet_norm(table) ** 2 - exact) <= 1e-13 * exact
+
+
 def test_normalize_biphoton_idempotent_and_projective():
     dom = (0.1, 4.0)
     f = PumpedPair(PUMP, pump_scale=1.0)
