@@ -156,6 +156,8 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
     below the asymptotic applicability guard and by stationary phase
     beyond it; whenever the asymptotic route is taken, a quadrature
     cross-check on a grid subsample is recorded in the diagnostics.
+    When both velocity grids are equal, a (t2, t1) pair that follows
+    its mirror (t1, t2) reuses the transposed grid instead of a new scan.
 
     C(t0) = sup P (t0+|t1|)(t0+|t2|) is profiled on a logarithmic t0 grid
     over [1e-2, 1e2]/mass (50 points) and the minimising t0 is refined by
@@ -176,12 +178,19 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
     sups = []           # (|t1|, |t2|, sup P on the coarse grid, sup P on the refined grid)
     methods = set()
     cross_checks = []
+    # with one velocity grid for both detectors, the (t2, t1) grid is the
+    # transpose of the (t1, t2) grid (detector exchange)
+    mirror = v1_grid.shape == v2_grid.shape and bool((v1_grid == v2_grid).all())
+    scanned = {}
     for t1, t2 in t_pairs:
+        key = (float(t1), float(t2))
         z1 = v1_fine * t1
         z2 = v2_fine * t2
         corners = asymptotic_biphoton(f, d, v1_fine[[0, -1], None], v2_fine[None, [0, -1]],
                                       t1, t2)
-        if corners.guard_ok.all():
+        if mirror and key[::-1] in scanned:
+            P = scanned[key[::-1]].T
+        elif corners.guard_ok.all():
             P = asymptotic_biphoton(f, d, v1_fine[:, None], v2_fine[None, :],
                                     t1, t2).probability
             methods.add("asymptotic_spa")
@@ -196,7 +205,8 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
             amps, _, _ = biphoton_scan(f, d, t1, t2, z1, z2, rel_tol)
             P = np.abs(amps) ** 2
             methods.add("adaptive_panel")
-        sups.append((abs(float(t1)), abs(float(t2)), P[coarse].max(), P.max()))
+        scanned[key] = P
+        sups.append((abs(key[0]), abs(key[1]), P[coarse].max(), P.max()))
     abs_t1, abs_t2, sup_coarse, sup_fine = np.array(sups, dtype=float).T
 
     def weighted_sup(t0: float, sup: np.ndarray) -> float:

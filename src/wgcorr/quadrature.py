@@ -18,7 +18,11 @@ Gauss(7)/Kronrod(15) pair on each panel:
   endpoint, so the constraint is checked exactly from endpoint values.
   Near a stationary point this yields panels of width
   ~ sqrt(pi / (omega'' t)), which resolves the quadratic phase.
-* Each point's error estimate is |sum K15 - sum G7|.  While any point
+* The 2-D rule contracts a symmetric cross approximation U M U^T of the
+  envelope matrix, evaluating O(N r) of its N^2 entries for rank r; it
+  falls back to the dense matrix when the rank is high.
+* Each point's error estimate is |sum K15 - sum G7| (in 2-D plus a
+  bound on the cross approximation's truncation).  While any point
   of the batch misses max(rel_tol * largest |I|, ABS_FLOOR, arithmetic
   noise scale), every panel is bisected, within a level and panel
   budget; the noise scale matters because the estimate is itself a
@@ -61,10 +65,12 @@ _MAX_PHASE_PER_PANEL = 0.5 * np.pi
 MAX_PANELS_1D = 200_000
 MAX_PANELS_AXIS = 60_000
 
-# Bisection levels of the 1-D rule, and the most phase factors
-# (detector positions x nodes) it holds in one block.
+# Bisection levels of the 1-D rule.
 SCAN1D_MAX_LEVELS = 8
-SCAN1D_BLOCK = 1 << 20
+
+# The most values one block holds: phase factors (detector positions x
+# nodes) in the 1-D rule, envelope values on the dense 2-D path.
+BLOCK_VALUES = 1 << 20
 
 # Kronrod-15 abscissae (ascending) with the embedded Gauss-7 subset at the
 # odd positions.  Standard QUADPACK constants; validated in the test suite
@@ -100,6 +106,8 @@ XGK = np.concatenate([-_XGK_HALF[:7], _XGK_HALF[::-1]])          # 15 ascending
 WGK = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
 WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])              # 7 ascending
 GAUSS_SUBSET = np.arange(1, 15, 2)                               # G7 node positions
+_WG15 = np.zeros(15)                                             # G7 weights on the K15 nodes
+_WG15[GAUSS_SUBSET] = WG
 
 
 @dataclass(frozen=True)
@@ -183,9 +191,7 @@ def oscillation_breakpoints(
         raise ValueError(f"detector positions and times must be finite, got {phase_params}")
     edges = np.asarray(domain, dtype=float)
     span = edges[-1] - edges[0]
-    width0 = span / 8
-    if max_width is not None and max_width > 0:
-        width0 = min(width0, float(max_width))
+    width0 = _initial_width(span, max_width)
     breaks = np.concatenate(
         [np.linspace(a, b, max(int(np.ceil((b - a) / width0)), 1) + 1)[:-1]
          for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]])
@@ -206,18 +212,23 @@ def oscillation_breakpoints(
         breaks = np.insert(breaks, np.flatnonzero(split) + 1, mids)
 
 
+def _initial_width(span: float, max_width: float | None) -> float:
+    """Widest initial panel: an eighth of the domain, or ``max_width`` if narrower."""
+    if max_width is not None and max_width > 0:
+        return min(span / 8, float(max_width))
+    return span / 8
+
+
 def _panel_grid(breaks: np.ndarray):
-    """Flat Kronrod nodes with their K15 weights, G7 weights and G7 node mask."""
+    """Flat Kronrod nodes with their K15 weights and G7 weights (zero off the G7 nodes)."""
     a = breaks[:-1]
     b = breaks[1:]
     half = 0.5 * (b - a)
     centre = 0.5 * (a + b)
     k = (centre[:, None] + half[:, None] * XGK[None, :]).ravel()
     w15 = (half[:, None] * WGK[None, :]).ravel()
-    w7 = (half[:, None] * WG[None, :]).ravel()
-    gmask = np.zeros((half.size, XGK.size), dtype=bool)
-    gmask[:, GAUSS_SUBSET] = True
-    return k, w15, w7, gmask.ravel()
+    w7 = (half[:, None] * _WG15[None, :]).ravel()
+    return k, w15, w7
 
 
 # |K15 - G7| cannot be trusted below the arithmetic noise of the sums;
@@ -243,7 +254,7 @@ def osc_integrate_1d_many(
     One panelization (valid for every z in the batch) is built and the
     envelope is sampled once per level.  The phase factors
     exp(i (k z - omega(k) t)) are formed once per (z, node), in blocks of
-    at most ``SCAN1D_BLOCK``, and one matrix product per block gives the
+    at most ``BLOCK_VALUES``, and one matrix product per block gives the
     K15 and G7 sums of every z (the G7 nodes are the odd Kronrod
     positions).  A level of global panel bisection is applied when any
     point misses the error target, which is uniform over the batch:
@@ -260,14 +271,14 @@ def osc_integrate_1d_many(
     breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
                                      max_panels=MAX_PANELS_1D)
     for level in range(SCAN1D_MAX_LEVELS + 1):
-        k, w15, w7, gmask = _panel_grid(breaks)
+        k, w15, w7 = _panel_grid(breaks)
         f = np.asarray(envelope(k), dtype=complex)
-        weights = np.zeros((2, k.size), dtype=complex)   # K15 and G7 rows
-        weights[0] = f * w15
-        weights[1, gmask] = f[gmask] * w7
+        weights = np.empty((2, k.size), dtype=complex)   # K15 and G7 rows
+        np.multiply(f, w15, out=weights[0])
+        np.multiply(f, w7, out=weights[1])
         wt = d.omega(k) * t
         sums = np.empty((2, z_values.size), dtype=complex)
-        rows = max(SCAN1D_BLOCK // k.size, 1)
+        rows = max(BLOCK_VALUES // k.size, 1)
         for i0 in range(0, z_values.size, rows):
             ph = np.exp(1j * (np.outer(z_values[i0:i0 + rows], k) - wt))
             sums[:, i0:i0 + rows] = weights @ ph.T
@@ -308,6 +319,154 @@ def osc_integrate_1d(problem: OscIntegralProblem,
 # 2-D tensor-product rule
 # ----------------------------------------------------------------------
 
+# Bisection levels of the 2-D rule.
+SCAN2D_MAX_LEVELS = 4
+
+# The 2-D rule contracts a symmetric cross approximation of the envelope
+# matrix; it stops once the sampled residual rows are at most CROSS_TOL
+# times the largest envelope value seen.
+CROSS_TOL = 1e-11
+
+# Bunch-Kaufman threshold between 1x1 and 2x2 pivots: it bounds the growth
+# of the residual at each step of a symmetric indefinite elimination.
+_PIVOT_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
+
+
+def _symmetric_cross(rows: Callable, checks: np.ndarray):
+    """Symmetric adaptive cross approximation F ~ U M U^T of a symmetric matrix.
+
+    ``rows(idx)`` returns the rows F[idx, :]; only O(n r) entries are
+    evaluated for rank r.  This is partially pivoted ACA (M. Bebendorf,
+    Numer. Math. 86 (2000) 565-589) made symmetric: each pivot is a 1x1
+    or 2x2 block chosen as in the Bunch-Kaufman factorization, U holds
+    the residual rows at the pivots and M the inverse of each pivot
+    block, so M is symmetric (block diagonal, here tridiagonal) and
+    U M U^T is exactly symmetric.  The ``checks`` rows are sampled at
+    the start and again whenever the candidate row's residual falls to
+    CROSS_TOL times the largest entry seen; a check row above that
+    becomes the next candidate.  Pivoting is deterministic.  Returns
+    (U, M, rho), rho being the largest residual entry on those non-pivot
+    rows, or None when the rank would pass n / 10, the sampled block
+    F[checks, checks] is not symmetric, or a row is not finite.
+    """
+    raw_checks = rows(checks)
+    n = raw_checks.shape[1]
+    sub = raw_checks[:, checks]
+    scale = float(np.abs(raw_checks).max(initial=0.0))
+    if not (np.isfinite(raw_checks).all()
+            and np.abs(sub - sub.T).max(initial=0.0) <= 1e-14 * scale):
+        return None
+    max_rank = n // 10
+    ut = np.empty((max_rank + 2, n), dtype=raw_checks.dtype)   # columns of U
+    md = np.zeros(max_rank + 2, dtype=raw_checks.dtype)        # diagonal of M
+    mo = np.zeros(max_rank + 2, dtype=raw_checks.dtype)        # M[c, c+1] = M[c+1, c]
+    pivot = np.zeros(n, dtype=bool)
+    r = 0
+
+    def residual(raw, idx):
+        x = ut[:r, idx]
+        y = md[:r, None] * x
+        y[:-1] += mo[:r][:-1, None] * x[1:]
+        y[1:] += mo[:r][:-1, None] * x[:-1]
+        return raw - y.T @ ut[:r]
+
+    def new_row(i):
+        raw = rows(np.array([i]))[0]
+        return raw if np.isfinite(raw).all() else None
+
+    c = int(np.argmax(np.abs(raw_checks).max(axis=1)))
+    i, raw = int(checks[c]), raw_checks[c]
+    while True:
+        res = residual(raw[None, :], [i])[0]
+        scale = max(scale, float(np.abs(raw).max()))
+        j = int(np.argmax(np.abs(res)))
+        b = abs(res[j])
+        if b <= CROSS_TOL * scale:
+            worst = np.abs(residual(raw_checks, checks)).max(axis=1)
+            c = int(np.argmax(worst))
+            rho = max(b, float(worst[c]))
+            if rho <= CROSS_TOL * scale:
+                m = np.diag(md[:r])
+                off = np.arange(r - 1)
+                m[off, off + 1] = m[off + 1, off] = mo[off]
+                return ut[:r].T, m, rho
+            i, raw = int(checks[c]), raw_checks[c]
+            continue
+        r0 = r
+        a = abs(res[i])
+        if a >= _PIVOT_ALPHA * b:
+            piv = [(i, res)]
+        else:
+            raw_j = new_row(j)
+            if raw_j is None:
+                return None
+            scale = max(scale, float(np.abs(raw_j).max()))
+            res_j = residual(raw_j[None, :], [j])[0]
+            sigma = float(np.abs(np.delete(res_j, j)).max(initial=0.0))
+            if a * sigma >= _PIVOT_ALPHA * b * b:
+                piv = [(i, res)]
+            elif abs(res_j[j]) >= _PIVOT_ALPHA * sigma:
+                piv = [(j, res_j)]
+            else:
+                piv = [(i, res), (j, res_j)]
+        if r + len(piv) > max_rank:
+            return None
+        for p, row in piv:
+            ut[r] = row
+            pivot[p] = True
+            r += 1
+        if len(piv) == 1:
+            md[r0] = 1.0 / piv[0][1][piv[0][0]]
+        else:
+            (p, rp), (q, rq) = piv
+            off = 0.5 * (rp[q] + rq[p])
+            det = rp[p] * rq[q] - off * off
+            md[r0], md[r0 + 1], mo[r0] = rq[q] / det, rp[p] / det, -off / det
+        grow = np.abs(ut[r0:r]).max(axis=0)
+        grow[pivot] = -1.0
+        i = int(np.argmax(grow))
+        raw = new_row(i)
+        if raw is None:
+            return None
+
+
+def _low_rank(rows: Callable, checks: np.ndarray, left: np.ndarray,
+              right: np.ndarray, w15: np.ndarray):
+    """(left^T U, M U^T right, l1, rho) for the symmetric cross approximation F ~ U M U^T.
+
+    l1, the weighted L1 norm w15^T |F| w15 behind the round-off scale,
+    comes from the cross approximation of |F|; rho, the largest residual
+    entry on the sampled non-pivot rows, stands for the entries of
+    F - U M U^T.  None when F or |F| has no low-rank form.
+    """
+    fac = _symmetric_cross(rows, checks)
+    abs_fac = None if fac is None else _symmetric_cross(lambda idx: np.abs(rows(idx)), checks)
+    if abs_fac is None:
+        return None
+    u, m, rho = fac
+    ua, ma, _ = abs_fac
+    l1 = float((w15 @ ua) @ ma @ (ua.T @ w15))
+    return left.T @ u, m @ (u.T @ right), l1, rho
+
+
+def _dense(rows: Callable, checks: np.ndarray, left: np.ndarray,
+           right: np.ndarray, w15: np.ndarray):
+    """The trivial factorization U = F, M = I, V = I: (left^T F, right, l1, 0).
+
+    F is streamed in row blocks of at most ``BLOCK_VALUES`` values;
+    ``checks`` is unused (the signature is that of ``_low_rank``).
+    """
+    n = w15.size
+    lu = np.zeros((left.shape[1], n), dtype=complex)
+    l1 = 0.0
+    step = max(BLOCK_VALUES // n, 1)
+    for i0 in range(0, n, step):
+        blk = rows(np.arange(i0, min(i0 + step, n)))
+        lu += left[i0:i0 + step].T @ blk
+        l1 += float(w15[i0:i0 + step] @ (np.abs(blk) @ w15))
+    return lu, right, l1, 0.0
+
+
 def osc_tensor_scan(
     joint_envelope: Callable,
     d: DispersionRelation,
@@ -318,22 +477,31 @@ def osc_tensor_scan(
     z2_values: np.ndarray,
     rel_tol: float = 1e-7,
     max_width: float | None = None,
-    max_levels: int = 3,
-    chunk: int = 384,
 ):
     """Batched 2-D evaluation over a grid of detector-position pairs.
 
     One panelization, shared by both axes and valid for every z in either
-    batch, is built; the joint envelope is streamed once per refinement
-    level, and all grid values come out of two matrix products.  Returns
-    (values, errors, panels_per_axis) with values shaped
-    (len(z1_values), len(z2_values)).  Sharing the panels keeps detector
-    exchange an exact symmetry of the rule for a symmetric envelope.
+    batch, is built.  The joint envelope must be symmetric in its two
+    momenta for the low-rank path.  Per refinement level its matrix F on
+    the shared nodes is cross-approximated as U M U^T (see
+    ``_symmetric_cross``), and every grid value comes from one
+    contraction (u1^T U) M (U^T u2), with u_i the K15 (or G7) weights
+    times the phase factors of axis i; the G7 estimate reads the rows
+    of U at the Gauss nodes.  The truncation bound rho * (sum w15)^2 is
+    added to every point's error.  When F has no low-rank form (rank
+    above a tenth of the nodes, or a non-symmetric envelope), or the
+    truncation bound alone would miss the error target, the level uses
+    the dense envelope instead (the trivial factorization U = F, M = I).
+    Returns (values, errors, panels_per_axis) with values shaped
+    (len(z1_values), len(z2_values)).  Sharing the panels and the
+    factorization keeps detector exchange an exact symmetry of the rule
+    for a symmetric envelope.
 
     The error target is uniform over the grid: rel_tol times the largest
     grid amplitude.  Grid points far in the tails are then not refined
     to a meaningless per-point relative accuracy; every point still
-    carries its own error estimate.
+    carries its own error estimate.  Up to ``SCAN2D_MAX_LEVELS`` levels
+    are tried within ``MAX_PANELS_AXIS`` panels per axis.
     """
     _check_domain_tol(domain, rel_tol)
     z1_values = np.atleast_1d(np.asarray(z1_values, dtype=float))
@@ -344,39 +512,43 @@ def osc_tensor_scan(
               (float(z2_values.min()), t2), (float(z2_values.max()), t2)]
     breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
                                      max_panels=MAX_PANELS_AXIS)
+    n1, n2 = z1_values.size, z2_values.size
+    # the cross approximation samples the rows nearest to points one initial
+    # panel apart, so no envelope feature the panels resolve falls between them
+    edges = np.asarray(domain, dtype=float)
+    width = _initial_width(edges[-1] - edges[0], max_width)
+    check_at = np.arange(edges[0] + 0.5 * width, edges[-1], width)
 
-    for level in range(max_levels + 1):
-        k, w15, w7, gmask = _panel_grid(breaks)
+    for level in range(SCAN2D_MAX_LEVELS + 1):
+        k, w15, w7 = _panel_grid(breaks)
+        wk = d.omega(k)
 
-        def weight_matrix(z_vals, t):
-            ph = np.exp(1j * (np.outer(k, z_vals) - d.omega(k)[:, None] * t))
-            u15 = w15[:, None] * ph
-            u7 = w7[:, None] * ph[gmask]
-            return u15, u7
+        def weights(z_vals, t):
+            ph = np.exp(1j * (np.outer(k, z_vals) - wk[:, None] * t))
+            return np.concatenate([w15[:, None] * ph, w7[:, None] * ph], axis=1)
 
-        u15_1, u7_1 = weight_matrix(z1_values, t1)
-        u15_2, u7_2 = weight_matrix(z2_values, t2)
-        v15 = np.zeros((z1_values.size, z2_values.size), dtype=complex)
-        v7 = np.zeros_like(v15)
-        l1 = 0.0
-        gcount = np.cumsum(gmask) - gmask  # g-index offset per node
-        for i0 in range(0, k.size, chunk):
-            sl = slice(i0, min(i0 + chunk, k.size))
-            block = np.asarray(joint_envelope(k[sl][:, None], k[None, :]), dtype=complex)
-            v15 += u15_1[sl].T @ (block @ u15_2)
-            l1 += float(w15[sl] @ (np.abs(block) @ w15))
-            rows_g = gmask[sl]
-            if rows_g.any():
-                j0 = int(gcount[i0])
-                v7 += u7_1[j0:j0 + int(rows_g.sum())].T @ (block[rows_g][:, gmask] @ u7_2)
-            del block
-        errs = np.abs(v15 - v7)
-        target = max(rel_tol * float(np.abs(v15).max()), ABS_FLOOR,
-                     ROUNDOFF_FACTOR * l1)
+        def rows(idx):
+            return np.asarray(joint_envelope(k[idx][:, None], k[None, :]), dtype=complex)
+
+        checks = np.unique(np.minimum(np.searchsorted(k, check_at), k.size - 1))
+        left, right = weights(z1_values, t1), weights(z2_values, t2)
+        for factor in (_low_rank, _dense):
+            got = factor(rows, checks, left, right, w15)
+            if got is None:
+                continue
+            lu, mr, l1, rho = got
+            v = lu @ mr
+            v15 = v[:n1, :n2]
+            trunc = rho * float(w15.sum()) ** 2
+            target = max(rel_tol * float(np.abs(v15).max()), ABS_FLOOR,
+                         ROUNDOFF_FACTOR * l1)
+            if trunc <= target:
+                break
+        errs = np.abs(v15 - v[n1:, n2:]) + trunc
         panels = len(breaks) - 1
         if (errs <= target).all():
             return v15, errs, panels
-        if level == max_levels or 2 * panels > MAX_PANELS_AXIS:
+        if level == SCAN2D_MAX_LEVELS or 2 * panels > MAX_PANELS_AXIS:
             bad = np.unravel_index(int(np.argmax(errs)), errs.shape)
             raise QuadratureError(
                 f"tensor scan stalled at grid point {bad} "
@@ -400,12 +572,11 @@ def osc_integrate_2d(
 ) -> QuadResult:
     """Tensor-product panel rule for one double momentum integral.
 
-    The single-point case of ``osc_tensor_scan``: a 1x1 grid with up to
-    four bisection levels.  ``panels_used`` counts the P x P cells of the
-    final level.
+    The single-point case of ``osc_tensor_scan``: a 1x1 grid.
+    ``panels_used`` counts the P x P cells of the final level.
     """
     vals, errs, panels = osc_tensor_scan(
         joint_envelope, d, domain, t1, t2, [z1], [z2], rel_tol=rel_tol,
-        max_width=max_width, max_levels=4, chunk=512)
+        max_width=max_width)
     return QuadResult(complex(vals[0, 0]), float(errs[0, 0]), panels * panels,
                       "adaptive_panel")

@@ -108,6 +108,28 @@ def test_stationary_phase_route_agrees_with_quadrature():
     assert fit.max_violation <= 0.0 < fit.constant
 
 
+def test_mirrored_time_pair_reuses_transposed_scan(monkeypatch):
+    import wgcorr.bounds as bounds
+
+    scan = bounds.biphoton_scan
+    calls = []
+
+    def recording_scan(f, d, t1, t2, z1, z2, rel_tol):
+        out = scan(f, d, t1, t2, z1, z2, rel_tol)
+        calls.append((t1, t2, z1, z2, out))
+        return out
+
+    monkeypatch.setattr(bounds, "biphoton_scan", recording_scan)
+    f = small_pair()
+    v = np.linspace(0.6, 0.8, 5)
+    fit = fit_universal_bound(f, D1, [(25.0, 40.0), (40.0, 25.0)], v, v, rel_tol=1e-5)
+    assert [(t1, t2) for t1, t2, *_ in calls] == [(25.0, 40.0)]
+    assert fit.diagnostics["methods"] == ["adaptive_panel"]
+    _, _, z1, z2, (amps, errs, _) = calls[0]
+    fresh, fresh_errs, _ = scan(f, D1, 40.0, 25.0, z2, z1, 1e-5)
+    assert (np.abs(fresh - amps.T) <= fresh_errs).all()
+
+
 # ----------------------------------------------------------------------
 # outside the light cone
 # ----------------------------------------------------------------------

@@ -2,7 +2,19 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from wgcorr import DispersionRelation, OscIntegralProblem, QuadratureError, quadrature
+from wgcorr import (
+    CorrelatedGaussian,
+    DispersionRelation,
+    GaussianPacket,
+    OscIntegralProblem,
+    PumpedPair,
+    QuadratureError,
+    SymmetrizedProduct,
+    biphoton_scan,
+    quadrature,
+)
+from wgcorr.correlators import _joint_envelope
+from wgcorr.wavepackets import _feature_width, _quadrature_domain
 from wgcorr.quadrature import (
     GAUSS_SUBSET,
     WG,
@@ -266,18 +278,22 @@ def test_separable_2d_equals_product_of_1d():
     assert abs(r2d.value - prod) <= 1e-8 * abs(prod)
 
 
+def riemann_oracle_2d(joint, dom, n=4000):
+    """Midpoint Riemann sum of a joint envelope over dom x dom."""
+    k = np.linspace(dom[0], dom[1], n, endpoint=False)
+    h = (dom[1] - dom[0]) / n
+    k = k + 0.5 * h
+    total = 0.0
+    for i0 in range(0, n, 250):
+        total += joint(k[i0:i0 + 250][:, None], k[None, :]).sum()
+    return total * h * h
+
+
 def test_2d_plain_envelope_against_riemann():
     joint = lambda k1, k2: np.exp(-0.5 * (k1**2 + k2**2) - 0.3 * k1 * k2) + 0.0j
     dom = (-6.0, 6.0)
     res = osc_integrate_2d(joint, D1, dom, 0.0, 0.0, 0.0, 0.0, rel_tol=1e-10)
-    n = 4000
-    k = np.linspace(dom[0], dom[1], n, endpoint=False)
-    h = (dom[1] - dom[0]) / n
-    k = k + 0.5 * h
-    oracle = 0.0
-    for i0 in range(0, n, 250):
-        oracle += joint(k[i0:i0 + 250][:, None], k[None, :]).real.sum()
-    oracle *= h * h
+    oracle = riemann_oracle_2d(lambda k1, k2: joint(k1, k2).real, dom)
     assert abs(res.value.real - oracle) <= 1e-7 * abs(oracle)
     assert abs(res.value.imag) < 1e-12
 
@@ -311,3 +327,91 @@ def test_tensor_scan_refuses_axis_over_budget_before_sampling(monkeypatch):
     with pytest.raises(QuadratureError, match="panel budget 20"):
         osc_tensor_scan(joint, D1, (-4.0, 4.0), 200.0, 200.0, [0.0, 50.0], [0.0])
     assert not calls
+
+
+# ----------------------------------------------------------------------
+# low-rank contraction
+# ----------------------------------------------------------------------
+
+PAIR_FAMILIES = {
+    "separable": SymmetrizedProduct(GaussianPacket(0.6, 0.3), GaussianPacket(1.0, 0.25)),
+    "correlated": CorrelatedGaussian(2.0, 0.15, 0.5),
+    "pumped": PumpedPair(GaussianPacket(2.0, 0.1), pump_scale=2.0),
+}
+# the sqrt(k) edge of the pumped pair at k = 0 slows its convergence
+PAIR_TOLS = {"separable": 1e-10, "correlated": 1e-9, "pumped": 1e-6}
+
+
+def spy_dense(monkeypatch):
+    """Record the node count of every level that uses the dense factorization."""
+    sizes = []
+    dense = quadrature._dense
+
+    def recording(rows, checks, left, right, w15):
+        sizes.append(w15.size)
+        return dense(rows, checks, left, right, w15)
+
+    monkeypatch.setattr(quadrature, "_dense", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("family", sorted(PAIR_FAMILIES))
+def test_low_rank_scan_matches_dense_within_error(family, monkeypatch):
+    f = PAIR_FAMILIES[family]
+    lo, hi = f.axis_domain()
+    vmid = D1.omega_d(0.5 * (lo + hi))
+    t1, t2 = 30.0, 24.0
+    z1 = t1 * (vmid + np.linspace(-0.2, 0.2, 5))
+    z2 = t2 * (vmid + np.linspace(-0.15, 0.2, 4))
+    dense_levels = spy_dense(monkeypatch)
+    amps, errs, panels = biphoton_scan(f, D1, t1, t2, z1, z2, rel_tol=PAIR_TOLS[family])
+    assert not dense_levels
+    monkeypatch.setattr(quadrature, "_low_rank", lambda *args: None)
+    ref, _, ref_panels = biphoton_scan(f, D1, t1, t2, z1, z2, rel_tol=PAIR_TOLS[family])
+    assert ref_panels == panels and dense_levels
+    assert (np.abs(amps - ref) <= errs).all()
+
+
+def test_abs_cross_reproduces_dense_l1():
+    f = PAIR_FAMILIES["pumped"]
+    dom = _quadrature_domain(f)
+    breaks = quadrature.oscillation_breakpoints(D1, dom, [(12.0, 20.0), (16.0, 20.0)],
+                                                max_width=_feature_width(f))
+    k, w15, _ = quadrature._panel_grid(breaks)
+    joint = _joint_envelope(f, D1)
+
+    def rows(idx):
+        return joint(k[idx][:, None], k[None, :])
+
+    checks = np.arange(0, k.size, 40)
+    weights = w15[:, None] + 0.0j
+    _, _, l1, _ = quadrature._low_rank(rows, checks, weights, weights, w15)
+    _, _, dense_l1, _ = quadrature._dense(rows, checks, weights, weights, w15)
+    assert abs(l1 - dense_l1) <= 1e-9 * dense_l1
+
+
+def test_high_rank_envelope_takes_dense_fallback(monkeypatch):
+    # exp(40 i k1 k2) needs more than a tenth of the nodes as cross rank
+    joint = lambda k1, k2: np.exp(-2.0 * (k1**2 + k2**2) + 40j * k1 * k2)
+    dom = (-4.0, 4.0)
+    dense_levels = spy_dense(monkeypatch)
+    res = osc_integrate_2d(joint, D1, dom, 0.0, 0.0, 0.0, 0.0, rel_tol=1e-10)
+    assert dense_levels and dense_levels[-1] ** 2 == 225 * res.panels_used
+    oracle = riemann_oracle_2d(joint, dom)
+    assert abs(res.value - oracle) <= 1e-7 * abs(oracle)
+
+
+@pytest.mark.parametrize("family", sorted(PAIR_FAMILIES))
+def test_exchanged_scan_is_transpose(family, monkeypatch):
+    dense_levels = spy_dense(monkeypatch)
+    f = PAIR_FAMILIES[family]
+    lo, hi = f.axis_domain()
+    vmid = D1.omega_d(0.5 * (lo + hi))
+    t1, t2 = 40.0, 15.0
+    z1 = t1 * (vmid + np.linspace(-0.2, 0.2, 6))
+    z2 = t2 * (vmid + np.linspace(-0.1, 0.25, 3))
+    a12, e12, _ = biphoton_scan(f, D1, t1, t2, z1, z2, rel_tol=1e-7)
+    a21, e21, _ = biphoton_scan(f, D1, t2, t1, z2, z1, rel_tol=1e-7)
+    assert not dense_levels
+    assert np.abs(a12 - a21.T).max() <= 1e-14 * np.abs(a12).max()
+    assert np.abs(e12 - e21.T).max() <= 1e-14 * np.abs(a12).max()

@@ -1,6 +1,7 @@
 """Run the README's five sample runs and print the sha256 of their outputs.
 
     python tools/sample_hashes.py DIR
+    python tools/sample_hashes.py --compare OLD_DIR NEW_DIR
 
 Each run starts in DIR, so the output directories named by the sample
 configs (``out_modes``, ``out_single``, ...) and ``out_validate`` land
@@ -9,11 +10,21 @@ holds this script.  Afterwards the sha256 of every CSV and
 ``config_effective.ini`` under ``DIR/out_*/`` is printed in
 ``sha256sum`` format, sorted by path, so two checkouts compare with
 ``diff``.  Exits 1 if any run ends with a non-zero status.
+
+``--compare`` reads the CSVs of two such trees and prints, per CSV, the
+largest |new - old| of every numeric column, and for a probability
+column with a reported error (``error`` or ``p_error``) the largest
+|new - old| divided by the larger of the two errors on that row; other
+columns are reported as equal or with the number of rows that differ.
+Exits 1 if a CSV is missing from one tree or changes its header or row
+count.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -29,9 +40,71 @@ RUNS = (
 )
 
 
+# error column -> the probability column it belongs to
+ERROR_OF = {"error": "probability", "p_error": "p_quadrature"}
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _read(path: Path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
+def compare(old: Path, new: Path) -> int:
+    names = sorted({p.relative_to(root) for root in (old, new)
+                    for p in root.glob("out_*/*.csv")})
+    broken = False
+    for name in names:
+        print(name)
+        if not ((old / name).exists() and (new / name).exists()):
+            print(f"  only in {old if (old / name).exists() else new}")
+            broken = True
+            continue
+        (head_a, rows_a), (head_b, rows_b) = _read(old / name), _read(new / name)
+        if head_a != head_b or len(rows_a) != len(rows_b):
+            print(f"  header or row count differs: {len(rows_a)} vs {len(rows_b)} rows")
+            broken = True
+            continue
+        cols = {h: ([r[i] for r in rows_a], [r[i] for r in rows_b])
+                for i, h in enumerate(head_a)}
+        for h, (a, b) in cols.items():
+            err = next((e for e, col in ERROR_OF.items() if col == h and e in cols), None)
+            errs = zip(*cols[err]) if err else [("", "")] * len(a)
+            delta, ratio, n_text = [], [], 0
+            for u, v, (eu, ev) in zip(a, b, errs):
+                x, y = _number(u), _number(v)
+                if x is None or y is None:
+                    n_text += u != v
+                    continue
+                delta.append(abs(x - y))
+                bound = max(_number(eu) or 0.0, _number(ev) or 0.0)
+                ratio.append(delta[-1] / bound if bound > 0
+                             else (0.0 if delta[-1] == 0 else math.inf))
+            line = f"  {h:<20}"
+            if delta:
+                line += f" max|d| {max(delta):.3e}"
+                if err:
+                    line += f"   max|d|/{err} {max(ratio):.3e}"
+            if n_text or not delta:
+                line += f" {n_text} text rows differ" if n_text else " equal"
+            print(line)
+    return 1 if broken else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
-        print("usage: python tools/sample_hashes.py DIR", file=sys.stderr)
+        print("usage: python tools/sample_hashes.py DIR\n"
+              "       python tools/sample_hashes.py --compare OLD_DIR NEW_DIR",
+              file=sys.stderr)
         return 2
     work = Path(argv[0]).resolve()
     work.mkdir(parents=True, exist_ok=True)
