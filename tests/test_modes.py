@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.optimize import bisect
 from scipy.special import j0
 
@@ -13,6 +14,7 @@ from wgcorr import (
     check_completeness,
     fd_spectrum,
     load_raster,
+    modes,
 )
 
 
@@ -138,6 +140,52 @@ def test_fd_eigenvalue_ordering_and_degeneracy():
     # the (1,2)/(2,1) pair stays a degenerate cluster
     clusters = ms.degenerate_clusters(rel_tol=1e-6)
     assert [1, 2] in clusters
+
+
+def discrete_rectangle_eigenvalues(nx, ny, h, count):
+    """Oracle: exact eigenvalues of the 5-point Dirichlet Laplacian on an
+    nx x ny interior lattice, lam_pq = (4/h^2)[sin^2(p pi/(2(nx+1)))
+    + sin^2(q pi/(2(ny+1)))]."""
+    sx = np.sin(np.arange(1, nx + 1) * np.pi / (2 * (nx + 1))) ** 2
+    sy = np.sin(np.arange(1, ny + 1) * np.pi / (2 * (ny + 1))) ** 2
+    return np.sort((4 / h**2) * (sx[:, None] + sy[None, :]).ravel())[:count]
+
+
+def test_fd_matches_exact_discrete_spectrum():
+    # the oracle is the discrete spectrum, so the solver (not the
+    # discretization) is checked to round-off; unequal sides keep the
+    # levels distinct
+    nx, ny, h, count = 23, 37, 0.05, 8
+    oracle = discrete_rectangle_eigenvalues(nx, ny, h, count)
+    rect = fd_spectrum(Rectangle((nx + 1) * h, (ny + 1) * h), count=count, spacing=h)
+    raster = fd_spectrum(Raster(np.ones((nx, ny), dtype=bool), h), count=count)
+    for ms in (rect, raster):
+        assert ms.modes[0].samples.size == nx * ny
+        np.testing.assert_allclose(ms.cutoff_masses**2, oracle, rtol=1e-10, atol=0)
+        assert ms.orthonormality_defect() <= 1e-10
+    np.testing.assert_allclose(raster.cutoff_masses, rect.cutoff_masses, rtol=1e-10, atol=0)
+
+
+def test_fd_residual_contract_violation_reports_every_pair(monkeypatch):
+    rect, count, h = Rectangle(1.0, 1.3), 3, 1 / 20
+    lam = fd_spectrum(rect, count=count, spacing=h).cutoff_masses ** 2
+    monkeypatch.setattr(modes, "RESIDUAL_TOL", 1e-30)
+    with pytest.raises(ModeSolverError) as exc:
+        fd_spectrum(rect, count=count, spacing=h)
+    msg = str(exc.value)
+    assert msg.startswith("residual contract 1e-30 violated: pair 1: lam=")
+    assert msg.count("; pair ") == count - 1
+    for i, m2 in enumerate(lam, start=1):
+        assert f"pair {i}: lam={m2:.6e} residual=" in msg
+
+
+def test_fd_nonconvergence_raises_mode_solver_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                       np.empty(0), np.empty((0, 0)))
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(ModeSolverError, match="failed to converge within 10000 iterations"):
+        fd_spectrum(Rectangle(1.0, 1.3), count=3, spacing=1 / 20)
 
 
 def test_fd_rejects_underresolved_domain():

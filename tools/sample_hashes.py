@@ -1,13 +1,13 @@
-"""Run the README's five sample runs and print the sha256 of their outputs.
+"""Run the README's six sample runs and print the sha256 of their outputs.
 
     python tools/sample_hashes.py DIR
     python tools/sample_hashes.py --compare OLD_DIR NEW_DIR
 
 Each run starts in DIR, so the output directories named by the sample
-configs (``out_modes``, ``out_single``, ...) and ``out_validate`` land
-there.  The program is imported from the ``src/`` of the checkout that
-holds this script.  Afterwards the sha256 of every CSV and
-``config_effective.ini`` under ``DIR/out_*/`` is printed in
+configs (``out_modes``, ``out_modes_fd``, ``out_single``, ...) and
+``out_validate`` land there.  The program is imported from the ``src/``
+of the checkout that holds this script.  Afterwards the sha256 of every
+CSV and ``config_effective.ini`` under ``DIR/out_*/`` is printed in
 ``sha256sum`` format, sorted by path, so two checkouts compare with
 ``diff``.  Exits 1 if any run ends with a non-zero status.
 
@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = (
     ("modes", "modes_square.ini"),
+    ("modes", "modes_disk_fd.ini"),
     ("single", "single_ray.ini"),
     ("biphoton", "biphoton_pumped.ini"),
     ("bounds", "bounds_pumped.ini"),
