@@ -158,6 +158,9 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
     cross-check on a grid subsample is recorded in the diagnostics.
     When both velocity grids are equal, a (t2, t1) pair that follows
     its mirror (t1, t2) reuses the transposed grid instead of a new scan.
+    All scans share one dict of envelope factorizations (see
+    ``osc_tensor_scan``): pairs whose panels are set by the same largest
+    time, such as 800:800 and 50:800, factor the envelope once.
 
     C(t0) = sup P (t0+|t1|)(t0+|t2|) is profiled on a logarithmic t0 grid
     over [1e-2, 1e2]/mass (50 points) and the minimising t0 is refined by
@@ -182,6 +185,7 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
     # transpose of the (t1, t2) grid (detector exchange)
     mirror = v1_grid.shape == v2_grid.shape and bool((v1_grid == v2_grid).all())
     scanned = {}
+    factorizations = {}
     for t1, t2 in t_pairs:
         key = (float(t1), float(t2))
         z1 = v1_fine * t1
@@ -195,14 +199,16 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
                                     t1, t2).probability
             methods.add("asymptotic_spa")
             # spot-check the asymptotics against the exact evaluator
-            amps, _, _ = biphoton_scan(f, d, t1, t2, z1[sub[0]], z2[sub[1]], rel_tol)
+            amps, _, _ = biphoton_scan(f, d, t1, t2, z1[sub[0]], z2[sub[1]], rel_tol,
+                                        factorizations=factorizations)
             pq = np.abs(amps) ** 2
             ps = P[sub]
             scale = max(pq.max(), ps.max())
             if scale > 0:
                 cross_checks.append(float(np.abs(pq - ps).max() / scale))
         else:
-            amps, _, _ = biphoton_scan(f, d, t1, t2, z1, z2, rel_tol)
+            amps, _, _ = biphoton_scan(f, d, t1, t2, z1, z2, rel_tol,
+                                       factorizations=factorizations)
             P = np.abs(amps) ** 2
             methods.add("adaptive_panel")
         scanned[key] = P

@@ -285,15 +285,19 @@ def single_scan(packet, d: DispersionRelation, z_values, t: float,
 
 
 def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
-                  z1_values, z2_values, rel_tol: float = 1e-7):
+                  z1_values, z2_values, rel_tol: float = 1e-7,
+                  factorizations: dict | None = None):
     """Joint amplitudes on a (z1, z2) grid at fixed times.
 
     Returns (amplitudes, amp_errors, panels_per_axis) with shape
     (len(z1), len(z2)); amplitudes include the exchange doubling.
+    ``factorizations`` is the envelope factorizations dict of
+    ``osc_tensor_scan``; share one only among scans of the same f and d.
     """
     vals, errs, panels = osc_tensor_scan(
         _joint_envelope(f, d), d, _quadrature_domain(f), t1, t2,
-        z1_values, z2_values, rel_tol=rel_tol, max_width=_feature_width(f))
+        z1_values, z2_values, rel_tol=rel_tol, max_width=_feature_width(f),
+        factorizations=factorizations)
     return 2.0 * vals, 2.0 * errs, panels
 
 

@@ -20,7 +20,8 @@ Gauss(7)/Kronrod(15) pair on each panel:
   ~ sqrt(pi / (omega'' t)), which resolves the quadratic phase.
 * The 2-D rule contracts a symmetric cross approximation U M U^T of the
   envelope matrix, evaluating O(N r) of its N^2 entries for rank r; it
-  falls back to the dense matrix when the rank is high.
+  falls back to the dense matrix when the rank is high.  Scans of one
+  envelope at several times can share the factorization of a panelization.
 * Each point's error estimate is |sum K15 - sum G7| (in 2-D plus a
   bound on the cross approximation's truncation).  While any point
   of the batch misses max(rel_tol * largest |I|, ABS_FLOOR, arithmetic
@@ -430,31 +431,26 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
             return None
 
 
-def _low_rank(rows: Callable, checks: np.ndarray, left: np.ndarray,
-              right: np.ndarray, w15: np.ndarray):
-    """(left^T U, M U^T right, l1, rho) for the symmetric cross approximation F ~ U M U^T.
+def _low_rank(fac, left: np.ndarray, right: np.ndarray, w15: np.ndarray):
+    """(left^T U, M U^T right, l1, rho) for a factorization (U, M, rho) of F ~ U M U^T.
 
-    l1, the weighted L1 norm w15^T |F| w15 behind the round-off scale,
-    comes from the cross approximation of |F|; rho, the largest residual
-    entry on the sampled non-pivot rows, stands for the entries of
-    F - U M U^T.  None when F or |F| has no low-rank form.
+    l1 = (w15^T |U|) |M| (|U|^T w15), the round-off scale of the
+    contracted factors, costs O(N r); it bounds the weighted L1 norm
+    w15^T |F| w15 from above apart from the truncation, which rho (the
+    largest residual entry on the sampled non-pivot rows) accounts for.
+    None when ``fac`` is None (F has no low-rank form).
     """
-    fac = _symmetric_cross(rows, checks)
-    abs_fac = None if fac is None else _symmetric_cross(lambda idx: np.abs(rows(idx)), checks)
-    if abs_fac is None:
+    if fac is None:
         return None
     u, m, rho = fac
-    ua, ma, _ = abs_fac
-    l1 = float((w15 @ ua) @ ma @ (ua.T @ w15))
-    return left.T @ u, m @ (u.T @ right), l1, rho
+    a = np.abs(u).T @ w15
+    return left.T @ u, m @ (u.T @ right), float(a @ np.abs(m) @ a), rho
 
 
-def _dense(rows: Callable, checks: np.ndarray, left: np.ndarray,
-           right: np.ndarray, w15: np.ndarray):
+def _dense(rows: Callable, left: np.ndarray, right: np.ndarray, w15: np.ndarray):
     """The trivial factorization U = F, M = I, V = I: (left^T F, right, l1, 0).
 
-    F is streamed in row blocks of at most ``BLOCK_VALUES`` values;
-    ``checks`` is unused (the signature is that of ``_low_rank``).
+    F is streamed in row blocks of at most ``BLOCK_VALUES`` values.
     """
     n = w15.size
     lu = np.zeros((left.shape[1], n), dtype=complex)
@@ -477,6 +473,7 @@ def osc_tensor_scan(
     z2_values: np.ndarray,
     rel_tol: float = 1e-7,
     max_width: float | None = None,
+    factorizations: dict | None = None,
 ):
     """Batched 2-D evaluation over a grid of detector-position pairs.
 
@@ -496,6 +493,14 @@ def osc_tensor_scan(
     (len(z1_values), len(z2_values)).  Sharing the panels and the
     factorization keeps detector exchange an exact symmetry of the rule
     for a symmetric envelope.
+
+    F depends only on the envelope and the nodes, not on z or t, so a
+    caller that scans one envelope on one domain at several (t1, t2) can
+    pass one ``factorizations`` dict to all of its scans.  It maps a
+    level's breakpoints (``breaks.tobytes()``) to that level's (U, M, rho),
+    or to None when F has no low-rank form; a level already in the dict
+    is not factored again.  The choice between the low-rank and the dense
+    path is still made per scan, against that scan's error target.
 
     The error target is uniform over the grid: rel_tol times the largest
     grid amplitude.  Grid points far in the tails are then not refined
@@ -518,6 +523,7 @@ def osc_tensor_scan(
     edges = np.asarray(domain, dtype=float)
     width = _initial_width(edges[-1] - edges[0], max_width)
     check_at = np.arange(edges[0] + 0.5 * width, edges[-1], width)
+    store = {} if factorizations is None else factorizations
 
     for level in range(SCAN2D_MAX_LEVELS + 1):
         k, w15, w7 = _panel_grid(breaks)
@@ -531,9 +537,13 @@ def osc_tensor_scan(
             return np.asarray(joint_envelope(k[idx][:, None], k[None, :]), dtype=complex)
 
         checks = np.unique(np.minimum(np.searchsorted(k, check_at), k.size - 1))
+        key = breaks.tobytes()
+        if key not in store:
+            store[key] = _symmetric_cross(rows, checks)
         left, right = weights(z1_values, t1), weights(z2_values, t2)
-        for factor in (_low_rank, _dense):
-            got = factor(rows, checks, left, right, w15)
+        for dense in (False, True):
+            got = (_dense(rows, left, right, w15) if dense
+                   else _low_rank(store[key], left, right, w15))
             if got is None:
                 continue
             lu, mr, l1, rho = got

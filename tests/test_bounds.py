@@ -114,8 +114,8 @@ def test_mirrored_time_pair_reuses_transposed_scan(monkeypatch):
     scan = bounds.biphoton_scan
     calls = []
 
-    def recording_scan(f, d, t1, t2, z1, z2, rel_tol):
-        out = scan(f, d, t1, t2, z1, z2, rel_tol)
+    def recording_scan(f, d, t1, t2, z1, z2, rel_tol, **kw):
+        out = scan(f, d, t1, t2, z1, z2, rel_tol, **kw)
         calls.append((t1, t2, z1, z2, out))
         return out
 

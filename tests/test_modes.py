@@ -201,6 +201,15 @@ def test_fd_rejects_disconnected_mask():
         Raster(mask, 0.05)
 
 
+def test_raster_rejects_squares_touching_at_a_corner():
+    # connectivity is 4-neighbour: a shared corner does not join two regions
+    mask = np.zeros((40, 40), dtype=bool)
+    mask[2:20, 2:20] = True
+    mask[20:38, 20:38] = True
+    with pytest.raises(ValueError, match="found 2"):
+        Raster(mask, 0.05)
+
+
 # ----------------------------------------------------------------------
 # completeness
 # ----------------------------------------------------------------------

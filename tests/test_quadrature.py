@@ -347,9 +347,9 @@ def spy_dense(monkeypatch):
     sizes = []
     dense = quadrature._dense
 
-    def recording(rows, checks, left, right, w15):
+    def recording(rows, left, right, w15):
         sizes.append(w15.size)
-        return dense(rows, checks, left, right, w15)
+        return dense(rows, left, right, w15)
 
     monkeypatch.setattr(quadrature, "_dense", recording)
     return sizes
@@ -372,22 +372,52 @@ def test_low_rank_scan_matches_dense_within_error(family, monkeypatch):
     assert (np.abs(amps - ref) <= errs).all()
 
 
-def test_abs_cross_reproduces_dense_l1():
-    f = PAIR_FAMILIES["pumped"]
-    dom = _quadrature_domain(f)
-    breaks = quadrature.oscillation_breakpoints(D1, dom, [(12.0, 20.0), (16.0, 20.0)],
-                                                max_width=_feature_width(f))
-    k, w15, _ = quadrature._panel_grid(breaks)
+@pytest.mark.parametrize("family", sorted(PAIR_FAMILIES))
+@pytest.mark.parametrize("t", [0.0, 100.0])
+def test_low_rank_l1_bounds_dense_l1(family, t):
+    # the round-off scale from the factors, (w15^T |U|) |M| (|U|^T w15),
+    # bounds w15^T |F| w15 from above without overstating it much
+    f = PAIR_FAMILIES[family]
+    lo, hi = f.axis_domain()
+    z = t * (D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.2, 0.2, 3))
+    store = {}
+    biphoton_scan(f, D1, t, t, z, z, rel_tol=PAIR_TOLS[family], factorizations=store)
     joint = _joint_envelope(f, D1)
+    assert store and all(fac is not None for fac in store.values())
+    for key, fac in store.items():
+        k, w15, _ = quadrature._panel_grid(np.frombuffer(key))
+        weights = w15[:, None] + 0.0j
+        _, _, l1, _ = quadrature._low_rank(fac, weights, weights, w15)
+        _, _, dense_l1, _ = quadrature._dense(
+            lambda idx: joint(k[idx][:, None], k[None, :]), weights, weights, w15)
+        assert dense_l1 <= l1 <= 4.0 * dense_l1
 
-    def rows(idx):
-        return joint(k[idx][:, None], k[None, :])
 
-    checks = np.arange(0, k.size, 40)
-    weights = w15[:, None] + 0.0j
-    _, _, l1, _ = quadrature._low_rank(rows, checks, weights, weights, w15)
-    _, _, dense_l1, _ = quadrature._dense(rows, checks, weights, weights, w15)
-    assert abs(l1 - dense_l1) <= 1e-9 * dense_l1
+def test_scans_share_one_factorization_per_panelization(monkeypatch):
+    calls = []
+    cross = quadrature._symmetric_cross
+
+    def counting(rows, checks):
+        calls.append(checks.size)
+        return cross(rows, checks)
+
+    monkeypatch.setattr(quadrature, "_symmetric_cross", counting)
+    f = PAIR_FAMILIES["correlated"]
+    lo, hi = f.axis_domain()
+    v = D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.2, 0.2, 5)
+    big, small = 50.0, 20.0
+    store = {}
+    biphoton_scan(f, D1, big, big, v * big, v * big, rel_tol=1e-9, factorizations=store)
+    # the larger time sets the panels of both axes, so the envelope matrix is the same
+    amps, errs, _ = biphoton_scan(f, D1, small, big, v * small, v * big, rel_tol=1e-9,
+                                  factorizations=store)
+    assert len(calls) == 1 and len(store) == 1
+    fresh, fresh_errs, _ = biphoton_scan(f, D1, small, big, v * small, v * big, rel_tol=1e-9)
+    assert len(calls) == 2
+    assert np.array_equal(amps, fresh) and np.array_equal(errs, fresh_errs)
+    biphoton_scan(f, D1, 2 * big, 2 * big, v * 2 * big, v * 2 * big, rel_tol=1e-9,
+                  factorizations=store)
+    assert len(calls) == 3 and len(store) == 2
 
 
 def test_high_rank_envelope_takes_dense_fallback(monkeypatch):
