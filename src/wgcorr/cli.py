@@ -229,7 +229,12 @@ def resolve_spectrum(cfg: Config, count: int):
     elif source == "disk":
         cs = Disk(cfg.get_float("mode", "radius"))
     elif source == "raster":
-        cs = load_raster(cfg.get_str("mode", "file"))
+        try:
+            cs = load_raster(cfg.get_str("mode", "file"))
+        except OSError as exc:
+            cfg._fail("mode", "file", f"cannot read raster file: {exc}")
+        except ValueError as exc:  # load_raster anchors its messages to path:line
+            raise ConfigError(str(exc)) from exc
     else:
         raise ConfigError(f"{cfg.path}: [mode] source={source!r} does not define a spectrum")
     solver = cfg.get_str("mode", "solver", "analytic" if source != "raster" else "fd")

@@ -7,10 +7,10 @@ mode profiles.  Only Dirichlet (TM-class) modes are computed.
 
 Two solvers are provided: closed-form spectra for rectangles and disks,
 and a 5-point finite-difference discretization with a shift-invert
-smallest-eigenvalue solve for arbitrary raster masks.  Every returned
-spectrum carries its sample nodes together with discrete L2 quadrature
-weights, so orthonormality and completeness checks are plain weighted
-sums.
+smallest-eigenvalue solve on one colour of the lattice for arbitrary
+raster masks.  Every returned spectrum carries its sample nodes together
+with discrete L2 quadrature weights, so orthonormality and completeness
+checks are plain weighted sums.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ class Raster:
         mask = np.asarray(self.mask, dtype=bool)
         if mask.ndim != 2 or not mask.any():
             raise ValueError("raster mask must be a non-empty 2-D boolean grid")
-        if not self.spacing > 0:
-            raise ValueError("raster spacing must be positive")
+        _check_spacing(self.spacing)
         num = _connected_regions(mask)
         if num != 1:
             raise ValueError(f"raster mask must be one connected region, found {num}")
@@ -254,13 +253,24 @@ def analytic_spectrum(cs: CrossSection, count: int,
 # finite-difference solver
 # ----------------------------------------------------------------------
 
+def _check_spacing(h: float) -> None:
+    """Reject a lattice spacing whose 5-point diagonal 4/h^2 is not finite and positive."""
+    with np.errstate(over="ignore", divide="ignore"):
+        diag = 4.0 / np.float64(h) ** 2
+    if not (h > 0 and 0 < diag < np.inf):
+        raise ValueError(
+            f"lattice spacing must be finite and positive with 4/h^2 finite, got {h!r}")
+
+
 def _rasterize(cs: CrossSection, spacing: float):
     """Interior-node mask plus lattice origin for rectangle/disk/raster."""
+    if spacing is None and isinstance(cs, Raster):
+        spacing = cs.spacing
+    if spacing is None:
+        raise ValueError("fd_spectrum needs a spacing for analytic shapes")
+    _check_spacing(spacing)
     if isinstance(cs, Raster):
-        h = cs.spacing if spacing is None else spacing
-        return cs.mask, 0.0, 0.0, h
-    if spacing is None or not spacing > 0:
-        raise ValueError("fd_spectrum needs a positive spacing for analytic shapes")
+        return cs.mask, 0.0, 0.0, spacing
     if isinstance(cs, Rectangle):
         eps = 1e-9 * spacing
         nx = int(np.floor((cs.a - eps) / spacing))
@@ -310,16 +320,29 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
 
     Eigenvalues converge O(spacing^2) for lattice-aligned boundaries.  The
     iterative solve (shift-invert Lanczos at sigma = 0) must deliver a
-    relative residual ||A v - lam v|| / lam below 1e-8 for every pair,
-    otherwise a ModeSolverError carries the residual report; silent
-    inaccuracy is not an option.
+    relative residual ||A v - lam v|| / lam below 1e-8 for every pair on
+    the full lattice, otherwise a ModeSolverError carries the residual
+    report; silent inaccuracy (a NaN residual included) is not an option.
 
-    A is factored once per call and its solve drives the Lanczos
+    The solve runs on one colour of the lattice.  The 5-point lattice is
+    bipartite (colour a node by the parity of i + j) and every diagonal
+    entry is d = 4/h^2, so with red rows first A = [[d I, B], [B^T, d I]].
+    Eliminating the red nodes from A v = lam v gives S v_b = mu v_b with
+    the Schur complement S = d I - B^T B / d, mu = lam (2 - lam/d) and
+    v_r = -B v_b / (d - lam).  The reduction is exact: every eigenvalue
+    lam < d has v_b != 0 (v_b = 0 forces d v_r = lam v_r), and mu is
+    increasing in lam on [0, d], so the smallest eigenpairs of S are those
+    of A, recovered with the cancellation-free root
+    lam = mu / (1 + sqrt(1 - mu/d)).  The black colour is the smaller
+    class, so S has at most half the unknowns of A and `count` must stay
+    below its size.
+
+    S is factored once per call and its solve drives the Lanczos
     iteration: SuperLU with a symmetric minimum-degree ordering of
-    A + A^T, symmetric mode and no pivoting.  Without pivoting LU is
-    stable here because A is a symmetric, weakly diagonally dominant
-    M-matrix with a Dirichlet boundary, hence positive definite; the
-    symmetric ordering halves the fill of the default column ordering.
+    S + S^T, symmetric mode and no pivoting.  Without pivoting LU is
+    stable here because S, a Schur complement of the symmetric positive
+    definite A, is symmetric positive definite itself; the symmetric
+    ordering nearly halves the fill of the default column ordering.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -332,33 +355,51 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
         raise ValueError(
             f"spacing {h} does not resolve the domain: interior lattice is "
             f"{r_any.size} x {c_any.size}, need >= 16 per side")
-    n = int(mask.sum())
-    if count >= n:
-        raise ValueError(f"requested {count} modes but the lattice has only {n} nodes")
+    rows_i, cols_i = np.nonzero(mask)
+    n = rows_i.size
+    odd = (rows_i + cols_i) % 2 == 1
+    black = odd if 2 * np.count_nonzero(odd) <= n else ~odd
+    red = ~black
+    nb = int(np.count_nonzero(black))
+    if count >= nb:
+        raise ValueError(
+            f"requested {count} modes but the smaller colour class of the lattice "
+            f"has only {nb} nodes; count must be below {nb}")
 
     A = _laplacian(mask, h)
-    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    d = 4.0 / h**2
+    B = A[red][:, black]
+    S = sp.identity(nb, format="csr") * d - (B.T @ B) / d
+    lu = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
-    a_inv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
-    v0 = np.ones(n) / np.sqrt(n)
+    s_inv = spla.LinearOperator(S.shape, matvec=lu.solve, dtype=S.dtype)
+    v0 = np.ones(nb) / np.sqrt(nb)
     try:
-        eigvals, eigvecs = spla.eigsh(A, k=count, sigma=0.0, which="LM", OPinv=a_inv,
-                                      v0=v0, maxiter=ITERATION_CAP, tol=0)
+        mu, v_black = spla.eigsh(S, k=count, sigma=0.0, which="LM", OPinv=s_inv,
+                                 v0=v0, maxiter=ITERATION_CAP, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise ModeSolverError(
             f"eigensolver failed to converge within {ITERATION_CAP} iterations: {exc}"
         ) from exc
-    order = np.argsort(eigvals)
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    order = np.argsort(mu)
+    mu, v_black = mu[order], v_black[:, order]
+
+    # a mu at (or round-off above) d has no eigenvalue below d: its lam or
+    # lifted vector turns NaN and the residual contract reports the pair
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eigvals = mu / (1.0 + np.sqrt(1.0 - mu / d))
+        eigvecs = np.empty((n, count))
+        eigvecs[black] = v_black
+        eigvecs[red] = -(B @ v_black) / (d - eigvals)
+        eigvecs /= np.linalg.norm(eigvecs, axis=0)
 
     res = np.linalg.norm(A @ eigvecs - eigvecs * eigvals, axis=0) / eigvals
-    bad = np.nonzero(res > RESIDUAL_TOL)[0]
+    bad = np.nonzero(~(res <= RESIDUAL_TOL))[0]
     if bad.size:
         report = "; ".join(f"pair {i + 1}: lam={eigvals[i]:.6e} residual={res[i]:.3e}"
                            for i in bad)
         raise ModeSolverError(f"residual contract {RESIDUAL_TOL} violated: {report}")
 
-    rows_i, cols_i = np.nonzero(mask)
     node_x = x0 + rows_i * h
     node_y = y0 + cols_i * h
     weights = np.full(n, h * h)
@@ -391,25 +432,29 @@ def check_completeness(spectrum: ModeSpectrum, samples: np.ndarray) -> float:
 
 def load_raster(path) -> Raster:
     """Read a raster mask file: a `spacing <value>` header line, then rows
-    of 0/1 characters."""
+    of 0/1 characters.  Every error message starts with `path:line`."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
-        raise ValueError(f"raster file {path} is empty")
-    head = lines[0].replace("=", " ").split()
-    if len(head) < 2 or head[0].lower() != "spacing":
-        raise ValueError(f"raster file {path}: first line must be 'spacing <value>'")
-    spacing = float(head[1])
+        raise ValueError(f"{path}:1: raster file is empty")
+    (head_no, head), *body = lines
+    words = head.replace("=", " ").split()
+    if len(words) != 2 or words[0].lower() != "spacing":
+        raise ValueError(f"{path}:{head_no}: first line must be 'spacing <value>', got {head!r}")
+    try:
+        spacing = float(words[1])
+        _check_spacing(spacing)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{head_no}: bad spacing {words[1]!r}: {exc}") from None
     rows = []
-    width = None
-    for ln in lines[1:]:
-        cells = ln.strip()
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ValueError(f"raster file {path}: ragged row {cells!r}")
+    for no, cells in body:
+        if rows and len(cells) != len(rows[0]):
+            raise ValueError(f"{path}:{no}: ragged row of {len(cells)} cells, "
+                             f"expected {len(rows[0])}")
         if set(cells) - {"0", "1"}:
-            raise ValueError(f"raster file {path}: rows must contain only 0/1")
+            raise ValueError(f"{path}:{no}: rows must contain only 0/1, got {cells!r}")
         rows.append([c == "1" for c in cells])
-    return Raster(np.asarray(rows, dtype=bool), spacing)
+    try:
+        return Raster(np.asarray(rows, dtype=bool), spacing)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{body[0][0] if body else head_no}: {exc}") from None

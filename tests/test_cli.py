@@ -256,6 +256,31 @@ def test_modes_from_raster_file(tmp_path):
     assert m2 == pytest.approx(2 * np.pi**2, rel=0.01)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("spacing 0.05x\n" + "1" * 20 + "\n", 1),                # bad header
+    ("spacing 0.05\n" + "1" * 20 + "\n" + "1" * 19 + "\n", 3),  # ragged row
+    ("spacing inf\n" + "1" * 20 + "\n", 1),                  # 4/h^2 is 0
+])
+def test_bad_raster_file_is_a_config_error(tmp_path, capsys, text, line):
+    raster = tmp_path / "section.txt"
+    raster.write_text(text)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[mode]\nsource = raster\nfile = {raster}\ncount = 1\n"
+                   f"\n[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert run_cli("modes", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {raster}:{line}: ")
+    assert "Traceback" not in err
+
+
+def test_missing_raster_file_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[mode]\nsource = raster\nfile = {tmp_path / 'absent.txt'}\n"
+                   f"count = 1\n\n[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert run_cli("modes", "--config", str(cfg)) == 2
+    assert f"{cfg}:3: cannot read raster file" in capsys.readouterr().err
+
+
 def test_biphoton_outputs(tmp_path):
     cfg, out = write_cfg(tmp_path, BIPHOTON_CFG)
     assert run_cli("biphoton", "--config", str(cfg)) == 0

@@ -188,6 +188,75 @@ def test_fd_nonconvergence_raises_mode_solver_error(monkeypatch):
         fd_spectrum(Rectangle(1.0, 1.3), count=3, spacing=1 / 20)
 
 
+def test_fd_nan_residual_is_a_contract_violation(monkeypatch):
+    # nan > tol is False, so only `not res <= tol` catches a NaN residual
+    def nan_vectors(S, k, **kwargs):
+        return np.arange(1.0, k + 1), np.full((S.shape[0], k), np.nan)
+    monkeypatch.setattr(spla, "eigsh", nan_vectors)
+    with pytest.raises(ModeSolverError) as exc:
+        fd_spectrum(Rectangle(1.0, 1.3), count=2, spacing=1 / 20)
+    msg = str(exc.value)
+    assert "pair 1: lam=" in msg and "pair 2: lam=" in msg
+    assert msg.count("residual=nan") == 2
+
+
+def test_fd_count_below_smaller_colour_class():
+    # 17 x 17 nodes: 145 with i + j even, 144 with i + j odd
+    r = Raster(np.ones((17, 17), dtype=bool), 0.05)
+    with pytest.raises(ValueError, match="smaller colour class of the lattice has only 144 "
+                                         "nodes; count must be below 144"):
+        fd_spectrum(r, count=144)
+    assert len(fd_spectrum(r, count=20).modes) == 20
+
+
+@pytest.mark.parametrize("h", [np.inf, -np.inf, np.nan, 0.0, -0.05, 1e-200, 1e200])
+def test_bad_spacing_rejected_at_once(h):
+    # 1e-200 and 1e200 pass `h > 0` but 4/h^2 is inf or 0
+    mask = np.ones((20, 20), dtype=bool)
+    with pytest.raises(ValueError, match="lattice spacing must be finite and positive"):
+        Raster(mask, h)
+    with pytest.raises(ValueError, match="lattice spacing must be finite and positive"):
+        fd_spectrum(Raster(mask, 0.05), count=1, spacing=h)
+    with pytest.raises(ValueError, match="lattice spacing must be finite and positive"):
+        fd_spectrum(Rectangle(1.0, 1.0), count=1, spacing=h)
+
+
+def annulus_mask():
+    i, j = np.mgrid[0:25, 0:25] - 12
+    return (i**2 + j**2 < 12**2) & (i**2 + j**2 >= 5**2)
+
+
+def l_mask():
+    mask = np.ones((24, 24), dtype=bool)
+    mask[12:, 12:] = False
+    return mask
+
+
+# an annulus with a hole, an odd x odd rectangle (colour classes of 196 and
+# 195 nodes; an odd x even one has equal classes) and an L shape
+@pytest.mark.parametrize("mask, h", [(annulus_mask(), 0.1),
+                                     (np.ones((17, 23), dtype=bool), 0.07),
+                                     (l_mask(), 0.05)],
+                         ids=["annulus", "odd_rectangle", "l_shape"])
+def test_fd_reduction_matches_dense_oracle(mask, h):
+    assert 300 <= mask.sum() <= 600
+    count = 12
+    A = modes._laplacian(mask, h)
+    oracle = np.linalg.eigh(A.toarray())[0][:count]
+    ms = fd_spectrum(Raster(mask, h), count=count)
+    np.testing.assert_allclose(ms.cutoff_masses**2, oracle, rtol=1e-11, atol=0)
+    V = np.stack([m.samples for m in ms.modes], axis=1) * h  # unit Euclidean norm
+    res = np.linalg.norm(A @ V - V * oracle, axis=0) / oracle
+    assert (res <= modes.RESIDUAL_TOL).all()
+
+
+def test_fd_disk_cos_sin_pairs_stay_one_cluster():
+    # on the lattice the l = 1 cos/sin pair is exactly degenerate (C4 symmetry)
+    ms = fd_spectrum(Disk(1.0), count=5, spacing=1 / 24)
+    clusters = ms.degenerate_clusters()
+    assert clusters[:3] == [[0], [1, 2], [3]]
+
+
 def test_fd_rejects_underresolved_domain():
     with pytest.raises(ValueError):
         fd_spectrum(Rectangle(1.0, 1.0), count=1, spacing=0.2)
@@ -250,18 +319,24 @@ def test_load_raster_roundtrip(tmp_path):
 
 
 def test_load_raster_validates(tmp_path):
-    p1 = tmp_path / "bad_header.txt"
-    p1.write_text("0.025\n11\n11\n")
-    with pytest.raises(ValueError):
-        load_raster(p1)
-    p2 = tmp_path / "ragged.txt"
-    p2.write_text("spacing 0.1\n111\n11\n")
-    with pytest.raises(ValueError):
-        load_raster(p2)
-    p3 = tmp_path / "alien.txt"
-    p3.write_text("spacing 0.1\n121\n111\n")
-    with pytest.raises(ValueError):
-        load_raster(p3)
+    # every message starts with the file and the offending line
+    cases = [
+        ("0.025\n11\n11\n", 1, "first line must be 'spacing <value>'"),
+        ("\n# mask\n", 2, "first line must be 'spacing <value>'"),
+        ("spacing 0.05x\n11\n11\n", 1, "bad spacing '0.05x'"),
+        ("spacing inf\n11\n11\n", 1, "lattice spacing must be finite and positive"),
+        ("spacing 0.1\n111\n11\n", 3, "ragged row of 2 cells, expected 3"),
+        ("spacing 0.1\n\n111\n11\n", 4, "ragged row of 2 cells, expected 3"),
+        ("spacing 0.1\n121\n111\n", 2, "rows must contain only 0/1"),
+        ("spacing 0.1\n101\n000\n", 2, "one connected region, found 2"),
+    ]
+    for k, (text, line, fragment) in enumerate(cases):
+        path = tmp_path / f"bad{k}.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_raster(path)
+        assert str(exc.value).startswith(f"{path}:{line}: ")
+        assert fragment in str(exc.value)
 
 
 def test_fd_on_loaded_raster_matches_direct_mask(tmp_path):
