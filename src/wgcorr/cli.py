@@ -140,13 +140,15 @@ class Config:
     def has(self, section, key) -> bool:
         return self._cp.has_option(section, key)
 
-    def _get(self, section, key, default, conv, kind):
+    def _get(self, section, key, default, conv, kind, positive=False):
         if self._cp.has_option(section, key):
             raw = self._cp.get(section, key).strip()
             try:
                 value = conv(raw)
             except ValueError:
                 self._fail(section, key, f"expected {kind}, got {raw!r}")
+            if positive and not (np.asarray(value) > 0).all():
+                self._fail(section, key, f"{key} must be positive, got {raw!r}")
         elif default is None:
             anchor = f"{self.path}"
             raise ConfigError(f"{anchor}: missing required key [{section}] {key}")
@@ -170,11 +172,11 @@ class Config:
     def get_str(self, section, key, default=None):
         return self._get(section, key, default, str, "a string")
 
-    def get_float(self, section, key, default=None):
-        return self._get(section, key, default, _finite_float, "a finite number")
+    def get_float(self, section, key, default=None, positive=False):
+        return self._get(section, key, default, _finite_float, "a finite number", positive)
 
-    def get_int(self, section, key, default=None):
-        return self._get(section, key, default, int, "an integer")
+    def get_int(self, section, key, default=None, positive=False):
+        return self._get(section, key, default, int, "an integer", positive)
 
     def get_bool(self, section, key, default=None):
         def conv(raw):
@@ -193,7 +195,7 @@ class Config:
         return self._get(section, key, default, conv,
                          "a comma-separated list of finite numbers")
 
-    def get_pairs(self, section, key, default=None):
+    def get_pairs(self, section, key, default=None, positive=False):
         def conv(raw):
             pairs = []
             for tok in raw.split(","):
@@ -206,7 +208,19 @@ class Config:
                 raise ValueError(raw)
             return pairs
         return self._get(section, key, default, conv,
-                         "a list of finite pairs like 50:50, 800:800")
+                         "a list of finite pairs like 50:50, 800:800", positive)
+
+    def get_grid(self, section, name, lo=None, hi=None, count=None):
+        """``count`` (> 0) points spaced evenly over [``name``_min, ``name``_max]."""
+        return np.linspace(self.get_float(section, f"{name}_min", lo),
+                           self.get_float(section, f"{name}_max", hi),
+                           self.get_int(section, f"{name}_count", count, positive=True))
+
+    def get_rel_tol(self, key, default):
+        tol = self.get_float("tolerances", key, default)
+        if not 0 < tol < 1:
+            self._fail("tolerances", key, f"relative tolerance must lie in (0, 1), got {tol!r}")
+        return tol
 
     def echo(self, path):
         cp = configparser.ConfigParser()
@@ -222,12 +236,13 @@ class Config:
 # model construction from config sections
 # ----------------------------------------------------------------------
 
-def resolve_spectrum(cfg: Config, count: int):
+def resolve_spectrum(cfg: Config, count: int, count_key: str = "count"):
     source = cfg.get_str("mode", "source")
     if source == "rectangle":
-        cs = Rectangle(cfg.get_float("mode", "a"), cfg.get_float("mode", "b"))
+        cs = Rectangle(cfg.get_float("mode", "a", positive=True),
+                       cfg.get_float("mode", "b", positive=True))
     elif source == "disk":
-        cs = Disk(cfg.get_float("mode", "radius"))
+        cs = Disk(cfg.get_float("mode", "radius", positive=True))
     elif source == "raster":
         try:
             cs = load_raster(cfg.get_str("mode", "file"))
@@ -238,14 +253,16 @@ def resolve_spectrum(cfg: Config, count: int):
     else:
         raise ConfigError(f"{cfg.path}: [mode] source={source!r} does not define a spectrum")
     solver = cfg.get_str("mode", "solver", "analytic" if source != "raster" else "fd")
-    if solver == "analytic":
-        return analytic_spectrum(cs, count)
-    spacing = None
-    if source == "raster":
-        spacing = cs.spacing
-    if cfg.has("mode", "spacing") or source != "raster":
-        spacing = cfg.get_float("mode", "spacing", spacing)
-    return fd_spectrum(cs, count, spacing)
+    try:
+        if solver == "analytic":
+            return analytic_spectrum(cs, count)
+        spacing = (cfg.get_float("mode", "spacing")
+                   if cfg.has("mode", "spacing") or source != "raster" else None)
+        return fd_spectrum(cs, count, spacing)  # a raster's own spacing when None
+    except ValueError as exc:  # the solver, count or lattice does not suit the section
+        key = ("solver" if solver == "analytic" else count_key if "count" in str(exc)
+               else "spacing" if cfg.has("mode", "spacing") else "file")
+        cfg._fail("mode", key, str(exc))
 
 
 _SOURCE_KEYS = {"mass": ("mass",), "rectangle": ("a", "b"),
@@ -265,12 +282,9 @@ def resolve_mass(cfg: Config) -> float:
             f"{cfg.path}: [mode] must specify exactly one mass source; "
             f"source={source} conflicts with keys {foreign}")
     if source == "mass":
-        mass = cfg.get_float("mode", "mass")
-        if not mass > 0:
-            raise ConfigError(f"{cfg.path}: [mode] mass must be positive")
-        return mass
-    index = cfg.get_int("mode", "index", 1)
-    spectrum = resolve_spectrum(cfg, index)
+        return cfg.get_float("mode", "mass", positive=True)
+    index = cfg.get_int("mode", "index", 1, positive=True)
+    spectrum = resolve_spectrum(cfg, index, "index")
     return float(spectrum.cutoff_masses[index - 1])
 
 
@@ -279,7 +293,7 @@ def resolve_packet(cfg: Config):
     if family == "gaussian":
         packet = GaussianPacket(
             center=cfg.get_float("packet", "center"),
-            width=cfg.get_float("packet", "width"),
+            width=cfg.get_float("packet", "width", positive=True),
             amplitude=complex(cfg.get_float("packet", "amplitude_re", 1.0),
                               cfg.get_float("packet", "amplitude_im", 0.0)))
     elif family == "table":
@@ -292,30 +306,30 @@ def resolve_packet(cfg: Config):
 
 
 def resolve_biphoton(cfg: Config):
+    """The pair amplitude and the domain to normalize it on (None: keep its scale)."""
     family = cfg.get_str("biphoton", "family")
     if family == "separable":
         f = SymmetrizedProduct(
             GaussianPacket(cfg.get_float("biphoton", "packet1_center"),
-                           cfg.get_float("biphoton", "packet1_width")),
+                           cfg.get_float("biphoton", "packet1_width", positive=True)),
             GaussianPacket(cfg.get_float("biphoton", "packet2_center"),
-                           cfg.get_float("biphoton", "packet2_width")))
+                           cfg.get_float("biphoton", "packet2_width", positive=True)))
     elif family == "gaussian_correlated":
         f = CorrelatedGaussian(
             pump_center=cfg.get_float("biphoton", "pump_center"),
-            pump_width=cfg.get_float("biphoton", "pump_width"),
-            relative_width=cfg.get_float("biphoton", "relative_width"))
+            pump_width=cfg.get_float("biphoton", "pump_width", positive=True),
+            relative_width=cfg.get_float("biphoton", "relative_width", positive=True))
     elif family in ("pumped_pair", "yls"):
         pump = GaussianPacket(cfg.get_float("biphoton", "pump_center"),
-                              cfg.get_float("biphoton", "pump_width"))
+                              cfg.get_float("biphoton", "pump_width", positive=True))
         f = PumpedPair(pump, pump_scale=cfg.get_float("biphoton", "pump_scale"))
     else:
         raise ConfigError(f"{cfg.path}: [biphoton] family={family!r} unknown")
-    if cfg.get_bool("biphoton", "normalize", True):
-        lo, hi = f.axis_domain()
-        lo = cfg.get_float("biphoton", "norm_k_min", float(lo))
-        hi = cfg.get_float("biphoton", "norm_k_max", float(hi))
-        f = normalize_biphoton(f, (lo, hi))
-    return f
+    if not cfg.get_bool("biphoton", "normalize", True):
+        return f, None
+    lo, hi = f.axis_domain()
+    return f, (cfg.get_float("biphoton", "norm_k_min", float(lo)),
+               cfg.get_float("biphoton", "norm_k_max", float(hi)))
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +337,7 @@ def resolve_biphoton(cfg: Config):
 # ----------------------------------------------------------------------
 
 def cmd_modes(cfg: Config, out: Path) -> int:
-    count = cfg.get_int("mode", "count", 10)
+    count = cfg.get_int("mode", "count", 10, positive=True)
     spectrum = resolve_spectrum(cfg, count)
     clusters = spectrum.degenerate_clusters()
     cluster_of = {}
@@ -347,12 +361,11 @@ def cmd_single(cfg: Config, out: Path) -> int:
     mass = resolve_mass(cfg)
     d = DispersionRelation(mass)
     packet = resolve_packet(cfg)
-    tol = cfg.get_float("tolerances", "quadrature_rel", 1e-9)
+    tol = cfg.get_rel_tol("quadrature_rel", 1e-9)
 
     rows = []
     series = []
-    z = np.linspace(cfg.get_float("scan", "z_min"), cfg.get_float("scan", "z_max"),
-                    cfg.get_int("scan", "z_count"))
+    z = cfg.get_grid("scan", "z")
     for t in cfg.get_floats("scan", "t_values", [0.0]):
         res = single_scan(packet, d, z, t, rel_tol=tol)
         for pt, a, p, e, meth in zip(res.points, res.amplitudes, res.values,
@@ -396,15 +409,14 @@ def cmd_single(cfg: Config, out: Path) -> int:
 def cmd_biphoton(cfg: Config, out: Path) -> int:
     mass = resolve_mass(cfg)
     d = DispersionRelation(mass)
-    f = resolve_biphoton(cfg)
-    tol = cfg.get_float("tolerances", "biphoton_rel", 1e-6)
+    f, norm = resolve_biphoton(cfg)
+    f = normalize_biphoton(f, norm) if norm else f
+    tol = cfg.get_rel_tol("biphoton_rel", 1e-6)
 
     t1 = cfg.get_float("scan", "t1")
     t2 = cfg.get_float("scan", "t2")
-    z1 = np.linspace(cfg.get_float("scan", "z1_min"), cfg.get_float("scan", "z1_max"),
-                     cfg.get_int("scan", "z1_count"))
-    z2 = np.linspace(cfg.get_float("scan", "z2_min"), cfg.get_float("scan", "z2_max"),
-                     cfg.get_int("scan", "z2_count"))
+    z1 = cfg.get_grid("scan", "z1")
+    z2 = cfg.get_grid("scan", "z2")
     amps, errs, _ = biphoton_scan(f, d, t1, t2, z1, z2, rel_tol=tol)
     rows = []
     for i, a in enumerate(z1):
@@ -425,9 +437,7 @@ def cmd_biphoton(cfg: Config, out: Path) -> int:
                       title="joint detection probability density",
                       xlabel="z1", ylabel="P(z1, t1, z2, t2)")
 
-    v = np.linspace(cfg.get_float("scan", "profile_v_min", 0.1),
-                    cfg.get_float("scan", "profile_v_max", 0.9),
-                    cfg.get_int("scan", "profile_v_count", 41))
+    v = cfg.get_grid("scan", "profile_v", 0.1, 0.9, 41)
     prof = entangled_spacetime_profile(f, d, v, v)
     prows = []
     for i, a in enumerate(v):
@@ -446,17 +456,28 @@ def cmd_biphoton(cfg: Config, out: Path) -> int:
 def cmd_bounds(cfg: Config, out: Path) -> int:
     mass = resolve_mass(cfg)
     d = DispersionRelation(mass)
-    f = resolve_biphoton(cfg)
-    tol = cfg.get_float("tolerances", "biphoton_rel", 1e-6)
-    fits = []
+    f, norm = resolve_biphoton(cfg)
+    tol = cfg.get_rel_tol("biphoton_rel", 1e-6)
+    t_pairs = cfg.get_pairs("scan", "t_pairs", [(50.0, 50.0), (200.0, 200.0)], positive=True)
+    v1 = cfg.get_grid("scan", "v1")
+    v2 = cfg.get_grid("scan", "v2")
+    # the whole configuration is read, with its checks, before the first quadrature
+    lightcone = cfg.has("scan", "lightcone_t")
+    if lightcone:
+        t_ray = cfg.get_float("scan", "lightcone_t")
+        zs = cfg.get_grid("scan", "lightcone_z", count=21)
+        try:
+            ray = Ray(t_ray, zs)
+        except ValueError as exc:  # a detector inside the light cone
+            cfg._fail("scan", "lightcone_z_min", str(exc))
+        orders = [int(n) for n in cfg.get_floats("scan", "lightcone_orders",
+                                                 [0.0, 2.0, 4.0, 6.0])]
+        qtol = cfg.get_rel_tol("quadrature_rel", 1e-9)
+        packet = resolve_packet(cfg)
+    f = normalize_biphoton(f, norm) if norm else f
 
-    t_pairs = cfg.get_pairs("scan", "t_pairs", [(50.0, 50.0), (200.0, 200.0)])
-    v1 = np.linspace(cfg.get_float("scan", "v1_min"), cfg.get_float("scan", "v1_max"),
-                     cfg.get_int("scan", "v1_count"))
-    v2 = np.linspace(cfg.get_float("scan", "v2_min"), cfg.get_float("scan", "v2_max"),
-                     cfg.get_int("scan", "v2_count"))
     fit = fit_universal_bound(f, d, t_pairs, v1, v2, rel_tol=tol)
-    fits.append(fit)
+    fits = [fit]
     t0s, profile = fit.t_offset_profile
     write_csv(out / "t_offset_profile.csv", ("t_offset", "weighted_sup"),
               list(zip(t0s, profile)))
@@ -465,17 +486,8 @@ def cmd_bounds(cfg: Config, out: Path) -> int:
                       title="universal bound constant against the offset",
                       xlabel="t0", ylabel="C(t0)", logx=True, logy=True)
 
-    if cfg.has("scan", "lightcone_t"):
-        packet = resolve_packet(cfg)
-        t_ray = cfg.get_float("scan", "lightcone_t")
-        zs = np.linspace(cfg.get_float("scan", "lightcone_z_min"),
-                         cfg.get_float("scan", "lightcone_z_max"),
-                         cfg.get_int("scan", "lightcone_z_count", 21))
-        orders = [int(n) for n in cfg.get_floats("scan", "lightcone_orders",
-                                                 [0.0, 2.0, 4.0, 6.0])]
-        qtol = cfg.get_float("tolerances", "quadrature_rel", 1e-9)
-        report = check_lightcone_decay(packet, d, [Ray(t_ray, zs)], orders,
-                                       rel_tol=qtol)
+    if lightcone:
+        report = check_lightcone_decay(packet, d, [ray], orders, rel_tol=qtol)
         fits.extend(report.fits)
         P = report.probabilities[0]
         write_csv(out / "lightcone_scan.csv",

@@ -69,9 +69,12 @@ MAX_PANELS_AXIS = 60_000
 # Bisection levels of the 1-D rule.
 SCAN1D_MAX_LEVELS = 8
 
-# The most values one block holds: phase factors (detector positions x
-# nodes) in the 1-D rule, envelope values on the dense 2-D path.
-BLOCK_VALUES = 1 << 20
+# The most values one block holds (but at least one row): envelope values
+# in the 2-D rule (check rows, their residuals, dense rows), and phase
+# factors (detector positions x nodes) in the 1-D rule, whose block shape
+# fixes the summation order of its matrix product.
+BLOCK_VALUES = 1 << 16
+PHASE_BLOCK_VALUES = 1 << 20
 
 # Kronrod-15 abscissae (ascending) with the embedded Gauss-7 subset at the
 # odd positions.  Standard QUADPACK constants; validated in the test suite
@@ -255,7 +258,7 @@ def osc_integrate_1d_many(
     One panelization (valid for every z in the batch) is built and the
     envelope is sampled once per level.  The phase factors
     exp(i (k z - omega(k) t)) are formed once per (z, node), in blocks of
-    at most ``BLOCK_VALUES``, and one matrix product per block gives the
+    at most ``PHASE_BLOCK_VALUES``, and one matrix product per block gives the
     K15 and G7 sums of every z (the G7 nodes are the odd Kronrod
     positions).  A level of global panel bisection is applied when any
     point misses the error target, which is uniform over the batch:
@@ -279,7 +282,7 @@ def osc_integrate_1d_many(
         np.multiply(f, w7, out=weights[1])
         wt = d.omega(k) * t
         sums = np.empty((2, z_values.size), dtype=complex)
-        rows = max(BLOCK_VALUES // k.size, 1)
+        rows = max(PHASE_BLOCK_VALUES // k.size, 1)
         for i0 in range(0, z_values.size, rows):
             ph = np.exp(1j * (np.outer(z_values[i0:i0 + rows], k) - wt))
             sums[:, i0:i0 + rows] = weights @ ph.T
@@ -328,6 +331,12 @@ SCAN2D_MAX_LEVELS = 4
 # times the largest envelope value seen.
 CROSS_TOL = 1e-11
 
+# The cross gives up above rank min(n / 10, MAX_CROSS_RANK) on n nodes; the
+# dense path, which evaluates all n^2 envelope values, needs n^2 within
+# DENSE_MAX_VALUES (n up to 16,384).
+MAX_CROSS_RANK = 256
+DENSE_MAX_VALUES = 1 << 28
+
 # Bunch-Kaufman threshold between 1x1 and 2x2 pivots: it bounds the growth
 # of the residual at each step of a symmetric indefinite elimination.
 _PIVOT_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
@@ -347,29 +356,36 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
     CROSS_TOL times the largest entry seen; a check row above that
     becomes the next candidate.  Pivoting is deterministic.  Returns
     (U, M, rho), rho being the largest residual entry on those non-pivot
-    rows, or None when the rank would pass n / 10, the sampled block
-    F[checks, checks] is not symmetric, or a row is not finite.
+    rows, or None when the rank would pass min(n / 10, MAX_CROSS_RANK),
+    the sampled block F[checks, checks] is not symmetric, or a row is
+    not finite.
+
+    U starts with 128 rows and doubles when full; check rows and their
+    residuals go in blocks of ``BLOCK_VALUES``: memory O((r + checks) n).
     """
-    raw_checks = rows(checks)
-    n = raw_checks.shape[1]
+    first = rows(checks[:1])
+    n = first.shape[1]
+    step = max(BLOCK_VALUES // n, 1)
+    raw_checks = np.concatenate(
+        [first] + [rows(checks[i0:i0 + step]) for i0 in range(1, checks.size, step)])
     sub = raw_checks[:, checks]
     scale = float(np.abs(raw_checks).max(initial=0.0))
     if not (np.isfinite(raw_checks).all()
             and np.abs(sub - sub.T).max(initial=0.0) <= 1e-14 * scale):
         return None
-    max_rank = n // 10
-    ut = np.empty((max_rank + 2, n), dtype=raw_checks.dtype)   # columns of U
-    md = np.zeros(max_rank + 2, dtype=raw_checks.dtype)        # diagonal of M
-    mo = np.zeros(max_rank + 2, dtype=raw_checks.dtype)        # M[c, c+1] = M[c+1, c]
+    max_rank = min(n // 10, MAX_CROSS_RANK)
+    ut = np.empty((min(128, max_rank), n), dtype=raw_checks.dtype)   # columns of U
+    md = np.zeros(max_rank + 2, dtype=raw_checks.dtype)             # diagonal of M
+    mo = np.zeros(max_rank + 2, dtype=raw_checks.dtype)             # M[c, c+1] = M[c+1, c]
     pivot = np.zeros(n, dtype=bool)
     r = 0
 
-    def residual(raw, idx):
+    def residual(raw, idx, cols=slice(None)):
         x = ut[:r, idx]
         y = md[:r, None] * x
         y[:-1] += mo[:r][:-1, None] * x[1:]
         y[1:] += mo[:r][:-1, None] * x[:-1]
-        return raw - y.T @ ut[:r]
+        return raw[:, cols] - y.T @ ut[:r, cols]
 
     def new_row(i):
         raw = rows(np.array([i]))[0]
@@ -383,7 +399,9 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
         j = int(np.argmax(np.abs(res)))
         b = abs(res[j])
         if b <= CROSS_TOL * scale:
-            worst = np.abs(residual(raw_checks, checks)).max(axis=1)
+            width = max(BLOCK_VALUES // checks.size, 1)
+            worst = np.max([np.abs(residual(raw_checks, checks, slice(j0, j0 + width))).max(axis=1)
+                            for j0 in range(0, n, width)], axis=0)
             c = int(np.argmax(worst))
             rho = max(b, float(worst[c]))
             if rho <= CROSS_TOL * scale:
@@ -412,6 +430,10 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
                 piv = [(i, res), (j, res_j)]
         if r + len(piv) > max_rank:
             return None
+        if r + len(piv) > len(ut):   # copy the filled rows; pages never written cost no RSS
+            grown = np.empty((min(2 * len(ut), max_rank), n), dtype=ut.dtype)
+            grown[:r] = ut[:r]
+            ut = grown
         for p, row in piv:
             ut[r] = row
             pivot[p] = True
@@ -450,7 +472,8 @@ def _low_rank(fac, left: np.ndarray, right: np.ndarray, w15: np.ndarray):
 def _dense(rows: Callable, left: np.ndarray, right: np.ndarray, w15: np.ndarray):
     """The trivial factorization U = F, M = I, V = I: (left^T F, right, l1, 0).
 
-    F is streamed in row blocks of at most ``BLOCK_VALUES`` values.
+    F is streamed in row blocks of at most ``BLOCK_VALUES`` values; all n^2
+    are evaluated, so the 2-D rule allows this only up to ``DENSE_MAX_VALUES``.
     """
     n = w15.size
     lu = np.zeros((left.shape[1], n), dtype=complex)
@@ -486,9 +509,12 @@ def osc_tensor_scan(
     times the phase factors of axis i; the G7 estimate reads the rows
     of U at the Gauss nodes.  The truncation bound rho * (sum w15)^2 is
     added to every point's error.  When F has no low-rank form (rank
-    above a tenth of the nodes, or a non-symmetric envelope), or the
-    truncation bound alone would miss the error target, the level uses
-    the dense envelope instead (the trivial factorization U = F, M = I).
+    above min(N / 10, ``MAX_CROSS_RANK``) on N nodes per axis, or a
+    non-symmetric envelope), or the truncation bound alone would miss
+    the error target, the level uses the dense envelope (the trivial
+    factorization U = F, M = I) if N^2 is at most ``DENSE_MAX_VALUES``,
+    else raises QuadratureError naming the rank and N.  Memory is
+    O((r + checks + len(z)) N) plus one block of ``BLOCK_VALUES``.
     Returns (values, errors, panels_per_axis) with values shaped
     (len(z1_values), len(z2_values)).  Sharing the panels and the
     factorization keeps detector exchange an exact symmetry of the rule
@@ -542,6 +568,13 @@ def osc_tensor_scan(
             store[key] = _symmetric_cross(rows, checks)
         left, right = weights(z1_values, t1), weights(z2_values, t2)
         for dense in (False, True):
+            if dense and k.size ** 2 > DENSE_MAX_VALUES:
+                reached = (f"no symmetric cross of rank <= {min(k.size // 10, MAX_CROSS_RANK)}"
+                           if store[key] is None else f"cross rank {store[key][0].shape[1]} "
+                           f"leaves truncation {trunc:.2e} above target {target:.2e}")
+                raise QuadratureError(
+                    f"N = {k.size} nodes per axis: {reached}, and N^2 > DENSE_MAX_VALUES",
+                    QuadResult(0j, np.inf, (len(breaks) - 1) ** 2, "adaptive_panel"))
             got = (_dense(rows, left, right, w15) if dense
                    else _low_rank(store[key], left, right, w15))
             if got is None:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from wgcorr import quadrature
 from wgcorr.cli import Config, ConfigError, main
 
 
@@ -279,6 +280,65 @@ def test_missing_raster_file_is_a_config_error(tmp_path, capsys):
                    f"count = 1\n\n[output]\ndirectory = {tmp_path / 'out'}\n")
     assert run_cli("modes", "--config", str(cfg)) == 2
     assert f"{cfg}:3: cannot read raster file" in capsys.readouterr().err
+
+
+MODES_FD_CFG = """
+[mode]
+source = rectangle
+a = 1.0
+b = 1.3
+spacing = 0.05
+count = 4
+solver = fd
+
+[output]
+directory = {out}
+"""
+
+RASTER_CFG = """
+[mode]
+source = raster
+file = {raster}
+count = 1
+solver = fd
+
+[output]
+directory = {out}
+"""
+
+
+@pytest.mark.parametrize("command, template, line, bad", [
+    ("modes", "modes_fd", "spacing = 0.05", "spacing = 0"),
+    ("modes", "modes_fd", "count = 4", "count = 400"),  # smaller colour class: 237 nodes
+    ("modes", "modes_fd", "spacing = 0.05", "spacing = 0.2"),  # 4 x 6 interior nodes
+    ("modes", "modes_fd", "a = 1.0", "a = 0"),
+    ("modes", "modes_fd", "a = 1.0", "a = -1"),
+    ("modes", "raster", "solver = fd", "solver = analytic"),
+    ("bounds", "bounds", "v1_count = 4", "v1_count = 0"),
+    ("bounds", "bounds", "t_pairs = 25:25, 50:50", "t_pairs = 25:25, 0:50"),
+    ("bounds", "bounds", "biphoton_rel = 1e-5", "biphoton_rel = 0"),
+    ("bounds", "bounds", "pump_width = 0.1", "pump_width = 0"),
+    ("bounds", "bounds", "width = 0.1", "width = -0.1"),  # [packet]
+    ("bounds", "bounds", "lightcone_z_min = 36.0", "lightcone_z_min = 10.0"),  # inside the cone
+])
+def test_bad_config_value_exits_2_before_quadrature(tmp_path, capsys, monkeypatch,
+                                                     command, template, line, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran before the configuration was checked")
+
+    monkeypatch.setattr(quadrature, "oscillation_breakpoints", refuse)
+    raster = tmp_path / "square.txt"
+    raster.write_text("spacing 0.05\n" + "\n".join(["1" * 20] * 20) + "\n")
+    template = {"modes_fd": MODES_FD_CFG, "raster": RASTER_CFG, "bounds": BOUNDS_CFG}[template]
+    lines = template.format(out=tmp_path / "out", raster=raster).splitlines()
+    lineno = lines.index(line) + 1
+    lines[lineno - 1] = bad
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert run_cli(command, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:{lineno}: ")
+    assert "Traceback" not in err
 
 
 def test_biphoton_outputs(tmp_path):

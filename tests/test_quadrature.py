@@ -1,3 +1,7 @@
+import re
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -429,6 +433,60 @@ def test_high_rank_envelope_takes_dense_fallback(monkeypatch):
     assert dense_levels and dense_levels[-1] ** 2 == 225 * res.panels_used
     oracle = riemann_oracle_2d(joint, dom)
     assert abs(res.value - oracle) <= 1e-7 * abs(oracle)
+
+
+def test_cross_memory_follows_rank():
+    # a smooth symmetric envelope on the 127,290 nodes of a t = 1e4 pair scan
+    # of criterion 3's grid, where a U sized for a tenth of the nodes would
+    # ask for 24 GiB; tracemalloc sees numpy's allocations
+    k, _, _ = quadrature._panel_grid(np.linspace(-4.0, 4.0, 8487))
+    checks = np.linspace(0, k.size - 1, 55).astype(int)
+
+    def rows(idx):
+        k1 = k[idx][:, None]
+        return np.exp(-0.5 * (k1**2 + k**2) - 0.25 * (k1 - k) ** 2) + 0.0j
+
+    tracemalloc.start()
+    try:
+        u, m, rho = quadrature._symmetric_cross(rows, checks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, r = u.shape
+    assert n == 127_290 and rho <= quadrature.CROSS_TOL
+    assert peak <= 4 * (r + checks.size) * n * 16
+
+
+def test_cross_grows_past_its_first_rows():
+    # rank ~145: U outgrows its first 128 rows once and stays accurate
+    k, _, _ = quadrature._panel_grid(np.linspace(-4.0, 4.0, 201))
+
+    def rows(idx):
+        return np.exp(-2.0 * (k[idx][:, None] ** 2 + k**2) + 20j * k[idx][:, None] * k)
+
+    u, m, rho = quadrature._symmetric_cross(rows, np.linspace(0, k.size - 1, 64).astype(int))
+    assert 128 < u.shape[1] <= k.size // 10
+    sample = np.random.default_rng(7).choice(k.size, 200, replace=False)
+    assert np.abs(rows(sample) - u[sample] @ m @ u.T).max() <= 10 * quadrature.CROSS_TOL
+
+
+@pytest.mark.parametrize("joint, rel_tol, reached", [
+    # exp(100 i k1 k2) passes the rank cap
+    (lambda k1, k2: np.exp(-2.0 * (k1**2 + k2**2) + 100j * k1 * k2), 1e-9,
+     rf"no symmetric cross of rank <= {quadrature.MAX_CROSS_RANK}"),
+    # a smooth low-rank kernel whose truncation bound alone misses a 1e-14 target
+    (lambda k1, k2: np.exp(-0.5 * (k1**2 + k2**2) - (k1 - k2) ** 2) + 0j, 1e-14,
+     r"cross rank \d+ leaves truncation"),
+], ids=["rank_cap", "truncation"])
+def test_envelope_beyond_dense_budget_raises(joint, rel_tol, reached):
+    # 1,100 panels of 15 nodes: N^2 > DENSE_MAX_VALUES forbids the dense path
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match=rf"N = (\d+) nodes per axis: {reached}") as info:
+        osc_integrate_2d(joint, D1, (-4.0, 4.0), 0.0, 0.0, 0.0, 0.0, rel_tol=rel_tol,
+                         max_width=8.0 / 1100)
+    n = int(re.search(r"N = (\d+)", str(info.value)).group(1))
+    assert n ** 2 > quadrature.DENSE_MAX_VALUES and info.value.result.error_estimate == np.inf
+    assert time.perf_counter() - start < 30.0
 
 
 @pytest.mark.parametrize("family", sorted(PAIR_FAMILIES))
