@@ -3,32 +3,28 @@
 Two families of bounds are checked on finite grids:
 
 * a universal two-photon bound P <= C / ((t0 + |t1|) (t0 + |t2|)) valid
-  everywhere, fitted by scanning P over spacetime grids and profiling
-  the constant against the offset t0;
+  everywhere, fitted by scanning P by quadrature over spacetime grids
+  and profiling the constant against the offset t0;
 * super-polynomial decay outside the light cone |z| >= |t|, checked by
   fitting log-log slopes of P along rays and by computing the constants
   C_{n1 n2} = sup P (1 + |z1|)^{n1} (1 + |z2|)^{n2}.
 
 A grid supremum only bounds the true supremum from below, so every fit
 records how much the constant drifts under grid refinement instead of
-claiming a proof.  Points where P falls below the double-precision
-cancellation floor are reported as below-floor passes and excluded from
-slope fits.
+claiming a proof; the stationary-phase limit is reported beside the
+universal C, never used in place of P.  Points where P falls below the
+double-precision cancellation floor are reported as below-floor passes
+and excluded from slope fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import stdtrit
 
-from .correlators import (
-    SpacetimePoint,
-    asymptotic_biphoton,
-    biphoton_scan,
-    single_scan,
-)
+from .correlators import SpacetimePoint, biphoton_scan, single_scan
 from .dispersion import DispersionRelation
 
 __all__ = [
@@ -105,23 +101,6 @@ class LightconeReport:
 # universal bound
 # ----------------------------------------------------------------------
 
-def _golden_min(fun, a: float, b: float, iters: int = 40) -> tuple[float, float]:
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = fun(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def _refined_grid(v: np.ndarray) -> np.ndarray:
     """Double the density keeping the original nodes (midpoint insertion)."""
     v = np.asarray(v, dtype=float)
@@ -152,10 +131,8 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
     """Fit C and t0 such that P <= C / ((t0+|t1|) (t0+|t2|)) on the grid.
 
     The scan covers every (t1, t2) pair combined with the velocity grid
-    (detectors at z_i = v_i t_i).  Points are evaluated by quadrature
-    below the asymptotic applicability guard and by stationary phase
-    beyond it; whenever the asymptotic route is taken, a quadrature
-    cross-check on a grid subsample is recorded in the diagnostics.
+    (detectors at z_i = v_i t_i).  Every point is evaluated by quadrature
+    (``biphoton_scan``), so every fitted P carries a quadrature error.
     When both velocity grids are equal, a (t2, t1) pair that follows
     its mirror (t1, t2) reuses the transposed grid instead of a new scan.
     All scans share one dict of envelope factorizations (see
@@ -163,56 +140,50 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
     time, such as 800:800 and 50:800, factor the envelope once.
 
     C(t0) = sup P (t0+|t1|)(t0+|t2|) is profiled on a logarithmic t0 grid
-    over [1e-2, 1e2]/mass (50 points) and the minimising t0 is refined by
-    golden section; this minimum defines the reported C, which makes
-    max_violation <= 0 on the scanned grid by construction.  The grid
-    supremum only bounds the true constant from below: refinement_drift
-    records the relative change of C when the velocity grids double in
-    density (original nodes kept).
+    over [1e-2, 1e2]/mass (50 points).  C(t0) never decreases with t0, so
+    the reported t0 is the smallest profiled offset and C is its profile
+    value; max_violation is 0 on the scanned grid by construction.  The
+    grid supremum only bounds the true constant from below:
+    refinement_drift records the relative change of C when the velocity
+    grids double in density (original nodes kept).
+    ``asymptotic_constant`` is the grid supremum of the large-time limit
+    of P t1 t2 (``asymptotic_bound_weight``), for comparison only.
+
+    Raises ValueError for an empty or malformed ``t_pairs`` and for a
+    velocity grid that is empty, not 1-D, not finite or reaches |v| >= 1.
     """
+    try:
+        pairs = [(float(t1), float(t2)) for t1, t2 in t_pairs]
+    except (TypeError, ValueError):
+        pairs = []
+    if not pairs or not np.isfinite(pairs).all():
+        raise ValueError(f"t_pairs must be a non-empty list of finite (t1, t2) pairs, "
+                         f"got {t_pairs!r}")
     v1_grid = np.asarray(v1_grid, dtype=float)
     v2_grid = np.asarray(v2_grid, dtype=float)
+    for name, v in (("v1_grid", v1_grid), ("v2_grid", v2_grid)):
+        if not (v.ndim == 1 and v.size and np.isfinite(v).all() and (np.abs(v) < 1.0).all()):
+            raise ValueError(f"{name} must be a non-empty 1-D grid of finite velocities "
+                             f"with |v| < 1, got {v!r}")
     v1_fine = _refined_grid(v1_grid)
     v2_fine = _refined_grid(v2_grid)
     coarse = np.ix_(np.isin(v1_fine, v1_grid), np.isin(v2_fine, v2_grid))
-    sub = (slice(None, None, max(1, v1_fine.size // 2)),
-           slice(None, None, max(1, v2_fine.size // 2)))
 
     sups = []           # (|t1|, |t2|, sup P on the coarse grid, sup P on the refined grid)
-    methods = set()
-    cross_checks = []
     # with one velocity grid for both detectors, the (t2, t1) grid is the
     # transpose of the (t1, t2) grid (detector exchange)
     mirror = v1_grid.shape == v2_grid.shape and bool((v1_grid == v2_grid).all())
     scanned = {}
     factorizations = {}
-    for t1, t2 in t_pairs:
-        key = (float(t1), float(t2))
-        z1 = v1_fine * t1
-        z2 = v2_fine * t2
-        corners = asymptotic_biphoton(f, d, v1_fine[[0, -1], None], v2_fine[None, [0, -1]],
-                                      t1, t2)
-        if mirror and key[::-1] in scanned:
-            P = scanned[key[::-1]].T
-        elif corners.guard_ok.all():
-            P = asymptotic_biphoton(f, d, v1_fine[:, None], v2_fine[None, :],
-                                    t1, t2).probability
-            methods.add("asymptotic_spa")
-            # spot-check the asymptotics against the exact evaluator
-            amps, _, _ = biphoton_scan(f, d, t1, t2, z1[sub[0]], z2[sub[1]], rel_tol,
-                                        factorizations=factorizations)
-            pq = np.abs(amps) ** 2
-            ps = P[sub]
-            scale = max(pq.max(), ps.max())
-            if scale > 0:
-                cross_checks.append(float(np.abs(pq - ps).max() / scale))
+    for t1, t2 in pairs:
+        if mirror and (t2, t1) in scanned:
+            P = scanned[t2, t1].T
         else:
-            amps, _, _ = biphoton_scan(f, d, t1, t2, z1, z2, rel_tol,
+            amps, _, _ = biphoton_scan(f, d, t1, t2, v1_fine * t1, v2_fine * t2, rel_tol,
                                        factorizations=factorizations)
             P = np.abs(amps) ** 2
-            methods.add("adaptive_panel")
-        scanned[key] = P
-        sups.append((abs(key[0]), abs(key[1]), P[coarse].max(), P.max()))
+        scanned[t1, t2] = P
+        sups.append((abs(t1), abs(t2), P[coarse].max(), P.max()))
     abs_t1, abs_t2, sup_coarse, sup_fine = np.array(sups, dtype=float).T
 
     def weighted_sup(t0: float, sup: np.ndarray) -> float:
@@ -222,33 +193,23 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
     hi = 10.0 ** T_OFFSET_GRID_DECADES[1] / d.mass
     t0_grid = np.geomspace(lo, hi, T_OFFSET_GRID_POINTS)
     profile = np.array([weighted_sup(t0, sup_coarse) for t0 in t0_grid])
-    i_best = int(np.argmin(profile))
-    a = t0_grid[max(i_best - 1, 0)]
-    b = t0_grid[min(i_best + 1, t0_grid.size - 1)]
-    t0_best, c_base = _golden_min(lambda x: weighted_sup(x, sup_coarse), a, b)
-    if profile[i_best] < c_base:
-        t0_best, c_base = float(t0_grid[i_best]), float(profile[i_best])
-
-    violation = weighted_sup(t0_best, sup_coarse) - c_base
+    # C(t0) never decreases with t0: the least C sits at the smallest offset
+    t0_best, c_base = float(t0_grid[0]), float(profile[0])
     c_fine = weighted_sup(t0_best, sup_fine)
     drift = abs(c_fine - c_base) / c_base if c_base > 0 else 0.0
 
     desc = (f"{len(sups)} time pairs x {v1_grid.size}x{v2_grid.size} velocities "
             f"(refined {v1_fine.size}x{v2_fine.size})")
-    diag = {"methods": sorted(methods)}
-    if cross_checks:
-        diag["spa_cross_check_max_rel"] = max(cross_checks)
     return BoundFit(
         bound_kind="two_photon_universal",
-        constant=float(c_base),
-        max_violation=float(violation),
+        constant=c_base,
+        max_violation=0.0,
         grid_descriptor=desc,
-        t_offset=float(t0_best),
+        t_offset=t0_best,
         refinement_drift=drift,
         t_offset_profile=(t0_grid, profile),
         asymptotic_constant=float(asymptotic_bound_weight(f, d, v1_fine, v2_fine).max()),
         n_points=len(sups) * v1_fine.size * v2_fine.size,
-        diagnostics=diag,
     )
 
 

@@ -368,9 +368,9 @@ def cmd_single(cfg: Config, out: Path) -> int:
     z = cfg.get_grid("scan", "z")
     for t in cfg.get_floats("scan", "t_values", [0.0]):
         res = single_scan(packet, d, z, t, rel_tol=tol)
-        for pt, a, p, e, meth in zip(res.points, res.amplitudes, res.values,
-                                     res.error_estimates, res.methods):
-            rows.append((pt.t, pt.z, a.real, a.imag, p, e, meth))
+        for pt, a, p, e in zip(res.points, res.amplitudes, res.values,
+                               res.error_estimates):
+            rows.append((pt.t, pt.z, a.real, a.imag, p, e, "adaptive_panel"))
         series.append((f"t={t:g}", list(res.values)))
     write_csv(out / "single_scan.csv",
               ("t", "z", "amp_re", "amp_im", "probability", "error", "method"),
@@ -461,6 +461,10 @@ def cmd_bounds(cfg: Config, out: Path) -> int:
     t_pairs = cfg.get_pairs("scan", "t_pairs", [(50.0, 50.0), (200.0, 200.0)], positive=True)
     v1 = cfg.get_grid("scan", "v1")
     v2 = cfg.get_grid("scan", "v2")
+    for name, v in (("v1", v1), ("v2", v2)):   # the grid ends are its extremes
+        for key, value in ((f"{name}_min", v[0]), (f"{name}_max", v[-1])):
+            if not abs(value) < 1.0:
+                cfg._fail("scan", key, f"detector velocities need |v| < 1, got {float(value)!r}")
     # the whole configuration is read, with its checks, before the first quadrature
     lightcone = cfg.has("scan", "lightcone_t")
     if lightcone:

@@ -76,15 +76,14 @@ class CorrelationResult:
     amplitudes: np.ndarray
     values: np.ndarray
     error_estimates: np.ndarray
-    methods: tuple[str, ...]
 
     @classmethod
-    def from_amplitudes(cls, points, amplitudes, amp_errors, methods):
+    def from_amplitudes(cls, points, amplitudes, amp_errors):
         amplitudes = np.asarray(amplitudes, dtype=complex)
         amp_errors = np.asarray(amp_errors, dtype=float)
         values = np.abs(amplitudes) ** 2
         p_errors = probability_error(np.abs(amplitudes), amp_errors)
-        return cls(tuple(points), amplitudes, values, p_errors, tuple(methods))
+        return cls(tuple(points), amplitudes, values, p_errors)
 
 
 def _single_envelope(packet, d: DispersionRelation):
@@ -185,8 +184,7 @@ def amplitude_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
     res = osc_integrate_2d(_joint_envelope(f, d), d, _quadrature_domain(f),
                            pt1.z, pt1.t, pt2.z, pt2.t,
                            rel_tol=rel_tol, max_width=_feature_width(f))
-    return QuadResult(2.0 * res.value, 2.0 * res.error_estimate,
-                      res.panels_used, res.method)
+    return QuadResult(2.0 * res.value, 2.0 * res.error_estimate, res.panels_used)
 
 
 def probability_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
@@ -280,8 +278,7 @@ def single_scan(packet, d: DispersionRelation, z_values, t: float,
         _single_envelope(packet, d), d, z_values, t,
         _quadrature_domain(packet), rel_tol=rel_tol, max_width=_feature_width(packet))
     pts = [SpacetimePoint(float(z), float(t)) for z in z_values]
-    return CorrelationResult.from_amplitudes(
-        pts, amps, errs, ["adaptive_panel"] * z_values.size)
+    return CorrelationResult.from_amplitudes(pts, amps, errs)
 
 
 def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,

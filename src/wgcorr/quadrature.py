@@ -147,7 +147,6 @@ class QuadResult:
     value: complex
     error_estimate: float
     panels_used: int
-    method: str  # "adaptive_panel" or "asymptotic_spa"
 
     def __post_init__(self):
         if self.error_estimate < 0 or self.panels_used < 1:
@@ -210,7 +209,7 @@ def oscillation_breakpoints(
         if w.size + n_split > max_panels:
             raise QuadratureError(
                 f"panel budget {max_panels} exhausted while resolving oscillation on {domain}",
-                QuadResult(0.0 + 0.0j, np.inf, w.size, "adaptive_panel"),
+                QuadResult(0.0 + 0.0j, np.inf, w.size),
             )
         mids = 0.5 * (breaks[:-1][split] + breaks[1:][split])
         breaks = np.insert(breaks, np.flatnonzero(split) + 1, mids)
@@ -299,8 +298,7 @@ def osc_integrate_1d_many(
             raise QuadratureError(
                 f"batched quadrature stalled at z={z_values[worst]:.6g} "
                 f"(error {errs[worst]:.3e}, target {target:.3e}) with {panels} panels",
-                QuadResult(complex(vals[worst]), float(errs[worst]), panels,
-                           "adaptive_panel"),
+                QuadResult(complex(vals[worst]), float(errs[worst]), panels),
             )
         breaks = np.sort(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
 
@@ -316,7 +314,7 @@ def osc_integrate_1d(problem: OscIntegralProblem,
     vals, errs, panels = osc_integrate_1d_many(
         problem.envelope, problem.dispersion, [problem.z], problem.t,
         problem.domain, rel_tol=problem.rel_tol, max_width=max_width)
-    return QuadResult(complex(vals[0]), float(errs[0]), panels, "adaptive_panel")
+    return QuadResult(complex(vals[0]), float(errs[0]), panels)
 
 
 # ----------------------------------------------------------------------
@@ -574,7 +572,7 @@ def osc_tensor_scan(
                            f"leaves truncation {trunc:.2e} above target {target:.2e}")
                 raise QuadratureError(
                     f"N = {k.size} nodes per axis: {reached}, and N^2 > DENSE_MAX_VALUES",
-                    QuadResult(0j, np.inf, (len(breaks) - 1) ** 2, "adaptive_panel"))
+                    QuadResult(0j, np.inf, (len(breaks) - 1) ** 2))
             got = (_dense(rows, left, right, w15) if dense
                    else _low_rank(store[key], left, right, w15))
             if got is None:
@@ -596,8 +594,7 @@ def osc_tensor_scan(
             raise QuadratureError(
                 f"tensor scan stalled at grid point {bad} "
                 f"(error {errs[bad]:.3e}, target {target:.3e})",
-                QuadResult(complex(v15[bad]), float(errs[bad]),
-                           panels * panels, "adaptive_panel"),
+                QuadResult(complex(v15[bad]), float(errs[bad]), panels * panels),
             )
         breaks = np.sort(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
 
@@ -621,5 +618,4 @@ def osc_integrate_2d(
     vals, errs, panels = osc_tensor_scan(
         joint_envelope, d, domain, t1, t2, [z1], [z2], rel_tol=rel_tol,
         max_width=max_width)
-    return QuadResult(complex(vals[0, 0]), float(errs[0, 0]), panels * panels,
-                      "adaptive_panel")
+    return QuadResult(complex(vals[0, 0]), float(errs[0, 0]), panels * panels)

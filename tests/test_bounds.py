@@ -8,12 +8,16 @@ from wgcorr import (
     PumpedPair,
     SpacetimePoint,
     SymmetrizedProduct,
+    biphoton_scan,
     check_lightcone_decay,
     decay_slope_fit,
     fit_universal_bound,
+    normalize_biphoton,
     single_scan,
 )
+from wgcorr import bounds
 from wgcorr.bounds import Ray, bound_fit_csv_rows, summarize_bound_fits
+from wgcorr.correlators import probability_error
 
 D1 = DispersionRelation(1.0)
 PUMP = GaussianPacket(center=2.0, width=0.1)
@@ -85,6 +89,9 @@ def test_universal_bound_holds_by_construction():
     assert t0s.size == 50
     # the weighted sup grows with the offset, so the profile is monotone
     assert (np.diff(profile) >= -1e-12 * profile[:-1]).all()
+    # so the least C sits at the smallest offset
+    assert fit.t_offset == t0s[0]
+    assert fit.constant == profile[0]
     assert fit.asymptotic_constant is not None and fit.asymptotic_constant > 0
 
 
@@ -96,16 +103,25 @@ def test_homogeneity_quadratic_in_pair_amplitude():
     assert fit2.constant / fit1.constant == pytest.approx(4.0, rel=1e-6)
 
 
-def test_stationary_phase_route_agrees_with_quadrature():
-    # wide separable pair on a light mode: the guard t w'' sigma^2 passes
-    # at every grid corner, so the fit takes the stationary-phase route
-    d = DispersionRelation(0.2)
-    f = SymmetrizedProduct(GaussianPacket(0.05, 0.3), GaussianPacket(0.04, 0.25))
-    v = np.linspace(0.1, 0.3, 4)
-    fit = fit_universal_bound(f, d, [(40.0, 40.0), (40.0, 60.0)], v, v)
-    assert fit.diagnostics["methods"] == ["asymptotic_spa"]
-    assert fit.diagnostics["spa_cross_check_max_rel"] < 0.05
-    assert fit.max_violation <= 0.0 < fit.constant
+def test_bound_constant_approaches_asymptotic_constant_from_below():
+    # pumped pair on three velocities around the ridge v = 1/sqrt(2): the
+    # quadrature sup P t^2 closes in on the stationary-phase weight as t grows
+    f = small_pair()
+    f = normalize_biphoton(f, f.axis_domain())
+    v = 1.0 / np.sqrt(2.0) + 0.035 * np.array([-1.0, 0.0, 1.0])
+    gaps = []
+    for t in (800.0, 2000.0, 4000.0):
+        fit = fit_universal_bound(f, D1, [(t, t)], v, v)
+        gaps.append((fit.asymptotic_constant - fit.constant) / fit.asymptotic_constant)
+    assert gaps[0] > gaps[1] > gaps[2] > 0
+    # at t = 4000 the fitted C is the quadrature supremum, not the leading term
+    z = bounds._refined_grid(v) * t
+    amps, errs, _ = biphoton_scan(f, D1, t, t, z, z, 1e-6)
+    coarse = np.abs(amps[::2, ::2])
+    worst = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
+    weight = (fit.t_offset + t) ** 2
+    p_error = probability_error(coarse[worst], errs[::2, ::2][worst])
+    assert abs(fit.constant - coarse[worst] ** 2 * weight) <= p_error * weight
 
 
 def test_mirrored_time_pair_reuses_transposed_scan(monkeypatch):
@@ -124,10 +140,31 @@ def test_mirrored_time_pair_reuses_transposed_scan(monkeypatch):
     v = np.linspace(0.6, 0.8, 5)
     fit = fit_universal_bound(f, D1, [(25.0, 40.0), (40.0, 25.0)], v, v, rel_tol=1e-5)
     assert [(t1, t2) for t1, t2, *_ in calls] == [(25.0, 40.0)]
-    assert fit.diagnostics["methods"] == ["adaptive_panel"]
     _, _, z1, z2, (amps, errs, _) = calls[0]
     fresh, fresh_errs, _ = scan(f, D1, 40.0, 25.0, z2, z1, 1e-5)
     assert (np.abs(fresh - amps.T) <= fresh_errs).all()
+
+
+V_OK = np.linspace(0.6, 0.8, 5)
+
+
+@pytest.mark.parametrize("t_pairs, v1, v2, name", [
+    ([], V_OK, V_OK, "t_pairs"),
+    ([(50.0,)], V_OK, V_OK, "t_pairs"),
+    ([(50.0, 50.0)], np.array([]), V_OK, "v1_grid"),
+    ([(50.0, 50.0)], np.full((2, 3), 0.7), V_OK, "v1_grid"),
+    ([(50.0, 50.0)], np.array([0.7, 1.05]), V_OK, "v1_grid"),
+    ([(50.0, 50.0)], V_OK, np.array([-1.05, 0.7]), "v2_grid"),
+], ids=["no_pairs", "short_pair", "empty_v1", "2d_v1", "superluminal_v1",
+        "superluminal_v2"])
+def test_universal_bound_refuses_bad_input_before_scanning(monkeypatch, t_pairs, v1, v2,
+                                                           name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned before the input was checked")
+
+    monkeypatch.setattr(bounds, "biphoton_scan", refuse)
+    with pytest.raises(ValueError, match=name):
+        fit_universal_bound(small_pair(), D1, t_pairs, v1, v2)
 
 
 # ----------------------------------------------------------------------

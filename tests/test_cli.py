@@ -315,6 +315,7 @@ directory = {out}
     ("modes", "modes_fd", "a = 1.0", "a = -1"),
     ("modes", "raster", "solver = fd", "solver = analytic"),
     ("bounds", "bounds", "v1_count = 4", "v1_count = 0"),
+    ("bounds", "bounds", "v1_max = 0.8", "v1_max = 1.2"),  # faster than light
     ("bounds", "bounds", "t_pairs = 25:25, 50:50", "t_pairs = 25:25, 0:50"),
     ("bounds", "bounds", "biphoton_rel = 1e-5", "biphoton_rel = 0"),
     ("bounds", "bounds", "pump_width = 0.1", "pump_width = 0"),

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from wgcorr import (
@@ -69,6 +71,19 @@ def test_probability_parity_for_centered_packet():
         p1, _ = probability_single(g, D1, SpacetimePoint(z, 12.0), rel_tol=1e-11)
         p2, _ = probability_single(g, D1, SpacetimePoint(-z, 12.0), rel_tol=1e-11)
         assert p1 == pytest.approx(p2, rel=1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(center=st.floats(-2.0, 2.0), width=st.floats(0.05, 0.5),
+       z=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6),
+       t=st.floats(-40.0, 40.0))
+def test_real_packet_amplitude_conjugates_under_spacetime_reflection(center, width, z, t):
+    # for real g, A(-z, -t) = conj A(z, t); the panelization is the same
+    # under (z, t) -> (-z, -t), so the two sides agree to rounding
+    g = GaussianPacket(center, width)
+    a = single_scan(g, D1, z, t).amplitudes
+    b = single_scan(g, D1, -np.asarray(z), -t).amplitudes
+    assert np.abs(b - np.conj(a)).max() <= 1e-14 * np.abs(a).max()
 
 
 def test_asymptotic_single_known_values():

@@ -159,7 +159,6 @@ def test_plain_gaussian_integral():
     res = osc_integrate_1d(prob)
     assert res.value.real == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
     assert abs(res.value.imag) < 1e-14
-    assert res.method == "adaptive_panel"
     assert res.error_estimate <= max(1e-12 * abs(res.value), 1e-15)
 
 
