@@ -19,8 +19,9 @@ Gauss(7)/Kronrod(15) pair on each panel:
   Near a stationary point this yields panels of width
   ~ sqrt(pi / (omega'' t)), which resolves the quadratic phase.
 * The 2-D rule contracts a symmetric cross approximation U M U^T of the
-  envelope matrix, evaluating O(N r) of its N^2 entries for rank r; it
-  falls back to the dense matrix when the rank is high.  Scans of one
+  envelope matrix (U real for a constant-phase envelope), evaluating
+  O(N r) of its N^2 entries for rank r; it falls back to the dense
+  matrix when the rank is high.  Scans of one
   envelope at several times can share the factorization of a panelization.
 * Each point's error estimate is |sum K15 - sum G7| (in 2-D plus a
   bound on the cross approximation's truncation).  While any point
@@ -70,9 +71,10 @@ MAX_PANELS_AXIS = 60_000
 SCAN1D_MAX_LEVELS = 8
 
 # The most values one block holds (but at least one row): envelope values
-# in the 2-D rule (check rows, their residuals, dense rows), and phase
-# factors (detector positions x nodes) in the 1-D rule, whose block shape
-# fixes the summation order of its matrix product.
+# (check rows, their residuals, dense rows) and phase weights (nodes x
+# detector positions) in the 2-D rule, and phase factors (detector
+# positions x nodes) in the 1-D rule.  Each rule sums its contractions
+# block by block, so the block shapes fix the summation order.
 BLOCK_VALUES = 1 << 16
 PHASE_BLOCK_VALUES = 1 << 20
 
@@ -340,6 +342,10 @@ DENSE_MAX_VALUES = 1 << 28
 _PIVOT_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
 
 
+class _NotReal(Exception):
+    """A row of a real-arithmetic cross keeps an imaginary part."""
+
+
 def _symmetric_cross(rows: Callable, checks: np.ndarray):
     """Symmetric adaptive cross approximation F ~ U M U^T of a symmetric matrix.
 
@@ -358,23 +364,60 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
     the sampled block F[checks, checks] is not symmetric, or a row is
     not finite.
 
-    U starts with 128 rows and doubles when full; check rows and their
-    residuals go in blocks of ``BLOCK_VALUES``: memory O((r + checks) n).
+    The cross runs in float64 when F is a constant phase times a real
+    matrix, as every built-in pair envelope is: each row it reads is
+    divided by the phase of the largest entry of the first nonzero
+    check block, U is real and the phase is folded into M.  The first
+    row whose imaginary part is then not exactly zero restarts the cross
+    in complex arithmetic.
+
+    U starts with 128 rows and doubles when full; the check rows fill one
+    array in row blocks, and their residuals go in column blocks, of
+    ``BLOCK_VALUES``: memory O((r + checks) n) values of 8 bytes (16 on
+    the complex path).
     """
+    phase = None
+
+    def real_rows(idx):
+        nonlocal phase
+        raw = rows(idx)
+        if phase is None and raw.any():
+            big = raw.flat[int(np.argmax(np.abs(raw)))]
+            phase = big / abs(big)
+        if phase is not None:
+            raw = raw * np.conj(phase)
+        if (raw.imag != 0).any():
+            raise _NotReal
+        return raw.real
+
+    try:
+        fac = _cross(real_rows, checks, float)
+    except _NotReal:
+        return _cross(rows, checks, complex)
+    if fac is None or phase is None:
+        return fac
+    u, m, rho = fac
+    return u, phase * m, rho
+
+
+def _cross(rows: Callable, checks: np.ndarray, dtype):
+    """The cross of ``_symmetric_cross`` in the arithmetic of ``dtype``."""
     first = rows(checks[:1])
     n = first.shape[1]
     step = max(BLOCK_VALUES // n, 1)
-    raw_checks = np.concatenate(
-        [first] + [rows(checks[i0:i0 + step]) for i0 in range(1, checks.size, step)])
+    raw_checks = np.empty((checks.size, n), dtype=dtype)
+    raw_checks[0] = first[0]
+    for i0 in range(1, checks.size, step):
+        raw_checks[i0:i0 + step] = rows(checks[i0:i0 + step])
     sub = raw_checks[:, checks]
     scale = float(np.abs(raw_checks).max(initial=0.0))
     if not (np.isfinite(raw_checks).all()
             and np.abs(sub - sub.T).max(initial=0.0) <= 1e-14 * scale):
         return None
     max_rank = min(n // 10, MAX_CROSS_RANK)
-    ut = np.empty((min(128, max_rank), n), dtype=raw_checks.dtype)   # columns of U
-    md = np.zeros(max_rank + 2, dtype=raw_checks.dtype)             # diagonal of M
-    mo = np.zeros(max_rank + 2, dtype=raw_checks.dtype)             # M[c, c+1] = M[c+1, c]
+    ut = np.empty((min(128, max_rank), n), dtype=dtype)   # columns of U
+    md = np.zeros(max_rank + 2, dtype=dtype)             # diagonal of M
+    mo = np.zeros(max_rank + 2, dtype=dtype)             # M[c, c+1] = M[c+1, c]
     pivot = np.zeros(n, dtype=bool)
     r = 0
 
@@ -451,9 +494,38 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
             return None
 
 
-def _low_rank(fac, left: np.ndarray, right: np.ndarray, w15: np.ndarray):
-    """(left^T U, M U^T right, l1, rho) for a factorization (U, M, rho) of F ~ U M U^T.
+def _node_slices(n: int, width: int) -> list[slice]:
+    """Consecutive node blocks of at most ``BLOCK_VALUES`` values, ``width`` per node."""
+    step = max(BLOCK_VALUES // max(width, 1), 1)
+    return [slice(i0, i0 + step) for i0 in range(0, n, step)]
 
+
+def _weights(grid, axis, s: slice) -> np.ndarray:
+    """K15 and G7 phase weights of the nodes k[s] for one axis.
+
+    ``grid`` is (k, w15, w7, omega(k)) and ``axis`` is (z_values, t); the
+    block is [w15 e, w7 e], e = exp(i (k z - omega(k) t)), one row per node.
+    """
+    k, w15, w7, wk = grid
+    z_values, t = axis
+    ph = np.exp(1j * (np.outer(k[s], z_values) - wk[s, None] * t))
+    return np.concatenate([w15[s, None] * ph, w7[s, None] * ph], axis=1)
+
+
+def _project(grid, axis, basis: np.ndarray) -> np.ndarray:
+    """W^T basis for the axis's phase weights W, summed over node blocks."""
+    out = np.zeros((2 * axis[0].size, basis.shape[1]), dtype=complex)
+    for s in _node_slices(basis.shape[0], 2 * axis[0].size):
+        out += _weights(grid, axis, s).T @ basis[s]
+    return out
+
+
+def _low_rank(fac, grid, left, right):
+    """(W1^T U M U^T W2, l1, rho) for a factorization (U, M, rho) of F ~ U M U^T.
+
+    W1 and W2 are the phase weights of the ``left`` and ``right`` axes
+    (see ``_weights``); each projection W^T U is accumulated over node
+    blocks, and ``right is left`` reuses the left one.
     l1 = (w15^T |U|) |M| (|U|^T w15), the round-off scale of the
     contracted factors, costs O(N r); it bounds the weighted L1 norm
     w15^T |F| w15 from above apart from the truncation, which rho (the
@@ -463,25 +535,30 @@ def _low_rank(fac, left: np.ndarray, right: np.ndarray, w15: np.ndarray):
     if fac is None:
         return None
     u, m, rho = fac
-    a = np.abs(u).T @ w15
-    return left.T @ u, m @ (u.T @ right), float(a @ np.abs(m) @ a), rho
+    p1 = _project(grid, left, u)
+    p2 = p1 if right is left else _project(grid, right, u)
+    w15 = grid[1]
+    a = sum(np.abs(u[s]).T @ w15[s] for s in _node_slices(u.shape[0], u.shape[1]))
+    return p1 @ (m @ p2.T), float(a @ np.abs(m) @ a), rho
 
 
-def _dense(rows: Callable, left: np.ndarray, right: np.ndarray, w15: np.ndarray):
-    """The trivial factorization U = F, M = I, V = I: (left^T F, right, l1, 0).
+def _dense(rows: Callable, grid, left, right):
+    """The trivial factorization U = F, M = I: (W1^T F W2, l1, 0).
 
-    F is streamed in row blocks of at most ``BLOCK_VALUES`` values; all n^2
-    are evaluated, so the 2-D rule allows this only up to ``DENSE_MAX_VALUES``.
+    F is streamed in row blocks of at most ``BLOCK_VALUES`` values, and
+    W1^T F (2 len(z1) x N) accumulates over them; its product with W2 is
+    a ``_project``.  All N^2 envelope values are evaluated, so the 2-D
+    rule allows this only up to ``DENSE_MAX_VALUES``.
     """
+    w15 = grid[1]
     n = w15.size
-    lu = np.zeros((left.shape[1], n), dtype=complex)
+    lf = np.zeros((2 * left[0].size, n), dtype=complex)
     l1 = 0.0
-    step = max(BLOCK_VALUES // n, 1)
-    for i0 in range(0, n, step):
-        blk = rows(np.arange(i0, min(i0 + step, n)))
-        lu += left[i0:i0 + step].T @ blk
-        l1 += float(w15[i0:i0 + step] @ (np.abs(blk) @ w15))
-    return lu, right, l1, 0.0
+    for s in _node_slices(n, n):
+        blk = rows(s)
+        lf += _weights(grid, left, s).T @ blk
+        l1 += float(w15[s] @ (np.abs(blk) @ w15))
+    return _project(grid, right, lf.T).T, l1, 0.0
 
 
 def osc_tensor_scan(
@@ -502,18 +579,22 @@ def osc_tensor_scan(
     batch, is built.  The joint envelope must be symmetric in its two
     momenta for the low-rank path.  Per refinement level its matrix F on
     the shared nodes is cross-approximated as U M U^T (see
-    ``_symmetric_cross``), and every grid value comes from one
-    contraction (u1^T U) M (U^T u2), with u_i the K15 (or G7) weights
-    times the phase factors of axis i; the G7 estimate reads the rows
-    of U at the Gauss nodes.  The truncation bound rho * (sum w15)^2 is
-    added to every point's error.  When F has no low-rank form (rank
-    above min(N / 10, ``MAX_CROSS_RANK``) on N nodes per axis, or a
+    ``_symmetric_cross``; U is real for a constant-phase envelope), and
+    every grid value comes from one contraction (W1^T U) M (U^T W2), with
+    W_i the K15 (or G7) weights times the phase factors of axis i; the
+    G7 estimate reads the rows of U at the Gauss nodes.  The phase
+    weights are built and contracted in node blocks of ``BLOCK_VALUES``,
+    and an axis equal to the other (same z values and t) is projected
+    once.  The truncation bound rho * (sum w15)^2 is added to every
+    point's error.  When F has no low-rank form (rank above
+    min(N / 10, ``MAX_CROSS_RANK``) on N nodes per axis, or a
     non-symmetric envelope), or the truncation bound alone would miss
     the error target, the level uses the dense envelope (the trivial
     factorization U = F, M = I) if N^2 is at most ``DENSE_MAX_VALUES``,
     else raises QuadratureError naming the rank and N.  Memory is
-    O((r + checks + len(z)) N) plus one block of ``BLOCK_VALUES``.
-    Returns (values, errors, panels_per_axis) with values shaped
+    O((r + checks) N) plus one block of ``BLOCK_VALUES`` on the low-rank
+    path, and O(len(z1) N) plus one block on the dense one.  Returns
+    (values, errors, panels_per_axis) with values shaped
     (len(z1_values), len(z2_values)).  Sharing the panels and the
     factorization keeps detector exchange an exact symmetry of the rule
     for a symmetric envelope.
@@ -542,6 +623,9 @@ def osc_tensor_scan(
     breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
                                      max_panels=MAX_PANELS_AXIS)
     n1, n2 = z1_values.size, z2_values.size
+    left = (z1_values, t1)
+    same = t1 == t2 and np.array_equal(z1_values, z2_values)
+    right = left if same else (z2_values, t2)
     # the cross approximation samples the rows nearest to points one initial
     # panel apart, so no envelope feature the panels resolve falls between them
     edges = np.asarray(domain, dtype=float)
@@ -551,11 +635,7 @@ def osc_tensor_scan(
 
     for level in range(SCAN2D_MAX_LEVELS + 1):
         k, w15, w7 = _panel_grid(breaks)
-        wk = d.omega(k)
-
-        def weights(z_vals, t):
-            ph = np.exp(1j * (np.outer(k, z_vals) - wk[:, None] * t))
-            return np.concatenate([w15[:, None] * ph, w7[:, None] * ph], axis=1)
+        grid = (k, w15, w7, d.omega(k))
 
         def rows(idx):
             return np.asarray(joint_envelope(k[idx][:, None], k[None, :]), dtype=complex)
@@ -564,7 +644,6 @@ def osc_tensor_scan(
         key = breaks.tobytes()
         if key not in store:
             store[key] = _symmetric_cross(rows, checks)
-        left, right = weights(z1_values, t1), weights(z2_values, t2)
         for dense in (False, True):
             if dense and k.size ** 2 > DENSE_MAX_VALUES:
                 reached = (f"no symmetric cross of rank <= {min(k.size // 10, MAX_CROSS_RANK)}"
@@ -573,12 +652,11 @@ def osc_tensor_scan(
                 raise QuadratureError(
                     f"N = {k.size} nodes per axis: {reached}, and N^2 > DENSE_MAX_VALUES",
                     QuadResult(0j, np.inf, (len(breaks) - 1) ** 2))
-            got = (_dense(rows, left, right, w15) if dense
-                   else _low_rank(store[key], left, right, w15))
+            got = (_dense(rows, grid, left, right) if dense
+                   else _low_rank(store[key], grid, left, right))
             if got is None:
                 continue
-            lu, mr, l1, rho = got
-            v = lu @ mr
+            v, l1, rho = got
             v15 = v[:n1, :n2]
             trunc = rho * float(w15.sum()) ** 2
             target = max(rel_tol * float(np.abs(v15).max()), ABS_FLOOR,

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from wgcorr import (
+    CorrelatedGaussian,
     DispersionRelation,
     GaussianPacket,
     PumpedPair,
@@ -409,6 +411,32 @@ def test_single_scan_matches_pointwise():
     for z, a in zip(zs, res.amplitudes):
         ref = amplitude_single(g, D1, SpacetimePoint(float(z), 8.0), rel_tol=1e-11)
         assert abs(a - ref.value) <= 1e-9 * abs(ref.value) + 1e-14
+
+
+PAIR_FAMILIES = {
+    "separable": SymmetrizedProduct(GaussianPacket(0.6, 0.3), GaussianPacket(1.0, 0.25)),
+    "correlated": CorrelatedGaussian(2.0, 0.15, 0.5),
+    "pumped": PumpedPair(PUMP, pump_scale=2.0),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(sorted(PAIR_FAMILIES)), r=st.floats(0.1, 10.0),
+       phase=st.one_of(st.sampled_from([1.0, 1j, -1.0, -1j]),
+                       st.floats(0.0, 2.0 * np.pi).map(lambda phi: np.exp(1j * phi))))
+def test_pair_amplitude_is_homogeneous_in_scale(family, r, phase):
+    # A is linear in f, so scale -> c scale gives A -> c A and P -> |c|^2 P.
+    # Quarter turns keep f an exact phase times a real function, which the
+    # 2-D rule factors in float64; other phases take its complex path
+    f = PAIR_FAMILIES[family]
+    c = r * phase
+    lo, hi = f.axis_domain()
+    t1, t2 = 30.0, 24.0
+    v = D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.2, 0.2, 4)
+    a, e, _ = biphoton_scan(f, D1, t1, t2, v * t1, v[:3] * t2, rel_tol=1e-6)
+    ac, ec, _ = biphoton_scan(replace(f, scale=c * f.scale), D1, t1, t2, v * t1, v[:3] * t2,
+                              rel_tol=1e-6)
+    assert (np.abs(ac - c * a) <= ec + abs(c) * e).all()
 
 
 def test_biphoton_scan_matches_pointwise():

@@ -15,9 +15,11 @@ from wgcorr import (
     QuadratureError,
     SymmetrizedProduct,
     biphoton_scan,
+    normalize_biphoton,
     quadrature,
 )
-from wgcorr.correlators import _joint_envelope
+from wgcorr.bounds import _refined_grid
+from wgcorr.correlators import _joint_envelope, probability_error
 from wgcorr.wavepackets import _feature_width, _quadrature_domain
 from wgcorr.quadrature import (
     GAUSS_SUBSET,
@@ -350,9 +352,9 @@ def spy_dense(monkeypatch):
     sizes = []
     dense = quadrature._dense
 
-    def recording(rows, left, right, w15):
-        sizes.append(w15.size)
-        return dense(rows, left, right, w15)
+    def recording(rows, grid, left, right):
+        sizes.append(grid[0].size)
+        return dense(rows, grid, left, right)
 
     monkeypatch.setattr(quadrature, "_dense", recording)
     return sizes
@@ -388,11 +390,12 @@ def test_low_rank_l1_bounds_dense_l1(family, t):
     joint = _joint_envelope(f, D1)
     assert store and all(fac is not None for fac in store.values())
     for key, fac in store.items():
-        k, w15, _ = quadrature._panel_grid(np.frombuffer(key))
-        weights = w15[:, None] + 0.0j
-        _, _, l1, _ = quadrature._low_rank(fac, weights, weights, w15)
-        _, _, dense_l1, _ = quadrature._dense(
-            lambda idx: joint(k[idx][:, None], k[None, :]), weights, weights, w15)
+        k, w15, w7 = quadrature._panel_grid(np.frombuffer(key))
+        grid = (k, w15, w7, D1.omega(k))
+        axis = (np.zeros(1), 0.0)
+        _, l1, _ = quadrature._low_rank(fac, grid, axis, axis)
+        _, dense_l1, _ = quadrature._dense(
+            lambda idx: joint(k[idx][:, None], k[None, :]), grid, axis, axis)
         assert dense_l1 <= l1 <= 4.0 * dense_l1
 
 
@@ -467,6 +470,92 @@ def test_cross_grows_past_its_first_rows():
     assert 128 < u.shape[1] <= k.size // 10
     sample = np.random.default_rng(7).choice(k.size, 200, replace=False)
     assert np.abs(rows(sample) - u[sample] @ m @ u.T).max() <= 10 * quadrature.CROSS_TOL
+
+
+def envelope_rows(joint, k):
+    def rows(idx):
+        return np.asarray(joint(k[idx][:, None], k[None, :]), dtype=complex)
+    return rows
+
+
+def assert_reproduces(rows, fac, n):
+    # 200 sampled rows of F against U M U^T, relative to their largest entry
+    u, m, _ = fac
+    sample = np.random.default_rng(7).choice(n, 200, replace=False)
+    f = rows(sample)
+    assert np.abs(f - u[sample] @ m @ u.T).max() <= 10 * quadrature.CROSS_TOL * np.abs(f).max()
+
+
+@pytest.mark.parametrize("family, dtype", [
+    # every built-in pair envelope is a constant phase (1 or i) times a real function
+    *[(family, np.float64) for family in sorted(PAIR_FAMILIES)],
+    ("complex", np.complex128),
+])
+def test_cross_arithmetic_follows_envelope_phase(family, dtype):
+    if family == "complex":
+        joint, dom = lambda k1, k2: np.exp(-2.0 * (k1**2 + k2**2) + 3j * k1 * k2), (-4.0, 4.0)
+    else:
+        joint, dom = _joint_envelope(PAIR_FAMILIES[family], D1), PAIR_FAMILIES[family].axis_domain()
+    k, _, _ = quadrature._panel_grid(np.linspace(*dom, 201))
+    rows = envelope_rows(joint, k)
+    fac = quadrature._symmetric_cross(rows, np.linspace(0, k.size - 1, 32).astype(int))
+    assert fac[0].dtype == dtype and fac[1].dtype == np.complex128
+    assert_reproduces(rows, fac, k.size)
+
+
+def test_envelope_complex_off_the_check_rows_ends_complex():
+    # F = G + i eps h h^T with h zero on the check nodes: every check row is
+    # real, the pivot rows off them are not, so the real cross must restart
+    # in complex arithmetic rather than give up (which would mean the dense path)
+    k, _, _ = quadrature._panel_grid(np.linspace(-4.0, 4.0, 201))
+    checks = np.linspace(0, k.size - 1, 32).astype(int)
+    h = np.exp(-((k - 0.5) ** 2))
+    h[checks] = 0.0
+
+    def rows(idx):
+        k1 = k[idx][:, None]
+        return np.exp(-0.5 * (k1**2 + k**2) - 0.25 * (k1 - k) ** 2) + 1e-3j * h[idx][:, None] * h
+
+    assert not rows(checks).imag.any() and rows(np.arange(k.size)).imag.any()
+    fac = quadrature._symmetric_cross(rows, checks)
+    assert fac is not None and fac[0].dtype == np.complex128
+    assert_reproduces(rows, fac, k.size)
+
+
+def test_pair_scan_memory_at_large_time(monkeypatch):
+    # criterion 3's pumped pair on its refined 19 x 19 velocity grid at
+    # t1 = t2 = 1e4, N = 127,290 nodes per axis: the scan holds the real
+    # U, the real check rows and one block of phase weights, never an
+    # N x len(z) matrix; tracemalloc sees numpy's allocations
+    checks = []
+    cross = quadrature._symmetric_cross
+
+    def counting(rows, idx):
+        checks.append(idx.size)
+        return cross(rows, idx)
+
+    f = normalize_biphoton(PumpedPair(GaussianPacket(2.0, 0.1), pump_scale=2.0), (0.0, 2.744))
+    monkeypatch.setattr(quadrature, "_symmetric_cross", counting)
+    v = _refined_grid(1.0 / np.sqrt(2.0) + 0.035 * (np.arange(10) - 5))
+    t = 1e4
+    store = {}
+    tracemalloc.start()
+    try:
+        amps, errs, _ = biphoton_scan(f, D1, t, t, v * t, v * t, rel_tol=1e-6,
+                                      factorizations=store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (u, m, rho), = store.values()
+    n, r = u.shape
+    assert n == 127_290 and u.dtype == np.float64 and len(checks) == 1
+    assert peak <= 3 * ((r + checks[0]) * n * 8 + quadrature.BLOCK_VALUES * 16)
+    # sup P t^2 = 4.2159403 within its propagated error (and the rounding
+    # of that reference to 7 decimals)
+    p = np.abs(amps) ** 2
+    top = np.unravel_index(int(np.argmax(p)), p.shape)
+    p_err = probability_error(np.abs(amps[top]), errs[top])
+    assert abs(p[top] * t * t - 4.2159403) <= p_err * t * t + 5e-8
 
 
 @pytest.mark.parametrize("joint, rel_tol, reached", [
