@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .correlators import SpacetimePoint, biphoton_scan, single_scan
 from .dispersion import DispersionRelation
@@ -217,6 +216,33 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
 # outside the light cone
 # ----------------------------------------------------------------------
 
+def _t_quantile(nu: int, p: float) -> float:
+    """Quantile of Student's t with integer nu >= 1 degrees of freedom, 0.5 < p < 1.
+
+    Inverts the closed-form two-sided CDF A(t|nu) = 2p - 1 (Abramowitz &
+    Stegun 26.7.3 for odd nu, 26.7.4 for even nu) by bisection in
+    theta = arctan(t / sqrt(nu)) on (0, pi/2) until the interval stops
+    shrinking.
+    """
+    odd = nu % 2
+    k = np.arange(nu // 2)
+    # c_0 = 1, c_j = c_{j-1} (2j - 1 + odd) / (2j + odd): the series in cos^2 theta
+    coef = np.cumprod(np.r_[1.0, (2 * k[1:] - 1 + odd) / (2 * k[1:] + odd)])[:k.size]
+
+    def coverage(theta: float) -> float:
+        s, c = np.sin(theta), np.cos(theta)
+        series = coef @ (c * c) ** k
+        return 2 / np.pi * (theta + s * c * series) if odd else s * series
+
+    lo, hi = 0.0, 0.5 * np.pi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if coverage(mid) < 2 * p - 1:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.sqrt(nu) * np.tan(mid))
+
+
 def decay_slope_fit(x, p) -> SlopeFit:
     """Ordinary least squares on (log x, log p) with a 95% half-width.
 
@@ -239,7 +265,7 @@ def decay_slope_fit(x, p) -> SlopeFit:
     s2 = float(resid @ resid) / (n - 2) if n > 2 else 0.0
     sxx = float(((lx - lx.mean()) ** 2).sum())
     se = np.sqrt(s2 / sxx) if sxx > 0 else np.inf
-    half = float(stdtrit(n - 2, 0.975) * se) if n > 2 else np.inf
+    half = float(_t_quantile(n - 2, 0.975) * se) if n > 2 else np.inf
     return SlopeFit(slope, half, n, n_excl)
 
 

@@ -332,8 +332,10 @@ def position_norm(packet, d: DispersionRelation, t: float,
     n += n % 2  # Simpson needs an even interval count
     z = np.linspace(z_lo, z_hi, n + 1)
     res = single_scan(packet, d, z, t, rel_tol=rel_tol)
-    from scipy.integrate import simpson
-    return float(simpson(res.values, x=z))
+    simpson = np.full(n + 1, 2.0)   # composite Simpson weights 1, 4, 2, ..., 4, 1
+    simpson[1::2] = 4.0
+    simpson[[0, -1]] = 1.0
+    return float((z_hi - z_lo) / (3 * n) * (simpson @ res.values))
 
 
 def kg_residual(packet, d: DispersionRelation, z: float, t: float, h: float,

@@ -11,6 +11,14 @@ smallest-eigenvalue solve on one colour of the lattice for arbitrary
 raster masks.  Every returned spectrum carries its sample nodes together
 with discrete L2 quadrature weights, so orthonormality and completeness
 checks are plain weighted sums.
+
+scipy.sparse, the type of the lattice matrices, is imported with the
+module; deferring it too would move about 0.2 s from every start-up
+into the first FD solve of a process (ROADMAP item 5).  The sparse
+solver (scipy.sparse.linalg), raster connectivity (scipy.sparse.csgraph,
+which imports the solver package) and the Bessel functions of disk
+spectra (scipy.special) are imported where they are used, so importing
+this module, and with it the CLI, loads none of them.
 """
 
 from __future__ import annotations
@@ -19,9 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
-from scipy.special import jn_zeros, jv
 
 __all__ = [
     "Rectangle",
@@ -182,6 +187,7 @@ def _rectangle_spectrum(cs: Rectangle, count: int, resolution: float | None):
 
 
 def _disk_spectrum(cs: Disk, count: int, resolution: float | None):
+    from scipy.special import jn_zeros, jv
     R = cs.radius
     # Collect Bessel zeros until no lower candidate can appear; angular
     # order l >= 1 contributes cos and sin partners (multiplicity 2).
@@ -300,6 +306,7 @@ def _lattice_edges(mask: np.ndarray):
 
 def _connected_regions(mask: np.ndarray) -> int:
     """Number of 4-connected regions of the mask."""
+    from scipy.sparse.csgraph import connected_components
     n, src, dst = _lattice_edges(mask)
     graph = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
     return int(connected_components(graph, directed=False)[0])
@@ -344,6 +351,7 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
     definite A, is symmetric positive definite itself; the symmetric
     ordering nearly halves the fill of the default column ordering.
     """
+    import scipy.sparse.linalg as spla
     if count < 1:
         raise ValueError("count must be >= 1")
     # a Raster was checked for connectivity when it was made; rectangle and

@@ -341,6 +341,11 @@ DENSE_MAX_VALUES = 1 << 28
 # of the residual at each step of a symmetric indefinite elimination.
 _PIVOT_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
 
+# A row divided by the envelope's phase counts as real when every imaginary
+# part is at most this fraction of its entry's modulus: the round-off left
+# by a generic phase such as 3 exp(0.3i).
+_REAL_RTOL = 8 * np.finfo(float).eps
+
 
 class _NotReal(Exception):
     """A row of a real-arithmetic cross keeps an imaginary part."""
@@ -367,9 +372,11 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
     The cross runs in float64 when F is a constant phase times a real
     matrix, as every built-in pair envelope is: each row it reads is
     divided by the phase of the largest entry of the first nonzero
-    check block, U is real and the phase is folded into M.  The first
-    row whose imaginary part is then not exactly zero restarts the cross
-    in complex arithmetic.
+    check block, U is real and the phase is folded into M.  A row counts
+    as real when every imaginary part is within ``_REAL_RTOL`` of its
+    entry's modulus, and the largest part dropped is added to rho; the
+    first row with a larger imaginary part restarts the cross in complex
+    arithmetic.
 
     U starts with 128 rows and doubles when full; the check rows fill one
     array in row blocks, and their residuals go in column blocks, of
@@ -377,17 +384,21 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
     the complex path).
     """
     phase = None
+    dropped = 0.0
 
     def real_rows(idx):
-        nonlocal phase
+        nonlocal phase, dropped
         raw = rows(idx)
         if phase is None and raw.any():
             big = raw.flat[int(np.argmax(np.abs(raw)))]
             phase = big / abs(big)
         if phase is not None:
             raw = raw * np.conj(phase)
-        if (raw.imag != 0).any():
-            raise _NotReal
+        imag = np.abs(raw.imag)
+        if imag.any():
+            if (imag > _REAL_RTOL * np.abs(raw)).any():
+                raise _NotReal
+            dropped = max(dropped, float(imag.max()))
         return raw.real
 
     try:
@@ -397,7 +408,7 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
     if fac is None or phase is None:
         return fac
     u, m, rho = fac
-    return u, phase * m, rho
+    return u, phase * m, rho + dropped
 
 
 def _cross(rows: Callable, checks: np.ndarray, dtype):

@@ -34,6 +34,21 @@ def test_slope_fit_exact_power_law():
     assert fit.half_width_95 < 1e-9
 
 
+def test_t_quantile_matches_scipy():
+    from scipy.special import stdtrit
+    nu = np.arange(1, 201)
+    ours = [bounds._t_quantile(int(n), 0.975) for n in nu]
+    np.testing.assert_allclose(ours, stdtrit(nu, 0.975), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n, half_width", [(7, 0.03837781804602929), (30, 0.018460112436000292)])
+def test_slope_fit_half_width_unchanged(n, half_width):
+    # half-widths from scipy.special.stdtrit before the numpy quantile replaced it
+    x = np.geomspace(1.0, 100.0, n)
+    fit = decay_slope_fit(x, x**-3.0 * np.exp(0.1 * np.sin(7.0 * x)))
+    assert fit.half_width_95 == pytest.approx(half_width, rel=1e-13)
+
+
 def test_slope_fit_constant():
     x = np.geomspace(1.0, 50.0, 8)
     fit = decay_slope_fit(x, np.full(8, 0.37))

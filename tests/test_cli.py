@@ -1,12 +1,18 @@
+import configparser
 import csv
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wgcorr import quadrature
 from wgcorr.cli import Config, ConfigError, main
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(*argv):
@@ -404,3 +410,43 @@ def test_cli_import_skips_scipy_ndimage():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+SCIPY_PROBE = """
+import json, sys
+from wgcorr import cli
+
+SOLVERS = ("scipy.sparse.linalg", "scipy.linalg", "scipy.special", "scipy.integrate")
+
+def solvers_loaded():
+    return [m for m in SOLVERS if m in sys.modules]
+
+loaded = [solvers_loaded()]
+for argv in sys.argv[1:]:
+    assert cli.main(argv.split()) == 0, argv
+    loaded.append(solvers_loaded())
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_imports_scipy_solvers_only_to_solve(tmp_path):
+    # scipy.sparse.linalg (with scipy.linalg) and scipy.special cost about
+    # 0.2 s of every CLI start-up, scipy.integrate 0.1-0.2 s more of a
+    # validate run; only the FD solver and closed-form disk spectra need
+    # them, and they import them themselves
+    cfg = configparser.ConfigParser()
+    cfg.read(CONFIGS / "bounds_pumped.ini")
+    cfg["scan"].update(t_pairs="50:50", v1_count="4", v2_count="4")
+    with open(tmp_path / "bounds.ini", "w") as fh:
+        cfg.write(fh)
+    validate_cfg, _ = write_cfg(tmp_path, "[output]\ndirectory = {out}\n")
+    runs = [f"bounds --config {tmp_path / 'bounds.ini'} --out {tmp_path / 'bounds'}",
+            f"validate --config {validate_cfg} --out {tmp_path / 'validate'}",
+            f"modes --config {CONFIGS / 'modes_disk_fd.ini'} --out {tmp_path / 'modes'}"]
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *runs], capture_output=True,
+                         text=True, check=True).stdout
+    on_import, after_bounds, after_validate, after_modes = json.loads(out.splitlines()[-1])
+    assert on_import == after_bounds == after_validate == []
+    assert "scipy.sparse.linalg" in after_modes
+    _, rows = read_csv(tmp_path / "modes" / "modes.csv")
+    assert len(rows) == 6

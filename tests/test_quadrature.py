@@ -1,6 +1,7 @@
 import re
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -501,6 +502,27 @@ def test_cross_arithmetic_follows_envelope_phase(family, dtype):
     fac = quadrature._symmetric_cross(rows, np.linspace(0, k.size - 1, 32).astype(int))
     assert fac[0].dtype == dtype and fac[1].dtype == np.complex128
     assert_reproduces(rows, fac, k.size)
+
+
+@pytest.mark.parametrize("scale", [3 * np.exp(0.3j), np.exp(1j * np.pi / 2)])
+@pytest.mark.parametrize("family", sorted(PAIR_FAMILIES))
+def test_generic_phase_scale_factors_in_float64(family, scale, monkeypatch):
+    # a generic phase strips to round-off imaginary parts, which the real
+    # cross drops and charges to rho; the values agree with a complex cross
+    f = replace(PAIR_FAMILIES[family], scale=scale)
+    lo, hi = f.axis_domain()
+    t1, t2 = 30.0, 24.0
+    z1 = t1 * (D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.2, 0.2, 5))
+    z2 = t2 * (D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.15, 0.2, 4))
+    store = {}
+    amps, errs, _ = biphoton_scan(f, D1, t1, t2, z1, z2, rel_tol=PAIR_TOLS[family],
+                                  factorizations=store)
+    assert store and all(fac is not None and fac[0].dtype == np.float64
+                         for fac in store.values())
+    monkeypatch.setattr(quadrature, "_symmetric_cross",
+                        lambda rows, checks: quadrature._cross(rows, checks, complex))
+    ref, ref_errs, _ = biphoton_scan(f, D1, t1, t2, z1, z2, rel_tol=PAIR_TOLS[family])
+    assert (np.abs(amps - ref) <= errs + ref_errs).all()
 
 
 def test_envelope_complex_off_the_check_rows_ends_complex():
