@@ -26,13 +26,7 @@ from .wavepackets import (
     normalized_packet,
     packet_norm,
 )
-from .quadrature import (
-    OscIntegralProblem,
-    QuadResult,
-    QuadratureError,
-    osc_integrate_1d,
-    osc_integrate_2d,
-)
+from .quadrature import QuadResult, QuadratureError
 from .correlators import (
     AsymptoticBiphoton,
     AsymptoticSingle,

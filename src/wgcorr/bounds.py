@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlators import SpacetimePoint, biphoton_scan, single_scan
 from .dispersion import DispersionRelation
@@ -56,7 +57,6 @@ class BoundFit:
     asymptotic_constant: float | None = None
     n_points: int = 0
     n_below_floor: int = 0
-    n_excluded: int = 0
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -244,29 +244,33 @@ def _t_quantile(nu: int, p: float) -> float:
 
 
 def decay_slope_fit(x, p) -> SlopeFit:
-    """Ordinary least squares on (log x, log p) with a 95% half-width.
+    """Least-squares slope of log p against log x with a 95% half-width.
 
-    Nonpositive p samples are excluded (flagged in n_excluded); fewer
-    than 5 valid samples is an error.
+    Nonpositive p samples are excluded (flagged in n_excluded).  Raises
+    ValueError for x not finite and positive, p not finite, fewer than 5
+    valid samples, or x constant on them.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
+    if not (np.isfinite(x).all() and (x > 0).all()):
+        raise ValueError(f"slope fit needs finite positive x, got {x}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"slope fit needs finite p, got {p}")
     good = p > 0
     n_excl = int((~good).sum())
     x, p = x[good], p[good]
     if x.size < 5:
         raise ValueError(f"slope fit needs >= 5 positive samples, got {x.size}")
+    if x.min() == x.max():
+        raise ValueError(f"slope fit needs x that is not constant, got {x}")
     lx, lp = np.log(x), np.log(p)
-    A = np.stack([lx, np.ones_like(lx)], axis=1)
-    coef, res, *_ = np.linalg.lstsq(A, lp, rcond=None)
-    slope = float(coef[0])
+    dx = lx - lx.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ lp) / sxx
+    resid = lp - lp.mean() - slope * dx
     n = x.size
-    resid = lp - A @ coef
-    s2 = float(resid @ resid) / (n - 2) if n > 2 else 0.0
-    sxx = float(((lx - lx.mean()) ** 2).sum())
-    se = np.sqrt(s2 / sxx) if sxx > 0 else np.inf
-    half = float(_t_quantile(n - 2, 0.975) * se) if n > 2 else np.inf
-    return SlopeFit(slope, half, n, n_excl)
+    se = np.sqrt(float(resid @ resid) / (n - 2) / sxx)
+    return SlopeFit(slope, float(_t_quantile(n - 2, 0.975) * se), n, n_excl)
 
 
 def _ray_probabilities(source, d: DispersionRelation, ray: Ray, rel_tol: float):
@@ -285,8 +289,10 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
     """Super-polynomial decay check on outside-the-cone rays.
 
     For every requested order n the local log-log slope of P against
-    (1 + |z|) is fitted along each ray; the bound of order n passes on a
-    ray once the slope stays at or below -n beyond some onset radius.
+    (1 + |z|) is fitted by least squares on every ``window`` consecutive
+    usable samples of each ray; the bound of order n passes on a ray once
+    the slope stays at or below -n, the onset radius being the first |z|
+    of the window after the last failing one.  A NaN slope fails.
     Points with P below the floor are counted as below-floor passes and
     excluded from fits; a ray whose usable points cannot support a fit
     yields an inconclusive verdict with diagnostics.
@@ -296,6 +302,8 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
     the frozen detector of pair scans and is 0 for single-photon rays).
     The evaluated P along every ray is returned in ``probabilities``.
     """
+    if window < 5:
+        raise ValueError(f"slope window needs >= 5 samples, got {window}")
     orders = [int(n) for n in orders]
     ray_data = []
     for ray in rays:
@@ -317,29 +325,22 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
             continue
         fitted = decay_slope_fit(1.0 + zs[usable], P[usable])
         slopes.append(fitted)
-        zu, pu = zs[usable], P[usable]
-        local = []
-        for i in range(zu.size - window + 1):
-            sl = decay_slope_fit(1.0 + zu[i:i + window], pu[i:i + window])
-            local.append(sl.slope)
-        local = np.asarray(local)
-        ok_all = True
+        zu = zs[usable]
+        lx = sliding_window_view(np.log(1.0 + zu), window)
+        lp = sliding_window_view(np.log(P[usable]), window)
+        dx = lx - lx.mean(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            local = (dx * lp).sum(axis=1) / (dx * dx).sum(axis=1)
         for n in orders:
-            holding = local <= -n
-            onset = np.nan
-            for i in range(holding.size):
-                if holding[i:].all():
-                    onset = float(zu[i])
-                    break
-            onsets[n].append(onset)
-            if not np.isfinite(onset):
-                ok_all = False
-        ray_verdicts.append("pass" if ok_all else "fail")
+            failing = np.flatnonzero(~(local <= -n))
+            start = failing[-1] + 1 if failing.size else 0
+            onsets[n].append(float(zu[start]) if start < local.size else np.nan)
+        ray_verdicts.append("pass" if all(np.isfinite(onsets[n][-1]) for n in orders)
+                            else "fail")
 
     fits = []
     for n in orders:
         sup = 0.0
-        viol_points = 0
         below = 0
         for ray, P in ray_data:
             usable = P > floor

@@ -30,7 +30,6 @@ from .bounds import (
     Ray,
     bound_fit_csv_rows,
     check_lightcone_decay,
-    decay_slope_fit,
     fit_universal_bound,
     summarize_bound_fits,
 )

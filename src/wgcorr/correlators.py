@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import DispersionRelation
-from .quadrature import (
-    OscIntegralProblem,
-    QuadResult,
-    osc_integrate_1d,
-    osc_integrate_1d_many,
-    osc_integrate_2d,
-    osc_tensor_scan,
-)
+from .quadrature import QuadResult, osc_integrate_1d_many, osc_tensor_scan
 from .wavepackets import _feature_width, _quadrature_domain
 
 __all__ = [
@@ -106,10 +99,10 @@ def _joint_envelope(f, d: DispersionRelation):
 def amplitude_single(packet, d: DispersionRelation, pt: SpacetimePoint,
                      rel_tol: float = 1e-9) -> QuadResult:
     """Detection amplitude A(z, t) by adaptive quadrature over the packet support."""
-    prob = OscIntegralProblem(
-        envelope=_single_envelope(packet, d),
-        z=pt.z, t=pt.t, dispersion=d, domain=_quadrature_domain(packet), rel_tol=rel_tol)
-    return osc_integrate_1d(prob, max_width=_feature_width(packet))
+    vals, errs, panels = osc_integrate_1d_many(
+        _single_envelope(packet, d), d, [pt.z], pt.t, _quadrature_domain(packet),
+        rel_tol=rel_tol, max_width=_feature_width(packet))
+    return QuadResult(complex(vals[0]), float(errs[0]), panels)
 
 
 def probability_single(packet, d: DispersionRelation, pt: SpacetimePoint,
@@ -179,12 +172,11 @@ def amplitude_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
     The defining double integral holds two exchange terms; for a
     symmetric f they are equal, so one is computed and doubled.  Both
     axes share one panelization, which keeps detector exchange an exact
-    symmetry of the rule.
+    symmetry of the rule.  ``panels_used`` counts the P x P cells of the
+    final level.
     """
-    res = osc_integrate_2d(_joint_envelope(f, d), d, _quadrature_domain(f),
-                           pt1.z, pt1.t, pt2.z, pt2.t,
-                           rel_tol=rel_tol, max_width=_feature_width(f))
-    return QuadResult(2.0 * res.value, 2.0 * res.error_estimate, res.panels_used)
+    amps, errs, panels = biphoton_scan(f, d, pt1.t, pt2.t, [pt1.z], [pt2.z], rel_tol)
+    return QuadResult(complex(amps[0, 0]), float(errs[0, 0]), panels * panels)
 
 
 def probability_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
@@ -304,10 +296,10 @@ def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
 
 def momentum_norm(packet, d: DispersionRelation, rel_tol: float = 1e-11) -> float:
     """int |g(k)|^2 / (4 omega(k)) dk, the conserved norm of A."""
-    prob = OscIntegralProblem(
-        envelope=lambda k: np.abs(packet(k)) ** 2 / (4.0 * d.omega(k)) + 0.0j,
-        z=0.0, t=0.0, dispersion=d, domain=_quadrature_domain(packet), rel_tol=rel_tol)
-    return float(osc_integrate_1d(prob, max_width=_feature_width(packet)).value.real)
+    vals, _, _ = osc_integrate_1d_many(
+        lambda k: np.abs(packet(k)) ** 2 / (4.0 * d.omega(k)) + 0.0j, d, [0.0], 0.0,
+        _quadrature_domain(packet), rel_tol=rel_tol, max_width=_feature_width(packet))
+    return float(vals[0].real)
 
 
 def position_norm(packet, d: DispersionRelation, t: float,

@@ -199,10 +199,8 @@ def _disk_spectrum(cs: Disk, count: int, resolution: float | None):
         if ell > 0 and len(cand) >= count and zeros[0] > sorted(c[0] for c in cand)[count - 1]:
             break
         for s, j in enumerate(zeros, start=1):
-            if ell == 0:
-                cand.append((float(j), ell, s, 0))
-            else:
-                cand.append((float(j), ell, s, 0))
+            cand.append((float(j), ell, s, 0))
+            if ell:
                 cand.append((float(j), ell, s, 1))
         ell += 1
         if ell > 4 * count + 4:

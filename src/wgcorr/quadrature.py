@@ -29,7 +29,6 @@ Gauss(7)/Kronrod(15) pair on each panel:
   noise scale), every panel is bisected, within a level and panel
   budget; the noise scale matters because the estimate is itself a
   difference of large sums and cannot certify below round-off.
-* The single-point entries are one-point (1-D) and 1x1 (2-D) scans.
 
 Evaluation is pure and deterministic: the same problem always produces
 the same panel subdivision and the same summation order.
@@ -45,12 +44,9 @@ import numpy as np
 from .dispersion import DispersionRelation
 
 __all__ = [
-    "OscIntegralProblem",
     "QuadResult",
     "QuadratureError",
-    "osc_integrate_1d",
     "osc_integrate_1d_many",
-    "osc_integrate_2d",
     "osc_tensor_scan",
 ]
 
@@ -114,25 +110,6 @@ WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])              # 7 ascending
 GAUSS_SUBSET = np.arange(1, 15, 2)                               # G7 node positions
 _WG15 = np.zeros(15)                                             # G7 weights on the K15 nodes
 _WG15[GAUSS_SUBSET] = WG
-
-
-@dataclass(frozen=True)
-class OscIntegralProblem:
-    """One oscillatory integral: envelope, phase parameters and tolerance.
-
-    ``envelope`` must accept a float ndarray of momenta and return a
-    complex ndarray of the same shape.
-    """
-
-    envelope: Callable
-    z: float
-    t: float
-    dispersion: DispersionRelation
-    domain: tuple[float, ...]
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        _check_domain_tol(self.domain, self.rel_tol)
 
 
 def _check_domain_tol(domain, rel_tol: float) -> None:
@@ -303,20 +280,6 @@ def osc_integrate_1d_many(
                 QuadResult(complex(vals[worst]), float(errs[worst]), panels),
             )
         breaks = np.sort(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
-
-
-def osc_integrate_1d(problem: OscIntegralProblem,
-                     max_width: float | None = None) -> QuadResult:
-    """One oscillatory integral: the one-point case of ``osc_integrate_1d_many``.
-
-    Raises QuadratureError (carrying the best value and its error
-    estimate) when the target is out of reach within the scan's levels
-    and panel budget.
-    """
-    vals, errs, panels = osc_integrate_1d_many(
-        problem.envelope, problem.dispersion, [problem.z], problem.t,
-        problem.domain, rel_tol=problem.rel_tol, max_width=max_width)
-    return QuadResult(complex(vals[0]), float(errs[0]), panels)
 
 
 # ----------------------------------------------------------------------
@@ -687,24 +650,3 @@ def osc_tensor_scan(
             )
         breaks = np.sort(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
 
-
-def osc_integrate_2d(
-    joint_envelope: Callable,
-    d: DispersionRelation,
-    domain: Sequence[float],
-    z1: float,
-    t1: float,
-    z2: float,
-    t2: float,
-    rel_tol: float = 1e-9,
-    max_width: float | None = None,
-) -> QuadResult:
-    """Tensor-product panel rule for one double momentum integral.
-
-    The single-point case of ``osc_tensor_scan``: a 1x1 grid.
-    ``panels_used`` counts the P x P cells of the final level.
-    """
-    vals, errs, panels = osc_tensor_scan(
-        joint_envelope, d, domain, t1, t2, [z1], [z2], rel_tol=rel_tol,
-        max_width=max_width)
-    return QuadResult(complex(vals[0, 0]), float(errs[0, 0]), panels * panels)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DispersionRelation
-from .quadrature import OscIntegralProblem, osc_integrate_1d, osc_integrate_2d
+from .quadrature import osc_integrate_1d_many, osc_tensor_scan
 
 __all__ = [
     "GaussianPacket",
@@ -241,11 +241,10 @@ _UNIT_MASS = DispersionRelation(1.0)  # phase factors drop out at z = t = 0
 def packet_norm(packet, domain: tuple[float, float] | None = None,
                 rel_tol: float = 1e-11) -> float:
     """sqrt of int |g(k)|^2 dk over the packet support."""
-    prob = OscIntegralProblem(
-        envelope=lambda k: np.abs(packet(k)) ** 2 + 0.0j, z=0.0, t=0.0,
-        dispersion=_UNIT_MASS, domain=_quadrature_domain(packet, domain), rel_tol=rel_tol)
-    res = osc_integrate_1d(prob, max_width=_feature_width(packet))
-    return float(np.sqrt(res.value.real))
+    vals, _, _ = osc_integrate_1d_many(
+        lambda k: np.abs(packet(k)) ** 2 + 0.0j, _UNIT_MASS, [0.0], 0.0,
+        _quadrature_domain(packet, domain), rel_tol=rel_tol, max_width=_feature_width(packet))
+    return float(np.sqrt(vals[0].real))
 
 
 def normalized_packet(packet, domain: tuple[float, float] | None = None):
@@ -264,10 +263,10 @@ def biphoton_norm(spec: BiphotonSpec, k_domain: tuple[float, float],
     def env(k1, k2):
         return np.abs(spec(k1, k2)) ** 2 + 0.0j
 
-    res = osc_integrate_2d(env, _UNIT_MASS, _quadrature_domain(spec, k_domain),
-                           0.0, 0.0, 0.0, 0.0, rel_tol=rel_tol,
-                           max_width=_feature_width(spec))
-    return float(np.sqrt(res.value.real))
+    vals, _, _ = osc_tensor_scan(env, _UNIT_MASS, _quadrature_domain(spec, k_domain),
+                                 0.0, 0.0, [0.0], [0.0], rel_tol=rel_tol,
+                                 max_width=_feature_width(spec))
+    return float(np.sqrt(vals[0, 0].real))
 
 
 def normalize_biphoton(spec: BiphotonSpec, k_domain: tuple[float, float],

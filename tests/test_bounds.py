@@ -65,6 +65,22 @@ def test_slope_fit_excludes_nonpositive():
     assert fit.slope == pytest.approx(-1.5, abs=1e-10)
 
 
+X8 = np.geomspace(1.0, 50.0, 8)
+
+
+@pytest.mark.parametrize("x, p, name", [
+    (X8, np.r_[X8[:-1] ** -2.0, np.inf], "p"),
+    (X8, np.r_[X8[:-1] ** -2.0, np.nan], "p"),
+    (np.r_[0.0, X8[1:]], X8 ** -2.0, "x"),
+    (np.r_[-1.0, X8[1:]], X8 ** -2.0, "x"),
+    (np.r_[np.nan, X8[1:]], X8 ** -2.0, "x"),
+    (np.full(8, 3.0), X8 ** -2.0, "x"),
+], ids=["p_inf", "p_nan", "x_zero", "x_negative", "x_nan", "x_constant"])
+def test_slope_fit_rejects_bad_input(x, p, name):
+    with pytest.raises(ValueError, match=rf"needs .*\b{name}\b"):
+        decay_slope_fit(x, p)
+
+
 def test_slope_fit_needs_five_points():
     with pytest.raises(ValueError):
         decay_slope_fit(np.array([1.0, 2.0, 4.0, 8.0]), np.array([1.0, 0.5, 0.2, 0.1]))
@@ -219,6 +235,31 @@ def test_inconclusive_when_everything_below_floor():
     ray = Ray(t=50.0, z_values=np.linspace(400.0, 500.0, 8))
     report = check_lightcone_decay(g, D1, [ray], orders=[2])
     assert report.verdict == "inconclusive"
+
+
+def test_lightcone_onset_follows_last_failing_window(monkeypatch):
+    # log-log slope -8, then -2 on 15 <= z < 25, then -8 again: the onset of
+    # order n is the first z of the window after the last one whose 5-point
+    # fit is above -n, not the first window that holds
+    z = np.arange(10.0, 40.0)
+    lx = np.log(1.0 + z)
+    rate = np.where((z >= 15.0) & (z < 25.0), -2.0, -8.0)[:-1]
+    P = np.exp(np.r_[0.0, np.cumsum(rate * np.diff(lx))])
+    monkeypatch.setattr(bounds, "_ray_probabilities", lambda *args: P)
+    report = check_lightcone_decay(None, D1, [Ray(t=5.0, z_values=z)], orders=[1, 4, 9])
+    local = np.array([decay_slope_fit(1.0 + z[i:i + 5], P[i:i + 5]).slope
+                      for i in range(z.size - 4)])
+    assert local[0] <= -4.0
+    onset_4 = z[np.flatnonzero(local > -4.0)[-1] + 1]
+    assert 35.0 > onset_4 > 15.0
+    radii = [f.diagnostics["onset_radii"][0] for f in report.fits]
+    np.testing.assert_array_equal(radii, [10.0, onset_4, np.nan])
+    assert report.verdict == "fail"
+
+
+def test_lightcone_window_needs_five_samples():
+    with pytest.raises(ValueError, match="window"):
+        check_lightcone_decay(None, D1, [], orders=[1], window=4)
 
 
 def test_biphoton_ray_matches_single_photon_shape():

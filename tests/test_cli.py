@@ -396,35 +396,20 @@ def test_validate_battery(tmp_path, capsys):
     assert all(r[header.index("passed")] == "true" for r in rows)
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs about half a second of every CLI start-up
-    code = "import sys, wgcorr.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
-
-
-def test_cli_import_skips_scipy_ndimage():
-    # scipy.ndimage costs about 60 ms of every CLI start-up
-    code = "import sys, wgcorr.cli; print('scipy.ndimage' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
-
-
 SCIPY_PROBE = """
 import json, sys
 from wgcorr import cli
 
-SOLVERS = ("scipy.sparse.linalg", "scipy.linalg", "scipy.special", "scipy.integrate")
+DEFERRED = ("scipy.sparse.linalg", "scipy.linalg", "scipy.special", "scipy.integrate",
+            "scipy.stats", "scipy.ndimage")
 
-def solvers_loaded():
-    return [m for m in SOLVERS if m in sys.modules]
+def deferred_loaded():
+    return [m for m in DEFERRED if m in sys.modules]
 
-loaded = [solvers_loaded()]
+loaded = [deferred_loaded()]
 for argv in sys.argv[1:]:
     assert cli.main(argv.split()) == 0, argv
-    loaded.append(solvers_loaded())
+    loaded.append(deferred_loaded())
 print(json.dumps(loaded))
 """
 
@@ -433,7 +418,8 @@ def test_cli_imports_scipy_solvers_only_to_solve(tmp_path):
     # scipy.sparse.linalg (with scipy.linalg) and scipy.special cost about
     # 0.2 s of every CLI start-up, scipy.integrate 0.1-0.2 s more of a
     # validate run; only the FD solver and closed-form disk spectra need
-    # them, and they import them themselves
+    # them, and they import them themselves; scipy.stats (about 0.5 s) and
+    # scipy.ndimage (about 60 ms) are needed by no run
     cfg = configparser.ConfigParser()
     cfg.read(CONFIGS / "bounds_pumped.ini")
     cfg["scan"].update(t_pairs="50:50", v1_count="4", v2_count="4")

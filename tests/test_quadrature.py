@@ -11,7 +11,6 @@ from wgcorr import (
     CorrelatedGaussian,
     DispersionRelation,
     GaussianPacket,
-    OscIntegralProblem,
     PumpedPair,
     QuadratureError,
     SymmetrizedProduct,
@@ -27,9 +26,7 @@ from wgcorr.quadrature import (
     WG,
     WGK,
     XGK,
-    osc_integrate_1d,
     osc_integrate_1d_many,
-    osc_integrate_2d,
     osc_tensor_scan,
     oscillation_breakpoints,
 )
@@ -157,29 +154,26 @@ def test_breakpoints_reject_non_finite_phase(z, t):
 
 def test_plain_gaussian_integral():
     # no oscillation at z = t = 0: integral of exp(-k^2/2) = sqrt(2 pi)
-    prob = OscIntegralProblem(gaussian_env(0.0, 1.0), z=0.0, t=0.0,
-                              dispersion=D1, domain=(-9.0, 9.0), rel_tol=1e-12)
-    res = osc_integrate_1d(prob)
-    assert res.value.real == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
-    assert abs(res.value.imag) < 1e-14
-    assert res.error_estimate <= max(1e-12 * abs(res.value), 1e-15)
+    vals, errs, _ = osc_integrate_1d_many(gaussian_env(0.0, 1.0), D1, [0.0], 0.0,
+                                          (-9.0, 9.0), rel_tol=1e-12)
+    assert vals[0].real == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
+    assert abs(vals[0].imag) < 1e-14
+    assert errs[0] <= max(1e-12 * abs(vals[0]), 1e-15)
 
 
 def test_even_real_envelope_gives_real_transform():
     # t = 0: the Fourier transform of an even real envelope is real
-    prob = OscIntegralProblem(gaussian_env(0.0, 0.7), z=5.3, t=0.0,
-                              dispersion=D1, domain=(-8.0, 8.0), rel_tol=1e-12)
-    res = osc_integrate_1d(prob)
-    assert abs(res.value.imag) <= 1e-12 * abs(res.value)
+    vals, _, _ = osc_integrate_1d_many(gaussian_env(0.0, 0.7), D1, [5.3], 0.0,
+                                       (-8.0, 8.0), rel_tol=1e-12)
+    assert abs(vals[0].imag) <= 1e-12 * abs(vals[0])
 
 
 def test_oscillatory_against_riemann_oracle():
     env = gaussian_env(0.0, 0.5)
     dom = (-0.5 * 7.44, 0.5 * 7.44)
-    res = osc_integrate_1d(OscIntegralProblem(env, z=0.0, t=50.0, dispersion=D1,
-                                              domain=dom, rel_tol=1e-10))
+    vals, _, _ = osc_integrate_1d_many(env, D1, [0.0], 50.0, dom, rel_tol=1e-10)
     oracle = riemann_oracle(env, D1, 0.0, 50.0, dom)
-    assert abs(res.value - oracle) <= 1e-8 * abs(oracle)
+    assert abs(vals[0] - oracle) <= 1e-8 * abs(oracle)
 
 
 def test_random_problem_suite_against_oracle():
@@ -196,10 +190,9 @@ def test_random_problem_suite_against_oracle():
         dom = (center - 7.44 * width, center + 7.44 * width)
         env = gaussian_env(center, width)
         tol = 10.0 ** rng.uniform(-10, -6)
-        res = osc_integrate_1d(OscIntegralProblem(env, z=z, t=t, dispersion=d,
-                                                  domain=dom, rel_tol=tol))
+        vals, _, _ = osc_integrate_1d_many(env, d, [z], t, dom, rel_tol=tol)
         oracle = riemann_oracle(env, d, z, t, dom, n=2_000_000)
-        assert abs(res.value - oracle) <= max(10 * tol * abs(res.value), 1e-12)
+        assert abs(vals[0] - oracle) <= max(10 * tol * abs(vals[0]), 1e-12)
 
 
 def test_halving_tolerance_never_hurts():
@@ -208,10 +201,8 @@ def test_halving_tolerance_never_hurts():
     oracle = riemann_oracle(env, D1, 11.0, 40.0, dom, n=4_000_000)
     prev = np.inf
     for tol in (1e-4, 1e-6, 1e-8, 1e-10):
-        res = osc_integrate_1d(OscIntegralProblem(env, z=11.0, t=40.0,
-                                                  dispersion=D1, domain=dom,
-                                                  rel_tol=tol))
-        true_err = abs(res.value - oracle)
+        vals, _, _ = osc_integrate_1d_many(env, D1, [11.0], 40.0, dom, rel_tol=tol)
+        true_err = abs(vals[0] - oracle)
         assert true_err <= prev * (1 + 1e-9)
         prev = true_err
 
@@ -222,11 +213,9 @@ def test_phase_shift_covariance():
     base = gaussian_env(0.2, 0.4)
     shifted = lambda k: base(k) * np.exp(1j * a * k)
     dom = (0.2 - 7.44 * 0.4, 0.2 + 7.44 * 0.4)
-    r1 = osc_integrate_1d(OscIntegralProblem(shifted, z=2.0, t=15.0,
-                                             dispersion=D1, domain=dom, rel_tol=1e-11))
-    r2 = osc_integrate_1d(OscIntegralProblem(base, z=2.0 + a, t=15.0,
-                                             dispersion=D1, domain=dom, rel_tol=1e-11))
-    assert abs(r1.value - r2.value) <= 1e-10 * abs(r2.value)
+    r1, _, _ = osc_integrate_1d_many(shifted, D1, [2.0], 15.0, dom, rel_tol=1e-11)
+    r2, _, _ = osc_integrate_1d_many(base, D1, [2.0 + a], 15.0, dom, rel_tol=1e-11)
+    assert abs(r1[0] - r2[0]) <= 1e-10 * abs(r2[0])
 
 
 def test_error_estimate_bounds_true_error():
@@ -243,11 +232,10 @@ def test_error_estimate_bounds_true_error():
         tol = 10.0 ** rng.uniform(-9.0, -6.0)
         dom = (centre - 7.44 * width, centre + 7.44 * width)
         env = gaussian_env(centre, width)
-        res = osc_integrate_1d(OscIntegralProblem(env, z=z, t=t, dispersion=d,
-                                                  domain=dom, rel_tol=tol))
+        vals, errs, _ = osc_integrate_1d_many(env, d, [z], t, dom, rel_tol=tol)
         k = np.linspace(dom[0], dom[1], 2_000_001)
         oracle = simpson(env(k) * np.exp(1j * (k * z - d.omega(k) * t)), x=k)
-        assert abs(res.value - oracle) <= max(res.error_estimate, 1e-13), case
+        assert abs(vals[0] - oracle) <= max(errs[0], 1e-13), case
 
 
 def test_unreachable_tolerance_carries_payload(monkeypatch):
@@ -255,9 +243,7 @@ def test_unreachable_tolerance_carries_payload(monkeypatch):
     env = gaussian_env(0.0, 0.002)
     monkeypatch.setattr(quadrature, "MAX_PANELS_1D", 16)
     with pytest.raises(QuadratureError) as excinfo:
-        osc_integrate_1d(
-            OscIntegralProblem(env, z=0.0, t=0.0, dispersion=D1,
-                               domain=(-1.0, 1.0), rel_tol=1e-13))
+        osc_integrate_1d_many(env, D1, [0.0], 0.0, (-1.0, 1.0), rel_tol=1e-13)
     res = excinfo.value.result
     assert res.panels_used >= 8
     assert np.isfinite(res.error_estimate)
@@ -274,14 +260,12 @@ def test_separable_2d_equals_product_of_1d():
     e1 = gaussian_env(0.3, 0.5)
     e2 = gaussian_env(-0.2, 0.4)
     dom = (-4.0, 4.0)
-    p1 = OscIntegralProblem(e1, z=3.0, t=8.0, dispersion=D1, domain=dom, rel_tol=1e-10)
-    p2 = OscIntegralProblem(e2, z=-1.0, t=5.0, dispersion=D1, domain=dom, rel_tol=1e-10)
     joint = lambda k1, k2: e1(k1) * e2(k2)
-    r2d = osc_integrate_2d(joint, D1, dom, p1.z, p1.t, p2.z, p2.t, rel_tol=1e-10)
-    ra = osc_integrate_1d(p1)
-    rb = osc_integrate_1d(p2)
-    prod = ra.value * rb.value
-    assert abs(r2d.value - prod) <= 1e-8 * abs(prod)
+    r2d, _, _ = osc_tensor_scan(joint, D1, dom, 8.0, 5.0, [3.0], [-1.0], rel_tol=1e-10)
+    ra, _, _ = osc_integrate_1d_many(e1, D1, [3.0], 8.0, dom, rel_tol=1e-10)
+    rb, _, _ = osc_integrate_1d_many(e2, D1, [-1.0], 5.0, dom, rel_tol=1e-10)
+    prod = ra[0] * rb[0]
+    assert abs(r2d[0, 0] - prod) <= 1e-8 * abs(prod)
 
 
 def riemann_oracle_2d(joint, dom, n=4000):
@@ -298,18 +282,18 @@ def riemann_oracle_2d(joint, dom, n=4000):
 def test_2d_plain_envelope_against_riemann():
     joint = lambda k1, k2: np.exp(-0.5 * (k1**2 + k2**2) - 0.3 * k1 * k2) + 0.0j
     dom = (-6.0, 6.0)
-    res = osc_integrate_2d(joint, D1, dom, 0.0, 0.0, 0.0, 0.0, rel_tol=1e-10)
+    vals, _, _ = osc_tensor_scan(joint, D1, dom, 0.0, 0.0, [0.0], [0.0], rel_tol=1e-10)
     oracle = riemann_oracle_2d(lambda k1, k2: joint(k1, k2).real, dom)
-    assert abs(res.value.real - oracle) <= 1e-7 * abs(oracle)
-    assert abs(res.value.imag) < 1e-12
+    assert abs(vals[0, 0].real - oracle) <= 1e-7 * abs(oracle)
+    assert abs(vals[0, 0].imag) < 1e-12
 
 
 def test_2d_swap_symmetry():
     joint = lambda k1, k2: np.exp(-0.5 * (k1 - k2) ** 2 - 0.1 * (k1 + k2) ** 2) + 0.0j
     dom = (-5.0, 5.0)
-    r1 = osc_integrate_2d(joint, D1, dom, 2.0, 6.0, -1.5, 9.0, rel_tol=1e-10)
-    r2 = osc_integrate_2d(joint, D1, dom, -1.5, 9.0, 2.0, 6.0, rel_tol=1e-10)
-    assert abs(r1.value - r2.value) <= 1e-12 * abs(r1.value)
+    r1, _, _ = osc_tensor_scan(joint, D1, dom, 6.0, 9.0, [2.0], [-1.5], rel_tol=1e-10)
+    r2, _, _ = osc_tensor_scan(joint, D1, dom, 9.0, 6.0, [-1.5], [2.0], rel_tol=1e-10)
+    assert abs(r1[0, 0] - r2[0, 0]) <= 1e-12 * abs(r1[0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -432,10 +416,10 @@ def test_high_rank_envelope_takes_dense_fallback(monkeypatch):
     joint = lambda k1, k2: np.exp(-2.0 * (k1**2 + k2**2) + 40j * k1 * k2)
     dom = (-4.0, 4.0)
     dense_levels = spy_dense(monkeypatch)
-    res = osc_integrate_2d(joint, D1, dom, 0.0, 0.0, 0.0, 0.0, rel_tol=1e-10)
-    assert dense_levels and dense_levels[-1] ** 2 == 225 * res.panels_used
+    vals, _, panels = osc_tensor_scan(joint, D1, dom, 0.0, 0.0, [0.0], [0.0], rel_tol=1e-10)
+    assert dense_levels and dense_levels[-1] == 15 * panels
     oracle = riemann_oracle_2d(joint, dom)
-    assert abs(res.value - oracle) <= 1e-7 * abs(oracle)
+    assert abs(vals[0, 0] - oracle) <= 1e-7 * abs(oracle)
 
 
 def test_cross_memory_follows_rank():
@@ -592,8 +576,8 @@ def test_envelope_beyond_dense_budget_raises(joint, rel_tol, reached):
     # 1,100 panels of 15 nodes: N^2 > DENSE_MAX_VALUES forbids the dense path
     start = time.perf_counter()
     with pytest.raises(QuadratureError, match=rf"N = (\d+) nodes per axis: {reached}") as info:
-        osc_integrate_2d(joint, D1, (-4.0, 4.0), 0.0, 0.0, 0.0, 0.0, rel_tol=rel_tol,
-                         max_width=8.0 / 1100)
+        osc_tensor_scan(joint, D1, (-4.0, 4.0), 0.0, 0.0, [0.0], [0.0], rel_tol=rel_tol,
+                        max_width=8.0 / 1100)
     n = int(re.search(r"N = (\d+)", str(info.value)).group(1))
     assert n ** 2 > quadrature.DENSE_MAX_VALUES and info.value.result.error_estimate == np.inf
     assert time.perf_counter() - start < 30.0
