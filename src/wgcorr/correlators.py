@@ -284,7 +284,7 @@ def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
     ``osc_tensor_scan``; share one only among scans of the same f and d.
     """
     vals, errs, panels = osc_tensor_scan(
-        _joint_envelope(f, d), d, _quadrature_domain(f), t1, t2,
+        _joint_envelope(f, d), d, _quadrature_domain(f, rel_tol=rel_tol), t1, t2,
         z1_values, z2_values, rel_tol=rel_tol, max_width=_feature_width(f),
         factorizations=factorizations)
     return 2.0 * vals, 2.0 * errs, panels

@@ -12,16 +12,18 @@ Gauss(7)/Kronrod(15) pair on each panel:
 * ``domain`` holds increasing breakpoints, (lo, hi) being the simplest;
   every breakpoint stays a panel edge, so an envelope kink placed there
   (a table packet's node) never falls inside a panel.
-* No panel spans more than a quarter of the local oscillation period
-  2*pi/|z - omega'(k) t| for any z of the batch.  Because omega' is
-  monotone in k, the largest phase rate on a panel is attained at an
-  endpoint, so the constraint is checked exactly from endpoint values.
-  Near a stationary point this yields panels of width
-  ~ sqrt(pi / (omega'' t)), which resolves the quadratic phase.
+* No panel starts out spanning more than one local oscillation period
+  2*pi/|z - omega'(k) t| for any z of the batch, which a K15 panel
+  resolves; the K15/G7 estimate bisects any panel that is too wide.
+  Because omega' is monotone in k, the largest phase rate on a panel is
+  attained at an endpoint, so the constraint is checked exactly from
+  endpoint values.  Near a stationary point this yields panels of width
+  ~ sqrt(4 pi / (omega'' t)), which resolves the quadratic phase.
 * The 2-D rule contracts a symmetric cross approximation U M U^T of the
   envelope matrix (U real for a constant-phase envelope), evaluating
-  O(N r) of its N^2 entries for rank r; it falls back to the dense
-  matrix when the rank is high.  Scans of one
+  O(N r) of its N^2 entries for rank r; a cross whose truncation misses
+  the error target is run once more at a tighter tolerance, and the rule
+  falls back to the dense matrix when the rank is high.  Scans of one
   envelope at several times can share the factorization of a panelization.
 * Each point's error estimate is |sum K15 - sum G7| (in 2-D plus a
   bound on the cross approximation's truncation).  While any point
@@ -54,8 +56,9 @@ __all__ = [
 # relative target is meaningless (double-precision cancellation limit).
 ABS_FLOOR = 1e-15
 
-# Largest admissible phase advance per panel: a quarter oscillation.
-_MAX_PHASE_PER_PANEL = 0.5 * np.pi
+# Largest phase advance per initial panel: one oscillation.  A K15 panel
+# resolves it, and the K15/G7 estimate bisects a panel that it does not.
+_MAX_PHASE_PER_PANEL = 2.0 * np.pi
 
 # The 1-D and 2-D rules refuse a panelization or bisection level that
 # would put more panels than these on the domain (1-D) or on an axis
@@ -155,7 +158,7 @@ def oscillation_breakpoints(
     max_width: float | None = None,
     max_panels: int = 1 << 20,
 ) -> np.ndarray:
-    """Panel breakpoints satisfying the quarter-oscillation constraint.
+    """Panel breakpoints on which no panel spans more than ``_MAX_PHASE_PER_PANEL``.
 
     ``domain`` holds increasing breakpoints, every one of which stays a
     panel edge; (lo, hi) is the one-interval case.  ``phase_params`` is a
@@ -199,6 +202,21 @@ def _initial_width(span: float, max_width: float | None) -> float:
     if max_width is not None and max_width > 0:
         return min(span / 8, float(max_width))
     return span / 8
+
+
+def _graded_edge(domain: Sequence[float], h: float, rel_tol: float) -> np.ndarray:
+    """``domain`` plus the breakpoints lo + h 2^-j, j = J ... 0, graded toward lo.
+
+    The geometric mesh for an integrand ~ sqrt(k - lo) (C. Schwab, *p- and
+    hp-Finite Element Methods*, 1998): each panel but the first lies at its
+    own width from lo, where the fixed-order rule converges as on a smooth
+    integrand.  The first panel [lo, lo + w] errs by about w^{3/2}, so J is
+    the least depth with w^{3/2} <= rel_tol.
+    """
+    edges = np.asarray(domain, dtype=float)
+    depth = max(int(np.ceil(np.log2(h / rel_tol ** (2.0 / 3.0)))), 0)
+    grade = edges[0] + h * 0.5 ** np.arange(depth, -1, -1)
+    return np.union1d(edges, grade[grade < edges[-1]])
 
 
 def _panel_grid(breaks: np.ndarray):
@@ -314,7 +332,7 @@ class _NotReal(Exception):
     """A row of a real-arithmetic cross keeps an imaginary part."""
 
 
-def _symmetric_cross(rows: Callable, checks: np.ndarray):
+def _symmetric_cross(rows: Callable, checks: np.ndarray, tol: float = CROSS_TOL):
     """Symmetric adaptive cross approximation F ~ U M U^T of a symmetric matrix.
 
     ``rows(idx)`` returns the rows F[idx, :]; only O(n r) entries are
@@ -325,7 +343,7 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
     block, so M is symmetric (block diagonal, here tridiagonal) and
     U M U^T is exactly symmetric.  The ``checks`` rows are sampled at
     the start and again whenever the candidate row's residual falls to
-    CROSS_TOL times the largest entry seen; a check row above that
+    ``tol`` times the largest entry seen; a check row above that
     becomes the next candidate.  Pivoting is deterministic.  Returns
     (U, M, rho), rho being the largest residual entry on those non-pivot
     rows, or None when the rank would pass min(n / 10, MAX_CROSS_RANK),
@@ -365,16 +383,16 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray):
         return raw.real
 
     try:
-        fac = _cross(real_rows, checks, float)
+        fac = _cross(real_rows, checks, float, tol)
     except _NotReal:
-        return _cross(rows, checks, complex)
+        return _cross(rows, checks, complex, tol)
     if fac is None or phase is None:
         return fac
     u, m, rho = fac
     return u, phase * m, rho + dropped
 
 
-def _cross(rows: Callable, checks: np.ndarray, dtype):
+def _cross(rows: Callable, checks: np.ndarray, dtype, tol: float):
     """The cross of ``_symmetric_cross`` in the arithmetic of ``dtype``."""
     first = rows(checks[:1])
     n = first.shape[1]
@@ -413,13 +431,13 @@ def _cross(rows: Callable, checks: np.ndarray, dtype):
         scale = max(scale, float(np.abs(raw).max()))
         j = int(np.argmax(np.abs(res)))
         b = abs(res[j])
-        if b <= CROSS_TOL * scale:
+        if b <= tol * scale:
             width = max(BLOCK_VALUES // checks.size, 1)
             worst = np.max([np.abs(residual(raw_checks, checks, slice(j0, j0 + width))).max(axis=1)
                             for j0 in range(0, n, width)], axis=0)
             c = int(np.argmax(worst))
             rho = max(b, float(worst[c]))
-            if rho <= CROSS_TOL * scale:
+            if rho <= tol * scale:
                 m = np.diag(md[:r])
                 off = np.arange(r - 1)
                 m[off, off + 1] = m[off + 1, off] = mo[off]
@@ -560,11 +578,13 @@ def osc_tensor_scan(
     weights are built and contracted in node blocks of ``BLOCK_VALUES``,
     and an axis equal to the other (same z values and t) is projected
     once.  The truncation bound rho * (sum w15)^2 is added to every
-    point's error.  When F has no low-rank form (rank above
-    min(N / 10, ``MAX_CROSS_RANK``) on N nodes per axis, or a
-    non-symmetric envelope), or the truncation bound alone would miss
-    the error target, the level uses the dense envelope (the trivial
-    factorization U = F, M = I) if N^2 is at most ``DENSE_MAX_VALUES``,
+    point's error.  When that bound alone misses the error target, the
+    cross is run once more at tolerance CROSS_TOL * target / (2 * bound),
+    and a factorization it returns replaces the stored one.  When F has
+    no low-rank form (rank above min(N / 10, ``MAX_CROSS_RANK``) on N
+    nodes per axis, or a non-symmetric envelope), or the truncation
+    bound still misses the target, the level uses the dense envelope
+    (the trivial factorization U = F, M = I) if N^2 is at most ``DENSE_MAX_VALUES``,
     else raises QuadratureError naming the rank and N.  Memory is
     O((r + checks) N) plus one block of ``BLOCK_VALUES`` on the low-rank
     path, and O(len(z1) N) plus one block on the dense one.  Returns
@@ -618,16 +638,23 @@ def osc_tensor_scan(
         key = breaks.tobytes()
         if key not in store:
             store[key] = _symmetric_cross(rows, checks)
-        for dense in (False, True):
-            if dense and k.size ** 2 > DENSE_MAX_VALUES:
+        fac = store[key]
+        for path in ("cross", "retry", "dense"):
+            if path == "retry":
+                if got is None:
+                    continue
+                fac = _symmetric_cross(rows, checks, CROSS_TOL * 0.5 * target / trunc)
+                if fac is not None:
+                    store[key] = fac
+            elif path == "dense" and k.size ** 2 > DENSE_MAX_VALUES:
                 reached = (f"no symmetric cross of rank <= {min(k.size // 10, MAX_CROSS_RANK)}"
                            if store[key] is None else f"cross rank {store[key][0].shape[1]} "
                            f"leaves truncation {trunc:.2e} above target {target:.2e}")
                 raise QuadratureError(
                     f"N = {k.size} nodes per axis: {reached}, and N^2 > DENSE_MAX_VALUES",
                     QuadResult(0j, np.inf, (len(breaks) - 1) ** 2))
-            got = (_dense(rows, grid, left, right) if dense
-                   else _low_rank(store[key], grid, left, right))
+            got = (_dense(rows, grid, left, right) if path == "dense"
+                   else _low_rank(fac, grid, left, right))
             if got is None:
                 continue
             v, l1, rho = got

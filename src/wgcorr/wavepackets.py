@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DispersionRelation
-from .quadrature import osc_integrate_1d_many, osc_tensor_scan
+from .quadrature import _graded_edge, osc_integrate_1d_many, osc_tensor_scan
 
 __all__ = [
     "GaussianPacket",
@@ -286,15 +286,20 @@ def _feature_width(obj) -> float | None:
         return None
 
 
-def _quadrature_domain(obj, domain=None):
+def _quadrature_domain(obj, domain=None, rel_tol=None):
     """Quadrature breakpoints: ``domain`` plus the interior table nodes of ``obj``.
 
     ``domain`` defaults to the packet support or the pair's axis domain.
     A linearly interpolated table has a kink at every node, so panels
     start there; families without table packets keep the (lo, hi) pair.
+    Given ``rel_tol``, a pumped pair's amplitude, which carries sqrt(k) at
+    its lower edge k = 0, gets breakpoints graded toward that edge from
+    half its effective width (``_graded_edge``); its |f|^2 is smooth there.
     """
     if domain is None:
         domain = obj.axis_domain() if hasattr(obj, "axis_domain") else obj.support
+    if rel_tol is not None and isinstance(obj, PumpedPair):
+        return _graded_edge(domain, _feature_width(obj), rel_tol)
     parts = (obj.packet1, obj.packet2) if isinstance(obj, SymmetrizedProduct) else (obj,)
     tables = [p.k for p in parts if isinstance(p, TablePacket)]
     if not tables:
