@@ -85,11 +85,9 @@ def _single_envelope(packet, d: DispersionRelation):
     return env
 
 
-def _joint_envelope(f, d: DispersionRelation):
-    def env(k1, k2):
-        w = d.omega(k1) * d.omega(k2)
-        return f(k1, k2) / (8.0 * np.pi * np.sqrt(w))
-    return env
+def _joint_envelope(f):
+    """f / (8 pi sqrt(omega1 omega2)) without f's phase, in ``osc_tensor_scan``'s protocol."""
+    return lambda k, wk: f.rows(k, 1.0 / np.sqrt(8.0 * np.pi * wk))
 
 
 # ----------------------------------------------------------------------
@@ -279,15 +277,16 @@ def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
     """Joint amplitudes on a (z1, z2) grid at fixed times.
 
     Returns (amplitudes, amp_errors, panels_per_axis) with shape
-    (len(z1), len(z2)); amplitudes include the exchange doubling.
+    (len(z1), len(z2)); amplitudes include the exchange doubling.  The
+    scan integrates f's kernel, and its result is multiplied by f's phase.
     ``factorizations`` is the envelope factorizations dict of
     ``osc_tensor_scan``; share one only among scans of the same f and d.
     """
     vals, errs, panels = osc_tensor_scan(
-        _joint_envelope(f, d), d, _quadrature_domain(f, rel_tol=rel_tol), t1, t2,
+        _joint_envelope(f), d, _quadrature_domain(f, rel_tol=rel_tol), t1, t2,
         z1_values, z2_values, rel_tol=rel_tol, max_width=_feature_width(f),
         factorizations=factorizations)
-    return 2.0 * vals, 2.0 * errs, panels
+    return 2.0 * f.phase * vals, 2.0 * errs, panels
 
 
 # ----------------------------------------------------------------------

@@ -20,17 +20,17 @@ Gauss(7)/Kronrod(15) pair on each panel:
   endpoint values.  Near a stationary point this yields panels of width
   ~ sqrt(4 pi / (omega'' t)), which resolves the quadratic phase.
 * The 2-D rule contracts a symmetric cross approximation U M U^T of the
-  envelope matrix (U real for a constant-phase envelope), evaluating
-  O(N r) of its N^2 entries for rank r; a cross whose truncation misses
-  the error target is run once more at a tighter tolerance, and the rule
-  falls back to the dense matrix when the rank is high.  Scans of one
-  envelope at several times can share the factorization of a panelization.
+  envelope matrix (real for real envelope rows), evaluating O(N r) of its
+  N^2 entries for rank r; a cross whose truncation misses the error
+  target is continued once, and the rule falls back to the dense matrix
+  when the rank is high.  Scans of one envelope at several times can
+  share the factorization of a panelization.
 * Each point's error estimate is |sum K15 - sum G7| (in 2-D plus a
-  bound on the cross approximation's truncation).  While any point
-  of the batch misses max(rel_tol * largest |I|, ABS_FLOOR, arithmetic
-  noise scale), every panel is bisected, within a level and panel
-  budget; the noise scale matters because the estimate is itself a
-  difference of large sums and cannot certify below round-off.
+  bound on the cross approximation's truncation), and at least the
+  arithmetic noise scale, below which the estimate, a difference of
+  large sums, cannot certify.  While any point of the batch misses
+  max(rel_tol * largest |I|, ABS_FLOOR, noise scale), every panel is
+  bisected, within a level and panel budget.
 
 Evaluation is pure and deterministic: the same problem always produces
 the same panel subdivision and the same summation order.
@@ -256,10 +256,11 @@ def osc_integrate_1d_many(
     exp(i (k z - omega(k) t)) are formed once per (z, node), in blocks of
     at most ``PHASE_BLOCK_VALUES``, and one matrix product per block gives the
     K15 and G7 sums of every z (the G7 nodes are the odd Kronrod
-    positions).  A level of global panel bisection is applied when any
-    point misses the error target, which is uniform over the batch:
-    rel_tol times the largest amplitude (deep-tail points are round-off
-    limited and still carry their own estimates).  Up to
+    positions).  Each point's error is |K15 - G7|, and at least the
+    round-off scale of the target.  A level of global panel bisection is
+    applied when any point misses the error target, which is uniform over
+    the batch: rel_tol times the largest amplitude (deep-tail points are
+    round-off limited and still carry their own estimates).  Up to
     ``SCAN1D_MAX_LEVELS`` levels are tried within ``MAX_PANELS_1D``
     panels.  Returns (values, errors, panels).
     """
@@ -284,8 +285,8 @@ def osc_integrate_1d_many(
             sums[:, i0:i0 + rows] = weights @ ph.T
             del ph
         vals = sums[0]
-        errs = np.abs(vals - sums[1])
         noise = ROUNDOFF_FACTOR * float(np.abs(weights[0]).sum())
+        errs = np.maximum(np.abs(vals - sums[1]), noise)
         target = max(rel_tol * float(np.abs(vals).max()), ABS_FLOOR, noise)
         panels = len(breaks) - 1
         if (errs <= target).all():
@@ -322,14 +323,18 @@ DENSE_MAX_VALUES = 1 << 28
 # of the residual at each step of a symmetric indefinite elimination.
 _PIVOT_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
 
-# A row divided by the envelope's phase counts as real when every imaginary
-# part is at most this fraction of its entry's modulus: the round-off left
-# by a generic phase such as 3 exp(0.3i).
-_REAL_RTOL = 8 * np.finfo(float).eps
 
+class _Cross(tuple):
+    """The (U, M, rho) that ``_cross_steps`` yields next, or None if it gives
+    up; ``refine(shrink)`` continues that cross until rho falls by ``shrink``."""
 
-class _NotReal(Exception):
-    """A row of a real-arithmetic cross keeps an imaginary part."""
+    def __new__(cls, steps, shrink=None):
+        try:
+            self = super().__new__(cls, steps.send(shrink))
+        except StopIteration:
+            return None
+        self.refine = lambda shrink: _Cross(steps, shrink)
+        return self
 
 
 def _symmetric_cross(rows: Callable, checks: np.ndarray, tol: float = CROSS_TOL):
@@ -344,58 +349,28 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray, tol: float = CROSS_TOL)
     U M U^T is exactly symmetric.  The ``checks`` rows are sampled at
     the start and again whenever the candidate row's residual falls to
     ``tol`` times the largest entry seen; a check row above that
-    becomes the next candidate.  Pivoting is deterministic.  Returns
-    (U, M, rho), rho being the largest residual entry on those non-pivot
-    rows, or None when the rank would pass min(n / 10, MAX_CROSS_RANK),
-    the sampled block F[checks, checks] is not symmetric, or a row is
-    not finite.
-
-    The cross runs in float64 when F is a constant phase times a real
-    matrix, as every built-in pair envelope is: each row it reads is
-    divided by the phase of the largest entry of the first nonzero
-    check block, U is real and the phase is folded into M.  A row counts
-    as real when every imaginary part is within ``_REAL_RTOL`` of its
-    entry's modulus, and the largest part dropped is added to rho; the
-    first row with a larger imaginary part restarts the cross in complex
-    arithmetic.
+    becomes the next candidate.  Pivoting is deterministic.  Returns a
+    ``_Cross`` (U, M, rho), rho being the largest residual entry on
+    those non-pivot rows, or None when the rank would pass
+    min(n / 10, MAX_CROSS_RANK), the sampled block F[checks, checks] is
+    not symmetric, or a row is not finite.  Its ``refine`` goes on
+    pivoting where it stopped.  A check row is never evaluated twice.
+    The dtype of the rows picks the arithmetic: float64 rows give a real
+    U and M, complex rows a complex cross.
 
     U starts with 128 rows and doubles when full; the check rows fill one
     array in row blocks, and their residuals go in column blocks, of
     ``BLOCK_VALUES``: memory O((r + checks) n) values of 8 bytes (16 on
     the complex path).
     """
-    phase = None
-    dropped = 0.0
-
-    def real_rows(idx):
-        nonlocal phase, dropped
-        raw = rows(idx)
-        if phase is None and raw.any():
-            big = raw.flat[int(np.argmax(np.abs(raw)))]
-            phase = big / abs(big)
-        if phase is not None:
-            raw = raw * np.conj(phase)
-        imag = np.abs(raw.imag)
-        if imag.any():
-            if (imag > _REAL_RTOL * np.abs(raw)).any():
-                raise _NotReal
-            dropped = max(dropped, float(imag.max()))
-        return raw.real
-
-    try:
-        fac = _cross(real_rows, checks, float, tol)
-    except _NotReal:
-        return _cross(rows, checks, complex, tol)
-    if fac is None or phase is None:
-        return fac
-    u, m, rho = fac
-    return u, phase * m, rho + dropped
+    return _Cross(_cross_steps(rows, checks, tol))
 
 
-def _cross(rows: Callable, checks: np.ndarray, dtype, tol: float):
-    """The cross of ``_symmetric_cross`` in the arithmetic of ``dtype``."""
+def _cross_steps(rows: Callable, checks: np.ndarray, tol: float):
+    """The cross of ``_symmetric_cross``: yields (U, M, rho) once it meets
+    ``tol``, then goes on until rho falls by the factor sent back."""
     first = rows(checks[:1])
-    n = first.shape[1]
+    n, dtype = first.shape[1], first.dtype
     step = max(BLOCK_VALUES // n, 1)
     raw_checks = np.empty((checks.size, n), dtype=dtype)
     raw_checks[0] = first[0]
@@ -405,12 +380,13 @@ def _cross(rows: Callable, checks: np.ndarray, dtype, tol: float):
     scale = float(np.abs(raw_checks).max(initial=0.0))
     if not (np.isfinite(raw_checks).all()
             and np.abs(sub - sub.T).max(initial=0.0) <= 1e-14 * scale):
-        return None
+        return
     max_rank = min(n // 10, MAX_CROSS_RANK)
     ut = np.empty((min(128, max_rank), n), dtype=dtype)   # columns of U
     md = np.zeros(max_rank + 2, dtype=dtype)             # diagonal of M
     mo = np.zeros(max_rank + 2, dtype=dtype)             # M[c, c+1] = M[c+1, c]
     pivot = np.zeros(n, dtype=bool)
+    sampled = dict(zip(checks.tolist(), raw_checks))
     r = 0
 
     def residual(raw, idx, cols=slice(None)):
@@ -421,7 +397,7 @@ def _cross(rows: Callable, checks: np.ndarray, dtype, tol: float):
         return raw[:, cols] - y.T @ ut[:r, cols]
 
     def new_row(i):
-        raw = rows(np.array([i]))[0]
+        raw = sampled[i] if i in sampled else rows(np.array([i]))[0]
         return raw if np.isfinite(raw).all() else None
 
     c = int(np.argmax(np.abs(raw_checks).max(axis=1)))
@@ -441,7 +417,8 @@ def _cross(rows: Callable, checks: np.ndarray, dtype, tol: float):
                 m = np.diag(md[:r])
                 off = np.arange(r - 1)
                 m[off, off + 1] = m[off + 1, off] = mo[off]
-                return ut[:r].T, m, rho
+                tol = (yield ut[:r].T, m, rho) * rho / scale
+                continue
             i, raw = int(checks[c]), raw_checks[c]
             continue
         r0 = r
@@ -451,7 +428,7 @@ def _cross(rows: Callable, checks: np.ndarray, dtype, tol: float):
         else:
             raw_j = new_row(j)
             if raw_j is None:
-                return None
+                return
             scale = max(scale, float(np.abs(raw_j).max()))
             res_j = residual(raw_j[None, :], [j])[0]
             sigma = float(np.abs(np.delete(res_j, j)).max(initial=0.0))
@@ -462,7 +439,7 @@ def _cross(rows: Callable, checks: np.ndarray, dtype, tol: float):
             else:
                 piv = [(i, res), (j, res_j)]
         if r + len(piv) > max_rank:
-            return None
+            return
         if r + len(piv) > len(ut):   # copy the filled rows; pages never written cost no RSS
             grown = np.empty((min(2 * len(ut), max_rank), n), dtype=ut.dtype)
             grown[:r] = ut[:r]
@@ -483,7 +460,7 @@ def _cross(rows: Callable, checks: np.ndarray, dtype, tol: float):
         i = int(np.argmax(grow))
         raw = new_row(i)
         if raw is None:
-            return None
+            return
 
 
 def _node_slices(n: int, width: int) -> list[slice]:
@@ -568,26 +545,29 @@ def osc_tensor_scan(
     """Batched 2-D evaluation over a grid of detector-position pairs.
 
     One panelization, shared by both axes and valid for every z in either
-    batch, is built.  The joint envelope must be symmetric in its two
-    momenta for the low-rank path.  Per refinement level its matrix F on
-    the shared nodes is cross-approximated as U M U^T (see
-    ``_symmetric_cross``; U is real for a constant-phase envelope), and
+    batch, is built.  Per refinement level, ``joint_envelope(k, omega_k)``
+    gets that level's nodes and their omega(k), for any per-node factors,
+    and returns ``rows(idx)``, the rows F[idx, :] (an index array or a
+    slice) of the envelope matrix F on those nodes.  F must be symmetric
+    for the low-rank path; real rows are factored in real arithmetic.  F
+    is cross-approximated as U M U^T (see ``_symmetric_cross``), and
     every grid value comes from one contraction (W1^T U) M (U^T W2), with
     W_i the K15 (or G7) weights times the phase factors of axis i; the
     G7 estimate reads the rows of U at the Gauss nodes.  The phase
     weights are built and contracted in node blocks of ``BLOCK_VALUES``,
     and an axis equal to the other (same z values and t) is projected
     once.  The truncation bound rho * (sum w15)^2 is added to every
-    point's error.  When that bound alone misses the error target, the
-    cross is run once more at tolerance CROSS_TOL * target / (2 * bound),
-    and a factorization it returns replaces the stored one.  When F has
-    no low-rank form (rank above min(N / 10, ``MAX_CROSS_RANK``) on N
-    nodes per axis, or a non-symmetric envelope), or the truncation
-    bound still misses the target, the level uses the dense envelope
-    (the trivial factorization U = F, M = I) if N^2 is at most ``DENSE_MAX_VALUES``,
-    else raises QuadratureError naming the rank and N.  Memory is
-    O((r + checks) N) plus one block of ``BLOCK_VALUES`` on the low-rank
-    path, and O(len(z1) N) plus one block on the dense one.  Returns
+    point's error, which is at least the round-off scale of the target.
+    When that bound alone misses the error target, the cross is continued
+    until rho falls by target / (2 * bound), and a factorization it
+    returns replaces the stored one.  When F has no low-rank form (rank
+    above min(N / 10, ``MAX_CROSS_RANK``) on N nodes per axis, or a
+    non-symmetric envelope), or the truncation bound still misses the
+    target, the level uses the dense envelope (the trivial factorization
+    U = F, M = I) if N^2 is at most ``DENSE_MAX_VALUES``, else raises
+    QuadratureError naming the rank and N.  Memory is O((r + checks) N)
+    plus one block of ``BLOCK_VALUES`` on the low-rank path, and
+    O(len(z1) N) plus one block on the dense one.  Returns
     (values, errors, panels_per_axis) with values shaped
     (len(z1_values), len(z2_values)).  Sharing the panels and the
     factorization keeps detector exchange an exact symmetry of the rule
@@ -596,10 +576,11 @@ def osc_tensor_scan(
     F depends only on the envelope and the nodes, not on z or t, so a
     caller that scans one envelope on one domain at several (t1, t2) can
     pass one ``factorizations`` dict to all of its scans.  It maps a
-    level's breakpoints (``breaks.tobytes()``) to that level's (U, M, rho),
-    or to None when F has no low-rank form; a level already in the dict
-    is not factored again.  The choice between the low-rank and the dense
-    path is still made per scan, against that scan's error target.
+    level's breakpoints (``breaks.tobytes()``) to that level's ``_Cross``
+    (U, M, rho), or to None when F has no low-rank form; a level already
+    in the dict is not factored again.  The choice between the low-rank
+    and the dense path is still made per scan, against that scan's error
+    target.
 
     The error target is uniform over the grid: rel_tol times the largest
     grid amplitude.  Grid points far in the tails are then not refined
@@ -630,10 +611,7 @@ def osc_tensor_scan(
     for level in range(SCAN2D_MAX_LEVELS + 1):
         k, w15, w7 = _panel_grid(breaks)
         grid = (k, w15, w7, d.omega(k))
-
-        def rows(idx):
-            return np.asarray(joint_envelope(k[idx][:, None], k[None, :]), dtype=complex)
-
+        rows = joint_envelope(k, grid[3])
         checks = np.unique(np.minimum(np.searchsorted(k, check_at), k.size - 1))
         key = breaks.tobytes()
         if key not in store:
@@ -643,7 +621,7 @@ def osc_tensor_scan(
             if path == "retry":
                 if got is None:
                     continue
-                fac = _symmetric_cross(rows, checks, CROSS_TOL * 0.5 * target / trunc)
+                fac = fac.refine(0.5 * target / trunc)
                 if fac is not None:
                     store[key] = fac
             elif path == "dense" and k.size ** 2 > DENSE_MAX_VALUES:
@@ -660,11 +638,11 @@ def osc_tensor_scan(
             v, l1, rho = got
             v15 = v[:n1, :n2]
             trunc = rho * float(w15.sum()) ** 2
-            target = max(rel_tol * float(np.abs(v15).max()), ABS_FLOOR,
-                         ROUNDOFF_FACTOR * l1)
+            noise = ROUNDOFF_FACTOR * l1
+            target = max(rel_tol * float(np.abs(v15).max()), ABS_FLOOR, noise)
             if trunc <= target:
                 break
-        errs = np.abs(v15 - v[n1:, n2:]) + trunc
+        errs = np.maximum(np.abs(v15 - v[n1:, n2:]) + trunc, noise)
         panels = len(breaks) - 1
         if (errs <= target).all():
             return v15, errs, panels

@@ -2,8 +2,9 @@
 
 Single-photon packets g(k) and exchange-symmetric pair amplitudes
 f(k1, k2).  All objects are immutable, callable on scalars or arrays
-(with broadcasting), and return complex values; evaluation is zero
-outside the declared support.
+(with broadcasting), and return complex values.  A pair family is a
+constant ``phase`` times a symmetric kernel, real unless it holds a table
+packet, whose per-node factors ``rows`` computes once per node set.
 
 Exchange symmetry of every pair family is exact by construction: the
 arithmetic is arranged so that swapping the arguments produces bitwise
@@ -45,7 +46,7 @@ CUT_SIGMAS = float(np.sqrt(-2.0 * np.log(SUPPORT_CUT)))
 
 @dataclass(frozen=True)
 class GaussianPacket:
-    """g(k) = amplitude * exp(-(k - center)^2 / (2 width^2)), clipped to support."""
+    """g(k) = amplitude * exp(-(k - center)^2 / (2 width^2)); a non-default support clips it."""
 
     center: float
     width: float
@@ -55,20 +56,27 @@ class GaussianPacket:
     def __post_init__(self):
         if not (self.width > 0 and np.isfinite(self.width)):
             raise ValueError(f"packet width must be positive, got {self.width}")
+        half = CUT_SIGMAS * self.width
+        cut = (self.center - half, self.center + half)
         if self.support is None:
-            half = CUT_SIGMAS * self.width
-            object.__setattr__(self, "support", (self.center - half, self.center + half))
+            object.__setattr__(self, "support", cut)
         lo, hi = self.support
         if not lo < hi:
             raise ValueError(f"support must be an increasing interval, got {self.support}")
+        object.__setattr__(self, "_clip", (lo, hi) != cut)
 
     def __call__(self, k):
+        out = self.amplitude * self.profile(k)
+        return out if np.shape(out) else complex(out)
+
+    def profile(self, k):   # the real g / amplitude
         k = np.asarray(k, dtype=float)
-        lo, hi = self.support
         u = (k - self.center) / self.width
-        vals = self.amplitude * np.exp(-0.5 * u * u)
-        out = np.where((k >= lo) & (k <= hi), vals, 0.0)
-        return out if out.shape else complex(out)
+        out = np.exp(-0.5 * u * u)
+        if self._clip:
+            lo, hi = self.support
+            out = np.where((k >= lo) & (k <= hi), out, 0.0)
+        return out
 
     def effective_width(self) -> float:
         return self.width
@@ -80,6 +88,7 @@ class TablePacket:
 
     k: np.ndarray
     values: np.ndarray
+    amplitude = 1.0   # not a field: the values carry it, so the profile is the table
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float)
@@ -101,6 +110,8 @@ class TablePacket:
         im = np.interp(kq, self.k, self.values.imag, left=0.0, right=0.0)
         out = re + 1j * im
         return out if out.shape else complex(out)
+
+    profile = __call__
 
     def effective_width(self) -> float:
         """RMS width of |g|^2 on the table grid."""
@@ -136,18 +147,43 @@ def load_table_packet(path) -> TablePacket:
 # two-photon pair amplitudes
 # ----------------------------------------------------------------------
 
+class _PairKernel:
+    """f = phase * kernel: ``_constant()`` is the complex factor, ``_nodes(k, w)`` the
+    kernel's per-node factors times weights w, ``_pair(k1, k2, n1, n2)`` the kernel."""
+
+    @property
+    def phase(self) -> complex:
+        c = complex(self._constant())
+        return c / abs(c) if c else 1.0 + 0.0j
+
+    def __call__(self, k1, k2):
+        k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
+        out = self.phase * self._pair(k1, k2, self._nodes(k1, 1.0), self._nodes(k2, 1.0))
+        return out if np.shape(out) else complex(out)
+
+    def rows(self, k: np.ndarray, w: np.ndarray):
+        """rows(idx) = w_i w_j kernel(k_i, k_j) for i in idx, on the nodes k."""
+        n = self._nodes(k, w)
+        return lambda idx: self._pair(k[idx][:, None], k[None, :], [x[idx][:, None] for x in n],
+                                      [x[None, :] for x in n])
+
+
 @dataclass(frozen=True)
-class SymmetrizedProduct:
+class SymmetrizedProduct(_PairKernel):
     """f(k1,k2) = scale * (g1(k1) g2(k2) + g1(k2) g2(k1)) / 2."""
 
     packet1: GaussianPacket | TablePacket
     packet2: GaussianPacket | TablePacket
     scale: complex = 1.0 + 0.0j
 
-    def __call__(self, k1, k2):
-        a = self.packet1(k1) * self.packet2(k2)
-        b = self.packet1(k2) * self.packet2(k1)
-        return self.scale * (0.5 * (a + b))
+    def _constant(self):
+        return self.scale * self.packet1.amplitude * self.packet2.amplitude
+
+    def _nodes(self, k, w):
+        return w * self.packet1.profile(k), w * self.packet2.profile(k)
+
+    def _pair(self, k1, k2, n1, n2):
+        return abs(self._constant()) * (0.5 * (n1[0] * n2[1] + n2[0] * n1[1]))
 
     def axis_domain(self) -> tuple[float, float]:
         lo1, hi1 = self.packet1.support
@@ -159,7 +195,7 @@ class SymmetrizedProduct:
 
 
 @dataclass(frozen=True)
-class CorrelatedGaussian:
+class CorrelatedGaussian(_PairKernel):
     """Gaussian in the pump sum k1 + k2 times Gaussian in the difference.
 
     f = scale * exp(-(k1+k2-pump_center)^2 / (2 pump_width^2))
@@ -175,13 +211,16 @@ class CorrelatedGaussian:
         if not (self.pump_width > 0 and self.relative_width > 0):
             raise ValueError("pump_width and relative_width must be positive")
 
-    def __call__(self, k1, k2):
-        s = np.asarray(k1, dtype=float) + np.asarray(k2, dtype=float)
-        dm = np.asarray(k1, dtype=float) - np.asarray(k2, dtype=float)
-        us = (s - self.pump_center) / self.pump_width
-        ud = dm / self.relative_width
-        out = self.scale * np.exp(-0.5 * us * us - 0.5 * ud * ud)
-        return out if np.shape(out) else complex(out)
+    def _constant(self):
+        return self.scale
+
+    def _nodes(self, k, w):
+        return (w,)
+
+    def _pair(self, k1, k2, n1, n2):
+        us = (k1 + k2 - self.pump_center) / self.pump_width
+        ud = (k1 - k2) / self.relative_width
+        return abs(self.scale) * (n1[0] * n2[0]) * np.exp(-0.5 * us * us - 0.5 * ud * ud)
 
     def axis_domain(self) -> tuple[float, float]:
         half = CUT_SIGMAS * (self.pump_width + self.relative_width)
@@ -193,13 +232,14 @@ class CorrelatedGaussian:
 
 
 @dataclass(frozen=True)
-class PumpedPair:
+class PumpedPair(_PairKernel):
     """Co-propagating pair amplitude with a Gaussian pump spectrum.
 
     f(k1,k2) = scale * (i / pump_scale^2) * pump(k1+k2)
              * sqrt(6 k1 k2 (k1+k2))      on k1 > 0, k2 > 0,
     and zero elsewhere: the square root is real only on the open positive
-    quadrant, so support is restricted there by convention.
+    quadrant, so support is restricted there by convention (the per-node
+    factor sqrt(k) is zero for k <= 0).
     """
 
     pump: GaussianPacket
@@ -210,16 +250,16 @@ class PumpedPair:
         if not (self.pump_scale > 0):
             raise ValueError("pump_scale must be positive")
 
-    def __call__(self, k1, k2):
-        k1 = np.asarray(k1, dtype=float)
-        k2 = np.asarray(k2, dtype=float)
+    def _constant(self):
+        return self.scale * 1j * self.pump.amplitude / self.pump_scale**2
+
+    def _nodes(self, k, w):
+        return (w * np.sqrt(np.maximum(k, 0.0)),)
+
+    def _pair(self, k1, k2, n1, n2):
         s = k1 + k2
-        arg = 6.0 * (k1 * k2) * s
-        good = (k1 > 0) & (k2 > 0)
-        root = np.sqrt(np.where(good, arg, 0.0))
-        pref = self.scale * (1j / self.pump_scale**2)
-        out = np.where(good, pref * self.pump(s) * root, 0.0 + 0.0j)
-        return out if out.shape else complex(out)
+        return (abs(self._constant()) * np.sqrt(6.0) * (n1[0] * n2[0])
+                * (self.pump.profile(s) * np.sqrt(np.maximum(s, 0.0))))
 
     def axis_domain(self) -> tuple[float, float]:
         return (0.0, self.pump.support[1])
@@ -260,8 +300,9 @@ def normalized_packet(packet, domain: tuple[float, float] | None = None):
 def biphoton_norm(spec: BiphotonSpec, k_domain: tuple[float, float],
                   rel_tol: float = 1e-10) -> float:
     """sqrt of the truncated L2 norm  int int |f|^2 dk1 dk2  over k_domain^2."""
-    def env(k1, k2):
-        return np.abs(spec(k1, k2)) ** 2 + 0.0j
+    def env(k, wk):
+        rows = spec.rows(k, np.ones_like(k))
+        return lambda idx: np.abs(rows(idx)) ** 2
 
     vals, _, _ = osc_tensor_scan(env, _UNIT_MASS, _quadrature_domain(spec, k_domain),
                                  0.0, 0.0, [0.0], [0.0], rel_tol=rel_tol,

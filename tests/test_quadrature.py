@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from wgcorr import (
@@ -14,6 +16,7 @@ from wgcorr import (
     PumpedPair,
     QuadratureError,
     SymmetrizedProduct,
+    TablePacket,
     biphoton_scan,
     normalize_biphoton,
     quadrature,
@@ -257,12 +260,17 @@ def test_unreachable_tolerance_carries_payload(monkeypatch):
 # 2-D integrals
 # ----------------------------------------------------------------------
 
+def on_nodes(joint):
+    """A broadcasting joint(k1, k2) in the envelope protocol of ``osc_tensor_scan``."""
+    return lambda k, wk: lambda idx: joint(k[idx][:, None], k[None, :])
+
+
 def test_separable_2d_equals_product_of_1d():
     e1 = gaussian_env(0.3, 0.5)
     e2 = gaussian_env(-0.2, 0.4)
     dom = (-4.0, 4.0)
     joint = lambda k1, k2: e1(k1) * e2(k2)
-    r2d, _, _ = osc_tensor_scan(joint, D1, dom, 8.0, 5.0, [3.0], [-1.0], rel_tol=1e-10)
+    r2d, _, _ = osc_tensor_scan(on_nodes(joint), D1, dom, 8.0, 5.0, [3.0], [-1.0], rel_tol=1e-10)
     ra, _, _ = osc_integrate_1d_many(e1, D1, [3.0], 8.0, dom, rel_tol=1e-10)
     rb, _, _ = osc_integrate_1d_many(e2, D1, [-1.0], 5.0, dom, rel_tol=1e-10)
     prod = ra[0] * rb[0]
@@ -283,7 +291,7 @@ def riemann_oracle_2d(joint, dom, n=4000):
 def test_2d_plain_envelope_against_riemann():
     joint = lambda k1, k2: np.exp(-0.5 * (k1**2 + k2**2) - 0.3 * k1 * k2) + 0.0j
     dom = (-6.0, 6.0)
-    vals, _, _ = osc_tensor_scan(joint, D1, dom, 0.0, 0.0, [0.0], [0.0], rel_tol=1e-10)
+    vals, _, _ = osc_tensor_scan(on_nodes(joint), D1, dom, 0.0, 0.0, [0.0], [0.0], rel_tol=1e-10)
     oracle = riemann_oracle_2d(lambda k1, k2: joint(k1, k2).real, dom)
     assert abs(vals[0, 0].real - oracle) <= 1e-7 * abs(oracle)
     assert abs(vals[0, 0].imag) < 1e-12
@@ -292,8 +300,8 @@ def test_2d_plain_envelope_against_riemann():
 def test_2d_swap_symmetry():
     joint = lambda k1, k2: np.exp(-0.5 * (k1 - k2) ** 2 - 0.1 * (k1 + k2) ** 2) + 0.0j
     dom = (-5.0, 5.0)
-    r1, _, _ = osc_tensor_scan(joint, D1, dom, 6.0, 9.0, [2.0], [-1.5], rel_tol=1e-10)
-    r2, _, _ = osc_tensor_scan(joint, D1, dom, 9.0, 6.0, [-1.5], [2.0], rel_tol=1e-10)
+    r1, _, _ = osc_tensor_scan(on_nodes(joint), D1, dom, 6.0, 9.0, [2.0], [-1.5], rel_tol=1e-10)
+    r2, _, _ = osc_tensor_scan(on_nodes(joint), D1, dom, 9.0, 6.0, [-1.5], [2.0], rel_tol=1e-10)
     assert abs(r1[0, 0] - r2[0, 0]) <= 1e-12 * abs(r1[0, 0])
 
 
@@ -316,7 +324,7 @@ def test_tensor_scan_refuses_axis_over_budget_before_sampling(monkeypatch):
 
     monkeypatch.setattr(quadrature, "MAX_PANELS_AXIS", 20)
     with pytest.raises(QuadratureError, match="panel budget 20"):
-        osc_tensor_scan(joint, D1, (-4.0, 4.0), 200.0, 200.0, [0.0, 50.0], [0.0])
+        osc_tensor_scan(on_nodes(joint), D1, (-4.0, 4.0), 200.0, 200.0, [0.0, 50.0], [0.0])
     assert not calls
 
 
@@ -330,10 +338,9 @@ PAIR_FAMILIES = {
     "pumped": PumpedPair(GaussianPacket(2.0, 0.1), pump_scale=2.0),
 }
 # every family reaches these on the low-rank path at t = 30; the pumped pair
-# needs its graded sqrt(k) edge for that (ungraded, it stalls at 1e-8), and at
-# 1e-10 its cross misses the truncation target even after the retry, because
-# the pump's clipped support raises the rank, so that level goes dense
-PAIR_TOLS = {"separable": 1e-10, "correlated": 1e-9, "pumped": 1e-9}
+# needs its graded sqrt(k) edge for that (ungraded, it stalls at 1e-8), and its
+# cross, continued once, meets the 1e-10 truncation target (ranks 58, then 60)
+PAIR_TOLS = {"separable": 1e-10, "correlated": 1e-9, "pumped": 1e-10}
 
 
 def criterion_3_pair():
@@ -380,15 +387,13 @@ def test_low_rank_l1_bounds_dense_l1(family, t):
     z = t * (D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.2, 0.2, 3))
     store = {}
     biphoton_scan(f, D1, t, t, z, z, rel_tol=PAIR_TOLS[family], factorizations=store)
-    joint = _joint_envelope(f, D1)
     assert store and all(fac is not None for fac in store.values())
     for key, fac in store.items():
         k, w15, w7 = quadrature._panel_grid(np.frombuffer(key))
         grid = (k, w15, w7, D1.omega(k))
         axis = (np.zeros(1), 0.0)
         _, l1, _ = quadrature._low_rank(fac, grid, axis, axis)
-        _, dense_l1, _ = quadrature._dense(
-            lambda idx: joint(k[idx][:, None], k[None, :]), grid, axis, axis)
+        _, dense_l1, _ = quadrature._dense(_joint_envelope(f)(k, grid[3]), grid, axis, axis)
         assert dense_l1 <= l1 <= 4.0 * dense_l1
 
 
@@ -428,7 +433,8 @@ def test_high_rank_envelope_takes_dense_fallback(monkeypatch):
     joint = lambda k1, k2: np.exp(-2.0 * (k1**2 + k2**2) + 40j * k1 * k2)
     dom = (-4.0, 4.0)
     dense_levels = spy_dense(monkeypatch)
-    vals, _, panels = osc_tensor_scan(joint, D1, dom, 0.0, 0.0, [0.0], [0.0], rel_tol=1e-10)
+    vals, _, panels = osc_tensor_scan(on_nodes(joint), D1, dom, 0.0, 0.0, [0.0], [0.0],
+                                      rel_tol=1e-10)
     assert dense_levels and dense_levels[-1] == 15 * panels
     oracle = riemann_oracle_2d(joint, dom)
     assert abs(vals[0, 0] - oracle) <= 1e-7 * abs(oracle)
@@ -469,12 +475,6 @@ def test_cross_grows_past_its_first_rows():
     assert np.abs(rows(sample) - u[sample] @ m @ u.T).max() <= 10 * quadrature.CROSS_TOL
 
 
-def envelope_rows(joint, k):
-    def rows(idx):
-        return np.asarray(joint(k[idx][:, None], k[None, :]), dtype=complex)
-    return rows
-
-
 def assert_reproduces(rows, fac, n):
     # 200 sampled rows of F against U M U^T, relative to their largest entry
     u, m, _ = fac
@@ -483,28 +483,68 @@ def assert_reproduces(rows, fac, n):
     assert np.abs(f - u[sample] @ m @ u.T).max() <= 10 * quadrature.CROSS_TOL * np.abs(f).max()
 
 
+def random_pair(family, draw):
+    """A pair of ``family`` with random parameters; ``draw(lo, hi)`` gives one number."""
+    def gaussian():
+        return GaussianPacket(draw(0.3, 1.5), draw(0.1, 0.5),
+                              amplitude=draw(0.2, 2.0) * np.exp(1j * draw(0.0, 2 * np.pi)))
+
+    if family == "separable":
+        return SymmetrizedProduct(gaussian(), gaussian())
+    if family == "correlated":
+        return CorrelatedGaussian(draw(1.0, 3.0), draw(0.1, 0.6), draw(0.1, 0.6))
+    if family == "pumped":
+        return PumpedPair(replace(gaussian(), center=draw(1.5, 2.5), support=None),
+                          pump_scale=draw(0.5, 3.0))
+    grid = np.linspace(draw(0.2, 0.6), draw(1.0, 1.6), 21)
+    return SymmetrizedProduct(
+        *(TablePacket(grid, np.exp(-((grid - 0.9) / 0.3) ** 2 + 1j * draw(0.5, 5.0) * grid))
+          for _ in range(2)))
+
+
 @pytest.mark.parametrize("family, dtype", [
-    # every built-in pair envelope is a constant phase (1 or i) times a real function
+    # every built-in pair family is a declared phase times a real kernel;
+    # a product of complex table packets keeps a complex kernel
     *[(family, np.float64) for family in sorted(PAIR_FAMILIES)],
     ("complex", np.complex128),
 ])
-def test_cross_arithmetic_follows_envelope_phase(family, dtype):
-    if family == "complex":
-        joint, dom = lambda k1, k2: np.exp(-2.0 * (k1**2 + k2**2) + 3j * k1 * k2), (-4.0, 4.0)
-    else:
-        joint, dom = _joint_envelope(PAIR_FAMILIES[family], D1), PAIR_FAMILIES[family].axis_domain()
-    k, _, _ = quadrature._panel_grid(np.linspace(*dom, 201))
-    rows = envelope_rows(joint, k)
-    fac = quadrature._symmetric_cross(rows, np.linspace(0, k.size - 1, 32).astype(int))
-    assert fac[0].dtype == dtype and fac[1].dtype == np.complex128
-    assert_reproduces(rows, fac, k.size)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), r=st.floats(0.1, 10.0),
+       phase=st.one_of(st.sampled_from([1.0, 1j, -1.0, -1j]),
+                       st.floats(0.0, 2.0 * np.pi).map(lambda phi: np.exp(1j * phi))))
+def test_cross_arithmetic_follows_envelope_phase(family, dtype, data, r, phase):
+    # the rows the 2-D rule factors are the kernel without the phase, in the
+    # kernel's own dtype; the phase times them is the envelope
+    # f(k1, k2) / (8 pi sqrt(omega1 omega2)) to a few ulps
+    f = random_pair(family, lambda lo, hi: data.draw(st.floats(lo, hi)))
+    f = replace(f, scale=r * phase)
+    lo, hi = f.axis_domain()
+    k = np.sort(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(lo, hi, 64))
+    wk = D1.omega(k)
+    got = _joint_envelope(f)(k, wk)(np.arange(k.size))
+    assert got.dtype == dtype
+    ref = f(k[:, None], k[None, :]) / (8.0 * np.pi * np.sqrt(wk[:, None] * wk[None, :]))
+    # entrywise for a real kernel, down to where subnormals lose precision;
+    # complex products can cancel, so a table kernel is held to the largest entry
+    size = np.abs(ref) if dtype == np.float64 else np.abs(ref).max()
+    assert (np.abs(f.phase * got - ref) <= 16 * np.finfo(float).eps * size + 1e-300).all()
+    # a t = 0 scan factors the same rows in that dtype, and the truncation
+    # bound it adds to its errors covers the weighted residual of its cross
+    store = {}
+    biphoton_scan(f, D1, 0.0, 0.0, [0.0], [0.0], rel_tol=1e-8, factorizations=store)
+    for key, (u, m, rho) in store.items():
+        k, w15, _ = quadrature._panel_grid(np.frombuffer(key))
+        assert u.dtype == dtype and m.dtype == dtype
+        resid = _joint_envelope(f)(k, D1.omega(k))(np.arange(k.size)) - u @ m @ u.T
+        assert w15 @ np.abs(resid) @ w15 <= rho * w15.sum() ** 2
 
 
 @pytest.mark.parametrize("scale", [3 * np.exp(0.3j), np.exp(1j * np.pi / 2)])
 @pytest.mark.parametrize("family", sorted(PAIR_FAMILIES))
 def test_generic_phase_scale_factors_in_float64(family, scale, monkeypatch):
-    # a generic phase strips to round-off imaginary parts, which the real
-    # cross drops and charges to rho; the values agree with a complex cross
+    # any constant phase of the scale stays out of the rows, which the cross
+    # factors in float64; the values agree with a cross of the same rows in
+    # complex arithmetic
     f = replace(PAIR_FAMILIES[family], scale=scale)
     lo, hi = f.axis_domain()
     t1, t2 = 30.0, 24.0
@@ -515,17 +555,18 @@ def test_generic_phase_scale_factors_in_float64(family, scale, monkeypatch):
                                   factorizations=store)
     assert store and all(fac is not None and fac[0].dtype == np.float64
                          for fac in store.values())
+    cross = quadrature._symmetric_cross
     monkeypatch.setattr(quadrature, "_symmetric_cross",
                         lambda rows, checks, tol=quadrature.CROSS_TOL:
-                        quadrature._cross(rows, checks, complex, tol))
+                        cross(lambda idx: rows(idx).astype(complex), checks, tol))
     ref, ref_errs, _ = biphoton_scan(f, D1, t1, t2, z1, z2, rel_tol=PAIR_TOLS[family])
     assert (np.abs(amps - ref) <= errs + ref_errs).all()
 
 
 def test_envelope_complex_off_the_check_rows_ends_complex():
     # F = G + i eps h h^T with h zero on the check nodes: every check row is
-    # real, the pivot rows off them are not, so the real cross must restart
-    # in complex arithmetic rather than give up (which would mean the dense path)
+    # real, the pivot rows off them are not; complex rows get complex
+    # arithmetic from the start, so the cross still finds a low-rank form
     k, _, _ = quadrature._panel_grid(np.linspace(-4.0, 4.0, 201))
     checks = np.linspace(0, k.size - 1, 32).astype(int)
     h = np.exp(-((k - 0.5) ** 2))
@@ -589,7 +630,7 @@ def test_envelope_beyond_dense_budget_raises(joint, rel_tol, reached):
     # 1,100 panels of 15 nodes: N^2 > DENSE_MAX_VALUES forbids the dense path
     start = time.perf_counter()
     with pytest.raises(QuadratureError, match=rf"N = (\d+) nodes per axis: {reached}") as info:
-        osc_tensor_scan(joint, D1, (-4.0, 4.0), 0.0, 0.0, [0.0], [0.0], rel_tol=rel_tol,
+        osc_tensor_scan(on_nodes(joint), D1, (-4.0, 4.0), 0.0, 0.0, [0.0], [0.0], rel_tol=rel_tol,
                         max_width=8.0 / 1100)
     n = int(re.search(r"N = (\d+)", str(info.value)).group(1))
     assert n ** 2 > quadrature.DENSE_MAX_VALUES and info.value.result.error_estimate == np.inf
@@ -614,27 +655,45 @@ def test_exchanged_scan_is_transpose(family, monkeypatch):
 
 def test_pumped_pair_normalizes_without_dense_level(monkeypatch):
     # |f|^2 on criterion 3's domain (N = 825): the cross at CROSS_TOL misses
-    # the 1e-10 truncation target, and its one retry at a tighter tolerance meets it
+    # the 1e-10 truncation target, and its one retry continues that cross to
+    # meet it, evaluating only rows the first cross did not
+    evaluated, first = [], []
+    cross = quadrature._symmetric_cross
+
+    def counting(rows, checks, tol=quadrature.CROSS_TOL):
+        def counted(idx):
+            evaluated.append(np.atleast_1d(idx).copy())
+            return rows(idx)
+        fac = cross(counted, checks, tol)
+        first.append(len(evaluated))
+        return fac
+
+    monkeypatch.setattr(quadrature, "_symmetric_cross", counting)
     dense_levels = spy_dense(monkeypatch)
     f = criterion_3_pair()
-    assert not dense_levels
+    assert not dense_levels and len(first) == 1
+    before, retry = np.concatenate(evaluated[:first[0]]), evaluated[first[0]:]
+    assert retry and not np.intersect1d(before, np.concatenate(retry)).size
     # 2.36640456323671 is the value of the dense path
     assert abs(f.scale - 2.36640456323671) <= 1e-10 * 2.37
 
 
 @pytest.mark.parametrize("t, levels", [(50.0, 0), (800.0, 1)])
-def test_pumped_pair_reaches_tight_tolerance(t, levels):
+def test_pumped_pair_reaches_tight_tolerance(t, levels, monkeypatch):
     # criterion 3's pair and velocity grid at rel_tol 1e-10: the graded sqrt(k)
     # edge needs no bisection level.  At t = 800 the G7 estimate on panels of
     # nearly 2 pi of phase reads 4.5e-12 at the slowest detectors, against a
-    # true error of 1e-17 and a target of 1.2e-13, which costs one level
+    # true error of 1e-17 and a target of 1.2e-13, which costs one level.  No
+    # level takes the dense path: the unclipped pump keeps the rank low, and
+    # on N = 6,480 the continued cross (rank 58, then 65) meets the target
     f = criterion_3_pair()
+    dense_levels = spy_dense(monkeypatch)
     v = 1.0 / np.sqrt(2.0) + 0.035 * (np.arange(10) - 5)
     amps, errs, panels = biphoton_scan(f, D1, t, t, v * t, v * t, rel_tol=1e-10)
     initial = oscillation_breakpoints(D1, _quadrature_domain(f, rel_tol=1e-10),
                                       [(v[0] * t, t), (v[-1] * t, t)],
                                       max_width=_feature_width(f))
-    assert panels == (initial.size - 1) * 2**levels
+    assert panels == (initial.size - 1) * 2**levels and not dense_levels
     assert errs.max() <= 1e-10 * np.abs(amps).max()
 
 
@@ -650,7 +709,7 @@ def test_pumped_scan_errors_bound_finer_reference(t1, t2):
     z2 = t2 * (vmid + np.linspace(-0.15, 0.2, 4))
 
     def scan(rel_tol, max_width):
-        return osc_tensor_scan(_joint_envelope(f, D1), D1, _quadrature_domain(f, rel_tol=rel_tol),
+        return osc_tensor_scan(_joint_envelope(f), D1, _quadrature_domain(f, rel_tol=rel_tol),
                                t1, t2, z1, z2, rel_tol=rel_tol, max_width=max_width)
 
     amps, errs, panels = scan(1e-8, _feature_width(f))

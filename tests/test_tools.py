@@ -1,0 +1,36 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "sample_hashes.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("sample_hashes", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_tree(root: Path, probability: float, error: float) -> None:
+    out = root / "out_biphoton"
+    out.mkdir(parents=True)
+    (out / "biphoton_scan.csv").write_text(
+        "z1,probability,error,method\n"
+        f"20,{probability!r},{error!r},adaptive_panel\n"
+        "22,3.0e-05,2e-12,adaptive_panel\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("moved, new_error, status", [
+    (5e-13, 1e-12, 0),    # within both errors
+    (3e-12, 1e-12, 1),    # outside both
+    (3e-12, 4e-12, 0),    # within the larger of the two
+])
+def test_compare_fails_when_probability_moves_beyond_its_errors(tmp_path, capsys, moved,
+                                                                new_error, status):
+    tool = load_tool()
+    write_tree(tmp_path / "old", 9.5e-05, 1e-12)
+    write_tree(tmp_path / "new", 9.5e-05 + moved, new_error)
+    assert tool.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == status
+    assert ("OUTSIDE THE ERRORS" in capsys.readouterr().out) == bool(status)

@@ -17,7 +17,7 @@ column with a reported error (``error`` or ``p_error``) the largest
 |new - old| divided by the larger of the two errors on that row; other
 columns are reported as equal or with the number of rows that differ.
 Exits 1 if a CSV is missing from one tree or changes its header or row
-count.
+count, or if a probability column moves by more than that error.
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ def compare(old: Path, new: Path) -> int:
                 line += f" max|d| {max(delta):.3e}"
                 if err:
                     line += f"   max|d|/{err} {max(ratio):.3e}"
+                    if max(ratio) > 1.0:
+                        line += "   OUTSIDE THE ERRORS"
+                        broken = True
             if n_text or not delta:
                 line += f" {n_text} text rows differ" if n_text else " equal"
             print(line)
