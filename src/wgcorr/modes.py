@@ -12,13 +12,10 @@ raster masks.  Every returned spectrum carries its sample nodes together
 with discrete L2 quadrature weights, so orthonormality and completeness
 checks are plain weighted sums.
 
-scipy.sparse, the type of the lattice matrices, is imported with the
-module; deferring it too would move about 0.2 s from every start-up
-into the first FD solve of a process (ROADMAP item 5).  The sparse
-solver (scipy.sparse.linalg), raster connectivity (scipy.sparse.csgraph,
-which imports the solver package) and the Bessel functions of disk
-spectra (scipy.special) are imported where they are used, so importing
-this module, and with it the CLI, loads none of them.
+scipy is imported where it is used: scipy.sparse and its solver and
+graph packages by the lattice functions, scipy.special by closed-form disk
+spectra.  Importing this module, and with it the CLI, loads numpy only;
+the first FD solve of a process pays about 0.35 s for those imports.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Rectangle",
@@ -304,6 +300,7 @@ def _lattice_edges(mask: np.ndarray):
 
 def _connected_regions(mask: np.ndarray) -> int:
     """Number of 4-connected regions of the mask."""
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
     n, src, dst = _lattice_edges(mask)
     graph = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
@@ -312,6 +309,7 @@ def _connected_regions(mask: np.ndarray) -> int:
 
 def _laplacian(mask: np.ndarray, h: float):
     """5-point Dirichlet Laplacian on the mask; outside nodes contribute zero."""
+    import scipy.sparse as sp
     n, src, dst = _lattice_edges(mask)
     diag = np.arange(n)
     rows = np.concatenate([diag, src, dst])
@@ -328,6 +326,7 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
     relative residual ||A v - lam v|| / lam below 1e-8 for every pair on
     the full lattice, otherwise a ModeSolverError carries the residual
     report; silent inaccuracy (a NaN residual included) is not an option.
+    Lanczos stops at a hundredth of that contract, not at machine precision.
 
     The solve runs on one colour of the lattice.  The 5-point lattice is
     bipartite (colour a node by the parity of i + j) and every diagonal
@@ -349,6 +348,7 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
     definite A, is symmetric positive definite itself; the symmetric
     ordering nearly halves the fill of the default column ordering.
     """
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -382,7 +382,7 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
     v0 = np.ones(nb) / np.sqrt(nb)
     try:
         mu, v_black = spla.eigsh(S, k=count, sigma=0.0, which="LM", OPinv=s_inv,
-                                 v0=v0, maxiter=ITERATION_CAP, tol=0)
+                                 v0=v0, maxiter=ITERATION_CAP, tol=1e-2 * RESIDUAL_TOL)
     except spla.ArpackNoConvergence as exc:
         raise ModeSolverError(
             f"eigensolver failed to converge within {ITERATION_CAP} iterations: {exc}"

@@ -204,6 +204,12 @@ def _initial_width(span: float, max_width: float | None) -> float:
     return span / 8
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """np.unique of a non-empty 1-D array, without the numpy.ma import of np.unique."""
+    x = np.sort(np.ravel(values))
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _graded_edge(domain: Sequence[float], h: float, rel_tol: float) -> np.ndarray:
     """``domain`` plus the breakpoints lo + h 2^-j, j = J ... 0, graded toward lo.
 
@@ -216,7 +222,7 @@ def _graded_edge(domain: Sequence[float], h: float, rel_tol: float) -> np.ndarra
     edges = np.asarray(domain, dtype=float)
     depth = max(int(np.ceil(np.log2(h / rel_tol ** (2.0 / 3.0)))), 0)
     grade = edges[0] + h * 0.5 ** np.arange(depth, -1, -1)
-    return np.union1d(edges, grade[grade < edges[-1]])
+    return _sorted_unique(np.concatenate([edges, grade[grade < edges[-1]]]))
 
 
 def _panel_grid(breaks: np.ndarray):
@@ -268,7 +274,7 @@ def osc_integrate_1d_many(
     z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
     if z_values.size == 0:
         raise ValueError("z_values must hold at least one detector position")
-    params = [(z, t) for z in np.unique([z_values.min(), z_values.max()])]
+    params = [(z, t) for z in _sorted_unique([z_values.min(), z_values.max()])]
     breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
                                      max_panels=MAX_PANELS_1D)
     for level in range(SCAN1D_MAX_LEVELS + 1):
@@ -354,7 +360,7 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray, tol: float = CROSS_TOL)
     those non-pivot rows, or None when the rank would pass
     min(n / 10, MAX_CROSS_RANK), the sampled block F[checks, checks] is
     not symmetric, or a row is not finite.  Its ``refine`` goes on
-    pivoting where it stopped.  A check row is never evaluated twice.
+    pivoting where it stopped.  No row is evaluated twice.
     The dtype of the rows picks the arithmetic: float64 rows give a real
     U and M, complex rows a complex cross.
 
@@ -426,7 +432,7 @@ def _cross_steps(rows: Callable, checks: np.ndarray, tol: float):
         if a >= _PIVOT_ALPHA * b:
             piv = [(i, res)]
         else:
-            raw_j = new_row(j)
+            raw_j = sampled[j] = new_row(j)
             if raw_j is None:
                 return
             scale = max(scale, float(np.abs(raw_j).max()))
@@ -447,6 +453,7 @@ def _cross_steps(rows: Callable, checks: np.ndarray, tol: float):
         for p, row in piv:
             ut[r] = row
             pivot[p] = True
+            sampled.pop(p, None)
             r += 1
         if len(piv) == 1:
             md[r0] = 1.0 / piv[0][1][piv[0][0]]
@@ -612,7 +619,7 @@ def osc_tensor_scan(
         k, w15, w7 = _panel_grid(breaks)
         grid = (k, w15, w7, d.omega(k))
         rows = joint_envelope(k, grid[3])
-        checks = np.unique(np.minimum(np.searchsorted(k, check_at), k.size - 1))
+        checks = _sorted_unique(np.minimum(np.searchsorted(k, check_at), k.size - 1))
         key = breaks.tobytes()
         if key not in store:
             store[key] = _symmetric_cross(rows, checks)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DispersionRelation
-from .quadrature import _graded_edge, osc_integrate_1d_many, osc_tensor_scan
+from .quadrature import _graded_edge, _sorted_unique, osc_integrate_1d_many, osc_tensor_scan
 
 __all__ = [
     "GaussianPacket",
@@ -346,5 +346,5 @@ def _quadrature_domain(obj, domain=None, rel_tol=None):
     if not tables:
         return domain
     lo, hi = domain
-    nodes = np.unique(np.concatenate(tables))
+    nodes = _sorted_unique(np.concatenate(tables))
     return (lo, *nodes[(nodes > lo) & (nodes < hi)].tolist(), hi)

@@ -398,15 +398,17 @@ def test_validate_battery(tmp_path, capsys):
 
 SCIPY_PROBE = """
 import json, sys
-from wgcorr import cli
 
-DEFERRED = ("scipy.sparse.linalg", "scipy.linalg", "scipy.special", "scipy.integrate",
-            "scipy.stats", "scipy.ndimage")
+DEFERRED = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "scipy.special",
+            "scipy.integrate", "scipy.stats", "scipy.ndimage", "numpy.ma")
 
 def deferred_loaded():
     return [m for m in DEFERRED if m in sys.modules]
 
+import wgcorr
 loaded = [deferred_loaded()]
+from wgcorr import cli
+loaded.append(deferred_loaded())
 for argv in sys.argv[1:]:
     assert cli.main(argv.split()) == 0, argv
     loaded.append(deferred_loaded())
@@ -415,11 +417,14 @@ print(json.dumps(loaded))
 
 
 def test_cli_imports_scipy_solvers_only_to_solve(tmp_path):
-    # scipy.sparse.linalg (with scipy.linalg) and scipy.special cost about
-    # 0.2 s of every CLI start-up, scipy.integrate 0.1-0.2 s more of a
+    # scipy.sparse costs about 0.2 s of every start-up (mostly scipy's
+    # array-API layer), scipy.sparse.linalg (with scipy.linalg) and
+    # scipy.special about 0.2 s more, scipy.integrate 0.1-0.2 s more of a
     # validate run; only the FD solver and closed-form disk spectra need
     # them, and they import them themselves; scipy.stats (about 0.5 s) and
-    # scipy.ndimage (about 60 ms) are needed by no run
+    # scipy.ndimage (about 60 ms) are needed by no run.  numpy.ma, which
+    # np.unique imports on first call (about 10 ms), is needed by no
+    # bounds or validate run either
     cfg = configparser.ConfigParser()
     cfg.read(CONFIGS / "bounds_pumped.ini")
     cfg["scan"].update(t_pairs="50:50", v1_count="4", v2_count="4")
@@ -431,8 +436,9 @@ def test_cli_imports_scipy_solvers_only_to_solve(tmp_path):
             f"modes --config {CONFIGS / 'modes_disk_fd.ini'} --out {tmp_path / 'modes'}"]
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *runs], capture_output=True,
                          text=True, check=True).stdout
-    on_import, after_bounds, after_validate, after_modes = json.loads(out.splitlines()[-1])
-    assert on_import == after_bounds == after_validate == []
-    assert "scipy.sparse.linalg" in after_modes
+    on_wgcorr, on_import, after_bounds, after_validate, after_modes = \
+        json.loads(out.splitlines()[-1])
+    assert on_wgcorr == on_import == after_bounds == after_validate == []
+    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(after_modes)
     _, rows = read_csv(tmp_path / "modes" / "modes.csv")
     assert len(rows) == 6

@@ -250,6 +250,23 @@ def test_fd_reduction_matches_dense_oracle(mask, h):
     assert (res <= modes.RESIDUAL_TOL).all()
 
 
+@pytest.mark.parametrize("cs, spacing", [(Raster(np.ones((23, 37), dtype=bool), 0.05), None),
+                                         (Disk(1.0), 1 / 24),
+                                         (Raster(l_mask(), 0.05), None)],
+                         ids=["rectangle_23x37", "disk", "l_raster"])
+def test_fd_stop_meets_a_hundredth_of_the_residual_contract(cs, spacing):
+    # Lanczos stops at a hundredth of the residual contract rather than at
+    # machine precision; on the full lattice every returned pair still has a
+    # relative residual ||A v - lam v|| / lam a hundred times inside it
+    ms = fd_spectrum(cs, count=8, spacing=spacing)
+    mask, _, _, h = modes._rasterize(cs, spacing)
+    A = modes._laplacian(mask, h)
+    lam = ms.cutoff_masses**2
+    V = np.stack([m.samples for m in ms.modes], axis=1) * h  # unit Euclidean norm
+    res = np.linalg.norm(A @ V - V * lam, axis=0) / lam
+    assert (res <= 1e-2 * modes.RESIDUAL_TOL).all()
+
+
 def test_fd_disk_cos_sin_pairs_stay_one_cluster():
     # on the lattice the l = 1 cos/sin pair is exactly degenerate (C4 symmetry)
     ms = fd_spectrum(Disk(1.0), count=5, spacing=1 / 24)

@@ -653,10 +653,9 @@ def test_exchanged_scan_is_transpose(family, monkeypatch):
     assert np.abs(e12 - e21.T).max() <= 1e-14 * np.abs(a12).max()
 
 
-def test_pumped_pair_normalizes_without_dense_level(monkeypatch):
-    # |f|^2 on criterion 3's domain (N = 825): the cross at CROSS_TOL misses
-    # the 1e-10 truncation target, and its one retry continues that cross to
-    # meet it, evaluating only rows the first cross did not
+def spy_cross_rows(monkeypatch):
+    """Record the row indices every cross evaluates, and how many calls of
+    the rows callable each ``_symmetric_cross`` made before it returned."""
     evaluated, first = [], []
     cross = quadrature._symmetric_cross
 
@@ -669,6 +668,14 @@ def test_pumped_pair_normalizes_without_dense_level(monkeypatch):
         return fac
 
     monkeypatch.setattr(quadrature, "_symmetric_cross", counting)
+    return evaluated, first
+
+
+def test_pumped_pair_normalizes_without_dense_level(monkeypatch):
+    # |f|^2 on criterion 3's domain (N = 825): the cross at CROSS_TOL misses
+    # the 1e-10 truncation target, and its one retry continues that cross to
+    # meet it, evaluating only rows the first cross did not
+    evaluated, first = spy_cross_rows(monkeypatch)
     dense_levels = spy_dense(monkeypatch)
     f = criterion_3_pair()
     assert not dense_levels and len(first) == 1
@@ -676,6 +683,18 @@ def test_pumped_pair_normalizes_without_dense_level(monkeypatch):
     assert retry and not np.intersect1d(before, np.concatenate(retry)).size
     # 2.36640456323671 is the value of the dense path
     assert abs(f.scale - 2.36640456323671) <= 1e-10 * 2.37
+
+
+def test_cross_evaluates_each_row_once(monkeypatch):
+    # a row read for the Bunch-Kaufman 2x2 test and not pivoted is kept, so
+    # it is not evaluated again when it becomes the candidate: the first cross
+    # of criterion 3's |f|^2 reads 125 distinct rows (129 evaluations when
+    # such rows were read twice), and no cross evaluates any row twice
+    evaluated, first = spy_cross_rows(monkeypatch)
+    criterion_3_pair()
+    before, every = np.concatenate(evaluated[:first[0]]), np.concatenate(evaluated)
+    assert before.size == np.unique(before).size == 125
+    assert every.size == np.unique(every).size
 
 
 @pytest.mark.parametrize("t, levels", [(50.0, 0), (800.0, 1)])
