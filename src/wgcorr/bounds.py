@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 PROBABILITY_FLOOR = 1e-26      # |A| ~ 1e-13, the oscillatory cancellation limit
+SLOPE_WINDOW = 5               # samples per local slope fit of the light-cone check
 T_OFFSET_GRID_DECADES = (-2.0, 2.0)
 T_OFFSET_GRID_POINTS = 50
 
@@ -283,27 +284,23 @@ def _ray_probabilities(source, d: DispersionRelation, ray: Ray, rel_tol: float):
 
 
 def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
-                          rel_tol: float = 1e-9,
-                          floor: float = PROBABILITY_FLOOR,
-                          window: int = 5) -> LightconeReport:
+                          rel_tol: float = 1e-9) -> LightconeReport:
     """Super-polynomial decay check on outside-the-cone rays.
 
     For every requested order n the local log-log slope of P against
-    (1 + |z|) is fitted by least squares on every ``window`` consecutive
-    usable samples of each ray; the bound of order n passes on a ray once
-    the slope stays at or below -n, the onset radius being the first |z|
-    of the window after the last failing one.  A NaN slope fails.
-    Points with P below the floor are counted as below-floor passes and
-    excluded from fits; a ray whose usable points cannot support a fit
-    yields an inconclusive verdict with diagnostics.
+    (1 + |z|) is fitted by least squares on every ``SLOPE_WINDOW``
+    consecutive usable samples of each ray; the bound of order n passes
+    on a ray once the slope stays at or below -n, the onset radius being
+    the first |z| of the window after the last failing one.  A NaN slope
+    fails.  Points with P below ``PROBABILITY_FLOOR`` are counted as
+    below-floor passes and excluded from fits; a ray whose usable points
+    cannot support a fit yields an inconclusive verdict with diagnostics.
 
     Returns one BoundFit per order carrying C_{n1 n2} as the supremum of
     P (1+|z1|)^{n1} (1+|z2|)^{n2} over the usable samples (n2 applies to
     the frozen detector of pair scans and is 0 for single-photon rays).
     The evaluated P along every ray is returned in ``probabilities``.
     """
-    if window < 5:
-        raise ValueError(f"slope window needs >= 5 samples, got {window}")
     orders = [int(n) for n in orders]
     ray_data = []
     for ray in rays:
@@ -315,8 +312,8 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
     ray_verdicts = []
     for ray, P in ray_data:
         zs = np.abs(ray.z_values)
-        usable = P > floor
-        if usable.sum() < window:
+        usable = P > PROBABILITY_FLOOR
+        if usable.sum() < SLOPE_WINDOW:
             ray_verdicts.append("inconclusive")
             slopes.append(SlopeFit(np.nan, np.inf, int(usable.sum()),
                                    int((~usable).sum())))
@@ -326,8 +323,8 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
         fitted = decay_slope_fit(1.0 + zs[usable], P[usable])
         slopes.append(fitted)
         zu = zs[usable]
-        lx = sliding_window_view(np.log(1.0 + zu), window)
-        lp = sliding_window_view(np.log(P[usable]), window)
+        lx = sliding_window_view(np.log(1.0 + zu), SLOPE_WINDOW)
+        lp = sliding_window_view(np.log(P[usable]), SLOPE_WINDOW)
         dx = lx - lx.mean(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             local = (dx * lp).sum(axis=1) / (dx * dx).sum(axis=1)
@@ -343,7 +340,7 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
         sup = 0.0
         below = 0
         for ray, P in ray_data:
-            usable = P > floor
+            usable = P > PROBABILITY_FLOOR
             below += int((~usable).sum())
             w1 = (1.0 + np.abs(ray.z_values[usable])) ** n
             w2 = 1.0 if ray.frozen is None else (1.0 + abs(ray.frozen.z)) ** n

@@ -296,7 +296,7 @@ def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
 def momentum_norm(packet, d: DispersionRelation, rel_tol: float = 1e-11) -> float:
     """int |g(k)|^2 / (4 omega(k)) dk, the conserved norm of A."""
     vals, _, _ = osc_integrate_1d_many(
-        lambda k: np.abs(packet(k)) ** 2 / (4.0 * d.omega(k)) + 0.0j, d, [0.0], 0.0,
+        lambda k: np.abs(packet(k)) ** 2 / (4.0 * d.omega(k)), d, [0.0], 0.0,
         _quadrature_domain(packet), rel_tol=rel_tol, max_width=_feature_width(packet))
     return float(vals[0].real)
 

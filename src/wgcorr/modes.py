@@ -148,7 +148,7 @@ def _fix_signs(samples: np.ndarray) -> np.ndarray:
 # closed-form spectra
 # ----------------------------------------------------------------------
 
-def _rectangle_spectrum(cs: Rectangle, count: int, resolution: float | None):
+def _rectangle_spectrum(cs: Rectangle, count: int):
     a, b = cs.a, cs.b
     # Enough (p, q) candidates to cover the lowest `count`; ties ordered
     # by (p, q) lexicographic.
@@ -162,11 +162,7 @@ def _rectangle_spectrum(cs: Rectangle, count: int, resolution: float | None):
     cand = cand[:count]
     pq_max = max(max(p, q) for _, p, q in cand)
 
-    if resolution is None:
-        nx = ny = max(64, 4 * pq_max)
-    else:
-        nx = max(int(round(a / resolution)), pq_max + 1)
-        ny = max(int(round(b / resolution)), pq_max + 1)
+    nx = ny = max(64, 4 * pq_max)
     hx, hy = a / nx, b / ny
     xs = hx * np.arange(1, nx)
     ys = hy * np.arange(1, ny)
@@ -182,7 +178,7 @@ def _rectangle_spectrum(cs: Rectangle, count: int, resolution: float | None):
     return ModeSpectrum(tuple(modes), node_x, node_y, weights, max(hx, hy))
 
 
-def _disk_spectrum(cs: Disk, count: int, resolution: float | None):
+def _disk_spectrum(cs: Disk, count: int):
     from scipy.special import jn_zeros, jv
     R = cs.radius
     # Collect Bessel zeros until no lower candidate can appear; angular
@@ -206,7 +202,7 @@ def _disk_spectrum(cs: Disk, count: int, resolution: float | None):
     lmax = max(c[1] for c in cand)
 
     n_theta = max(64, 4 * lmax + 8)
-    n_r = 64 if resolution is None else max(48, int(round(R / resolution)))
+    n_r = 64
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * R * (gl_x + 1.0)
     wr = 0.5 * R * gl_w
@@ -229,8 +225,7 @@ def _disk_spectrum(cs: Disk, count: int, resolution: float | None):
     return ModeSpectrum(tuple(modes), node_x, node_y, weights, res)
 
 
-def analytic_spectrum(cs: CrossSection, count: int,
-                      resolution: float | None = None) -> ModeSpectrum:
+def analytic_spectrum(cs: CrossSection, count: int) -> ModeSpectrum:
     """Lowest `count` Dirichlet modes of a rectangle or disk, closed form.
 
     Rectangle: m^2_{pq} = pi^2 (p^2/a^2 + q^2/b^2), p,q >= 1, with
@@ -242,9 +237,9 @@ def analytic_spectrum(cs: CrossSection, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     if isinstance(cs, Rectangle):
-        return _rectangle_spectrum(cs, count, resolution)
+        return _rectangle_spectrum(cs, count)
     if isinstance(cs, Disk):
-        return _disk_spectrum(cs, count, resolution)
+        return _disk_spectrum(cs, count)
     raise UnsupportedShapeError(
         "no closed-form spectrum for raster sections; use fd_spectrum")
 

@@ -19,6 +19,9 @@ Gauss(7)/Kronrod(15) pair on each panel:
   attained at an endpoint, so the constraint is checked exactly from
   endpoint values.  Near a stationary point this yields panels of width
   ~ sqrt(4 pi / (omega'' t)), which resolves the quadratic phase.
+* Both rules sum phases through one kernel, ``_phase_sums``: phase
+  factors times K15- and G7-weighted basis rows, the basis being the
+  envelope in 1-D and the cross factor U of the envelope matrix in 2-D.
 * The 2-D rule contracts a symmetric cross approximation U M U^T of the
   envelope matrix (real for real envelope rows), evaluating O(N r) of its
   N^2 entries for rank r; a cross whose truncation misses the error
@@ -70,12 +73,10 @@ MAX_PANELS_AXIS = 60_000
 SCAN1D_MAX_LEVELS = 8
 
 # The most values one block holds (but at least one row): envelope values
-# (check rows, their residuals, dense rows) and phase weights (nodes x
-# detector positions) in the 2-D rule, and phase factors (detector
-# positions x nodes) in the 1-D rule.  Each rule sums its contractions
-# block by block, so the block shapes fix the summation order.
+# (check rows, their residuals, dense rows), and phase factors (detector
+# positions x nodes) with the weighted basis rows they multiply.  Both rules
+# sum contractions block by block, so the block shapes fix the summation order.
 BLOCK_VALUES = 1 << 16
-PHASE_BLOCK_VALUES = 1 << 20
 
 # Kronrod-15 abscissae (ascending) with the embedded Gauss-7 subset at the
 # odd positions.  Standard QUADPACK constants; validated in the test suite
@@ -243,6 +244,40 @@ ROUNDOFF_FACTOR = 50.0 * np.finfo(float).eps
 
 
 # ----------------------------------------------------------------------
+# phase sums
+# ----------------------------------------------------------------------
+
+def _node_slices(n: int, width: int) -> list[slice]:
+    """Consecutive node blocks of at most ``BLOCK_VALUES`` values, ``width`` per node."""
+    step = max(BLOCK_VALUES // max(width, 1), 1)
+    return [slice(i0, i0 + step) for i0 in range(0, n, step)]
+
+
+def _phase_sums(grid, axis, s: slice, b: np.ndarray) -> np.ndarray:
+    """K15 and G7 sums of the basis rows ``b`` on the nodes k[s], a (2, len(z), r) stack.
+
+    ``grid`` is (k, w15, w7, omega(k)) and ``axis`` is (z_values, t); with
+    E = exp(i (z k - omega(k) t)) on k[s], one product weights the basis
+    rows, not the phases: E [w15 b | w7 b].  A real basis takes a real
+    product, on the real and imaginary parts of E side by side.
+    """
+    k, w15, w7, wk = grid
+    z_values, t = axis
+    e = np.exp(1j * (np.outer(k[s], z_values) - wk[s, None] * t))
+    wb = np.concatenate([w15[s, None] * b, w7[s, None] * b], axis=1).T
+    sums = (wb @ e.view(float)).view(complex) if wb.dtype == float else wb @ e
+    return sums.reshape(2, -1, z_values.size).transpose(0, 2, 1)
+
+
+def _project(grid, axis, basis: np.ndarray) -> np.ndarray:
+    """``_phase_sums`` of ``basis`` (nodes x r) over all nodes, in blocks of ``BLOCK_VALUES``."""
+    out = np.zeros((2, axis[0].size, basis.shape[1]), dtype=complex)
+    for s in _node_slices(basis.shape[0], axis[0].size + 2 * basis.shape[1]):
+        out += _phase_sums(grid, axis, s, basis[s])
+    return out
+
+
+# ----------------------------------------------------------------------
 # 1-D rule
 # ----------------------------------------------------------------------
 
@@ -258,16 +293,15 @@ def osc_integrate_1d_many(
     """Batched 1-D evaluation over many detector positions at one time.
 
     One panelization (valid for every z in the batch) is built and the
-    envelope is sampled once per level.  The phase factors
-    exp(i (k z - omega(k) t)) are formed once per (z, node), in blocks of
-    at most ``PHASE_BLOCK_VALUES``, and one matrix product per block gives the
-    K15 and G7 sums of every z (the G7 nodes are the odd Kronrod
-    positions).  Each point's error is |K15 - G7|, and at least the
-    round-off scale of the target.  A level of global panel bisection is
-    applied when any point misses the error target, which is uniform over
-    the batch: rel_tol times the largest amplitude (deep-tail points are
-    round-off limited and still carry their own estimates).  Up to
-    ``SCAN1D_MAX_LEVELS`` levels are tried within ``MAX_PANELS_1D``
+    envelope is sampled once per level; its dtype picks the arithmetic.
+    The K15 and G7 sums of every z are the ``_project`` of the envelope as
+    one basis column, in blocks of ``BLOCK_VALUES`` (the G7 nodes are the
+    odd Kronrod positions).  Each point's error is |K15 - G7|, and at
+    least the round-off scale of the target.  A level of global panel
+    bisection is applied when any point misses the error target, which is
+    uniform over the batch: rel_tol times the largest amplitude (deep-tail
+    points are round-off limited and still carry their own estimates).
+    Up to ``SCAN1D_MAX_LEVELS`` levels are tried within ``MAX_PANELS_1D``
     panels.  Returns (values, errors, panels).
     """
     _check_domain_tol(domain, rel_tol)
@@ -279,20 +313,10 @@ def osc_integrate_1d_many(
                                      max_panels=MAX_PANELS_1D)
     for level in range(SCAN1D_MAX_LEVELS + 1):
         k, w15, w7 = _panel_grid(breaks)
-        f = np.asarray(envelope(k), dtype=complex)
-        weights = np.empty((2, k.size), dtype=complex)   # K15 and G7 rows
-        np.multiply(f, w15, out=weights[0])
-        np.multiply(f, w7, out=weights[1])
-        wt = d.omega(k) * t
-        sums = np.empty((2, z_values.size), dtype=complex)
-        rows = max(PHASE_BLOCK_VALUES // k.size, 1)
-        for i0 in range(0, z_values.size, rows):
-            ph = np.exp(1j * (np.outer(z_values[i0:i0 + rows], k) - wt))
-            sums[:, i0:i0 + rows] = weights @ ph.T
-            del ph
-        vals = sums[0]
-        noise = ROUNDOFF_FACTOR * float(np.abs(weights[0]).sum())
-        errs = np.maximum(np.abs(vals - sums[1]), noise)
+        f = np.asarray(envelope(k))
+        vals, g7 = _project((k, w15, w7, d.omega(k)), (z_values, t), f[:, None])[..., 0]
+        noise = ROUNDOFF_FACTOR * float(np.abs(f) @ w15)
+        errs = np.maximum(np.abs(vals - g7), noise)
         target = max(rel_tol * float(np.abs(vals).max()), ABS_FLOOR, noise)
         panels = len(breaks) - 1
         if (errs <= target).all():
@@ -470,38 +494,12 @@ def _cross_steps(rows: Callable, checks: np.ndarray, tol: float):
             return
 
 
-def _node_slices(n: int, width: int) -> list[slice]:
-    """Consecutive node blocks of at most ``BLOCK_VALUES`` values, ``width`` per node."""
-    step = max(BLOCK_VALUES // max(width, 1), 1)
-    return [slice(i0, i0 + step) for i0 in range(0, n, step)]
-
-
-def _weights(grid, axis, s: slice) -> np.ndarray:
-    """K15 and G7 phase weights of the nodes k[s] for one axis.
-
-    ``grid`` is (k, w15, w7, omega(k)) and ``axis`` is (z_values, t); the
-    block is [w15 e, w7 e], e = exp(i (k z - omega(k) t)), one row per node.
-    """
-    k, w15, w7, wk = grid
-    z_values, t = axis
-    ph = np.exp(1j * (np.outer(k[s], z_values) - wk[s, None] * t))
-    return np.concatenate([w15[s, None] * ph, w7[s, None] * ph], axis=1)
-
-
-def _project(grid, axis, basis: np.ndarray) -> np.ndarray:
-    """W^T basis for the axis's phase weights W, summed over node blocks."""
-    out = np.zeros((2 * axis[0].size, basis.shape[1]), dtype=complex)
-    for s in _node_slices(basis.shape[0], 2 * axis[0].size):
-        out += _weights(grid, axis, s).T @ basis[s]
-    return out
-
-
 def _low_rank(fac, grid, left, right):
-    """(W1^T U M U^T W2, l1, rho) for a factorization (U, M, rho) of F ~ U M U^T.
+    """(V, l1, rho) for a factorization (U, M, rho) of F ~ U M U^T.
 
-    W1 and W2 are the phase weights of the ``left`` and ``right`` axes
-    (see ``_weights``); each projection W^T U is accumulated over node
-    blocks, and ``right is left`` reuses the left one.
+    V = P1 M P2^T is the (2, len(z1), len(z2)) K15/G7 stack, P_i the phase
+    sums of U on the ``left`` and ``right`` axes (``_project``); ``right is
+    left`` reuses the left one.
     l1 = (w15^T |U|) |M| (|U|^T w15), the round-off scale of the
     contracted factors, costs O(N r); it bounds the weighted L1 norm
     w15^T |F| w15 from above apart from the truncation, which rho (the
@@ -515,26 +513,27 @@ def _low_rank(fac, grid, left, right):
     p2 = p1 if right is left else _project(grid, right, u)
     w15 = grid[1]
     a = sum(np.abs(u[s]).T @ w15[s] for s in _node_slices(u.shape[0], u.shape[1]))
-    return p1 @ (m @ p2.T), float(a @ np.abs(m) @ a), rho
+    return p1 @ (m @ p2.transpose(0, 2, 1)), float(a @ np.abs(m) @ a), rho
 
 
 def _dense(rows: Callable, grid, left, right):
-    """The trivial factorization U = F, M = I: (W1^T F W2, l1, 0).
+    """The trivial factorization U = F, M = I: (V, l1, 0), V as in ``_low_rank``.
 
-    F is streamed in row blocks of at most ``BLOCK_VALUES`` values, and
-    W1^T F (2 len(z1) x N) accumulates over them; its product with W2 is
-    a ``_project``.  All N^2 envelope values are evaluated, so the 2-D
-    rule allows this only up to ``DENSE_MAX_VALUES``.
+    F is streamed in row blocks of at most ``BLOCK_VALUES`` values, whose
+    ``_phase_sums`` on the left axis (2 x len(z1) x N) one ``_project`` on
+    the right axis turns into V.  All N^2 envelope values are evaluated,
+    so the 2-D rule allows this only up to ``DENSE_MAX_VALUES``.
     """
     w15 = grid[1]
-    n = w15.size
-    lf = np.zeros((2 * left[0].size, n), dtype=complex)
+    n, n1 = w15.size, left[0].size
+    lf = np.zeros((2, n1, n), dtype=complex)
     l1 = 0.0
     for s in _node_slices(n, n):
         blk = rows(s)
-        lf += _weights(grid, left, s).T @ blk
+        lf += _phase_sums(grid, left, s, blk)
         l1 += float(w15[s] @ (np.abs(blk) @ w15))
-    return _project(grid, right, lf.T).T, l1, 0.0
+    p = _project(grid, right, lf.reshape(2 * n1, n).T)
+    return np.stack([p[0, :, :n1].T, p[1, :, n1:].T]), l1, 0.0
 
 
 def osc_tensor_scan(
@@ -558,13 +557,13 @@ def osc_tensor_scan(
     slice) of the envelope matrix F on those nodes.  F must be symmetric
     for the low-rank path; real rows are factored in real arithmetic.  F
     is cross-approximated as U M U^T (see ``_symmetric_cross``), and
-    every grid value comes from one contraction (W1^T U) M (U^T W2), with
-    W_i the K15 (or G7) weights times the phase factors of axis i; the
-    G7 estimate reads the rows of U at the Gauss nodes.  The phase
-    weights are built and contracted in node blocks of ``BLOCK_VALUES``,
-    and an axis equal to the other (same z values and t) is projected
-    once.  The truncation bound rho * (sum w15)^2 is added to every
-    point's error, which is at least the round-off scale of the target.
+    every grid value comes from one contraction P1 M P2^T, with P_i the
+    K15 (or G7) phase sums of U on axis i (``_project``); the G7 estimate
+    reads the rows of U at the Gauss nodes.  The phase factors are formed
+    and contracted in node blocks of ``BLOCK_VALUES``, and an axis equal
+    to the other (same z values and t) is projected once.  The truncation
+    bound rho * (sum w15)^2 is added to every point's error, which is at
+    least the round-off scale of the target.
     When that bound alone misses the error target, the cross is continued
     until rho falls by target / (2 * bound), and a factorization it
     returns replaces the stored one.  When F has no low-rank form (rank
@@ -604,7 +603,6 @@ def osc_tensor_scan(
               (float(z2_values.min()), t2), (float(z2_values.max()), t2)]
     breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
                                      max_panels=MAX_PANELS_AXIS)
-    n1, n2 = z1_values.size, z2_values.size
     left = (z1_values, t1)
     same = t1 == t2 and np.array_equal(z1_values, z2_values)
     right = left if same else (z2_values, t2)
@@ -643,22 +641,21 @@ def osc_tensor_scan(
             if got is None:
                 continue
             v, l1, rho = got
-            v15 = v[:n1, :n2]
             trunc = rho * float(w15.sum()) ** 2
             noise = ROUNDOFF_FACTOR * l1
-            target = max(rel_tol * float(np.abs(v15).max()), ABS_FLOOR, noise)
+            target = max(rel_tol * float(np.abs(v[0]).max()), ABS_FLOOR, noise)
             if trunc <= target:
                 break
-        errs = np.maximum(np.abs(v15 - v[n1:, n2:]) + trunc, noise)
+        errs = np.maximum(np.abs(v[0] - v[1]) + trunc, noise)
         panels = len(breaks) - 1
         if (errs <= target).all():
-            return v15, errs, panels
+            return v[0], errs, panels
         if level == SCAN2D_MAX_LEVELS or 2 * panels > MAX_PANELS_AXIS:
             bad = np.unravel_index(int(np.argmax(errs)), errs.shape)
             raise QuadratureError(
                 f"tensor scan stalled at grid point {bad} "
                 f"(error {errs[bad]:.3e}, target {target:.3e})",
-                QuadResult(complex(v15[bad]), float(errs[bad]), panels * panels),
+                QuadResult(complex(v[0][bad]), float(errs[bad]), panels * panels),
             )
         breaks = np.sort(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
 

@@ -46,37 +46,28 @@ CUT_SIGMAS = float(np.sqrt(-2.0 * np.log(SUPPORT_CUT)))
 
 @dataclass(frozen=True)
 class GaussianPacket:
-    """g(k) = amplitude * exp(-(k - center)^2 / (2 width^2)); a non-default support clips it."""
+    """g(k) = amplitude * exp(-(k - center)^2 / (2 width^2))."""
 
     center: float
     width: float
     amplitude: complex = 1.0 + 0.0j
-    support: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not (self.width > 0 and np.isfinite(self.width)):
             raise ValueError(f"packet width must be positive, got {self.width}")
+
+    @property
+    def support(self) -> tuple[float, float]:
         half = CUT_SIGMAS * self.width
-        cut = (self.center - half, self.center + half)
-        if self.support is None:
-            object.__setattr__(self, "support", cut)
-        lo, hi = self.support
-        if not lo < hi:
-            raise ValueError(f"support must be an increasing interval, got {self.support}")
-        object.__setattr__(self, "_clip", (lo, hi) != cut)
+        return (self.center - half, self.center + half)
 
     def __call__(self, k):
         out = self.amplitude * self.profile(k)
         return out if np.shape(out) else complex(out)
 
     def profile(self, k):   # the real g / amplitude
-        k = np.asarray(k, dtype=float)
-        u = (k - self.center) / self.width
-        out = np.exp(-0.5 * u * u)
-        if self._clip:
-            lo, hi = self.support
-            out = np.where((k >= lo) & (k <= hi), out, 0.0)
-        return out
+        u = (np.asarray(k, dtype=float) - self.center) / self.width
+        return np.exp(-0.5 * u * u)
 
     def effective_width(self) -> float:
         return self.width
@@ -278,18 +269,17 @@ BiphotonSpec = SymmetrizedProduct | CorrelatedGaussian | PumpedPair
 _UNIT_MASS = DispersionRelation(1.0)  # phase factors drop out at z = t = 0
 
 
-def packet_norm(packet, domain: tuple[float, float] | None = None,
-                rel_tol: float = 1e-11) -> float:
+def packet_norm(packet, rel_tol: float = 1e-11) -> float:
     """sqrt of int |g(k)|^2 dk over the packet support."""
     vals, _, _ = osc_integrate_1d_many(
-        lambda k: np.abs(packet(k)) ** 2 + 0.0j, _UNIT_MASS, [0.0], 0.0,
-        _quadrature_domain(packet, domain), rel_tol=rel_tol, max_width=_feature_width(packet))
+        lambda k: np.abs(packet(k)) ** 2, _UNIT_MASS, [0.0], 0.0,
+        _quadrature_domain(packet), rel_tol=rel_tol, max_width=_feature_width(packet))
     return float(np.sqrt(vals[0].real))
 
 
-def normalized_packet(packet, domain: tuple[float, float] | None = None):
-    """Rescale a packet to unit L2 norm on its (or the given) domain."""
-    n = packet_norm(packet, domain)
+def normalized_packet(packet):
+    """Rescale a packet to unit L2 norm on its support."""
+    n = packet_norm(packet)
     if not n > 0:
         raise ValueError("cannot normalize an identically zero packet")
     if isinstance(packet, GaussianPacket):

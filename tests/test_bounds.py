@@ -257,11 +257,6 @@ def test_lightcone_onset_follows_last_failing_window(monkeypatch):
     assert report.verdict == "fail"
 
 
-def test_lightcone_window_needs_five_samples():
-    with pytest.raises(ValueError, match="window"):
-        check_lightcone_decay(None, D1, [], orders=[1], window=4)
-
-
 def test_biphoton_ray_matches_single_photon_shape():
     # freezing one detector inside the cone reproduces the single-photon
     # decay rate along the other ray, for a separable pair

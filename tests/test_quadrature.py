@@ -19,10 +19,11 @@ from wgcorr import (
     TablePacket,
     biphoton_scan,
     normalize_biphoton,
+    normalized_packet,
     quadrature,
 )
 from wgcorr.bounds import _refined_grid
-from wgcorr.correlators import _joint_envelope, probability_error
+from wgcorr.correlators import _joint_envelope, _single_envelope, probability_error
 from wgcorr.wavepackets import _feature_width, _quadrature_domain
 from wgcorr.quadrature import (
     GAUSS_SUBSET,
@@ -494,7 +495,7 @@ def random_pair(family, draw):
     if family == "correlated":
         return CorrelatedGaussian(draw(1.0, 3.0), draw(0.1, 0.6), draw(0.1, 0.6))
     if family == "pumped":
-        return PumpedPair(replace(gaussian(), center=draw(1.5, 2.5), support=None),
+        return PumpedPair(replace(gaussian(), center=draw(1.5, 2.5)),
                           pump_scale=draw(0.5, 3.0))
     grid = np.linspace(draw(0.2, 0.6), draw(1.0, 1.6), 21)
     return SymmetrizedProduct(
@@ -616,6 +617,26 @@ def test_pair_scan_memory_at_large_time(monkeypatch):
     top = np.unravel_index(int(np.argmax(p)), p.shape)
     p_err = probability_error(np.abs(amps[top]), errs[top])
     assert abs(p[top] * t * t - 4.2159403) <= p_err * t * t + 5e-8
+
+
+def test_single_scan_memory_at_large_time():
+    # criterion 1's packet on 241 detector positions at t = 1e4, N = 21,900
+    # nodes: a level holds a few node arrays and one block of phase factors,
+    # never a len(z) x N phase matrix; tracemalloc sees numpy's allocations
+    g = normalized_packet(GaussianPacket(0.75, 0.1))
+    z = np.linspace(6000.0 - 60.0, 6000.0 + 60.0, 241)
+    tracemalloc.start()
+    try:
+        _, _, panels = osc_integrate_1d_many(_single_envelope(g, D1), D1, z, 1e4,
+                                             _quadrature_domain(g), rel_tol=1e-9,
+                                             max_width=_feature_width(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = 15 * panels
+    assert n == 21_900
+    # k, w15, w7, omega(k), the complex envelope and its temporaries: 8 node arrays
+    assert peak <= 2 * (n * 8 * 8 + quadrature.BLOCK_VALUES * 16)
 
 
 @pytest.mark.parametrize("joint, rel_tol, reached", [

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,6 @@ def test_gaussian_peak_values():
 
 
 def test_zero_outside_support():
-    g = GaussianPacket(0.0, 1.0, support=(-1.0, 1.0))
-    assert g(1.5) == 0.0
-    assert g(-40.0) == 0.0
     t = TablePacket(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0], dtype=complex))
     assert t(2.5) == 0.0 and t(-0.1) == 0.0
 
@@ -38,6 +37,14 @@ def test_default_support_from_envelope_cutoff():
     # envelope at the support edge sits at the 1e-12 cutoff
     assert abs(abs(g(hi - 1e-12)) / abs(g.amplitude) - 1e-12) < 1e-13
     assert np.isclose(hi - 0.3, 0.3 - lo)
+
+
+def test_support_follows_center_and_width():
+    # a replaced centre or width moves the support with it, so nothing clips
+    moved = replace(GaussianPacket(0.0, 1.0), center=5.0)
+    assert moved.support == GaussianPacket(5.0, 1.0).support
+    assert moved(9.0) == GaussianPacket(5.0, 1.0)(9.0) == pytest.approx(np.exp(-8.0))
+    assert replace(GaussianPacket(0.0, 1.0), width=2.0).support == GaussianPacket(0.0, 2.0).support
 
 
 def test_width_must_be_positive():
