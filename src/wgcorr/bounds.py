@@ -3,8 +3,8 @@
 Two families of bounds are checked on finite grids:
 
 * a universal two-photon bound P <= C / ((t0 + |t1|) (t0 + |t2|)) valid
-  everywhere, fitted by scanning P by quadrature over spacetime grids
-  and profiling the constant against the offset t0;
+  everywhere, fitted by scanning P by quadrature over spacetime grids at
+  the fixed offset t0 = 0.01 / mass;
 * super-polynomial decay outside the light cone |z| >= |t|, checked by
   fitting log-log slopes of P along rays and by computing the constants
   C_{n1 n2} = sup P (1 + |z1|)^{n1} (1 + |z2|)^{n2}.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlators import SpacetimePoint, biphoton_scan, single_scan
+from .correlators import SpacetimePoint, asymptotic_biphoton, biphoton_scan, single_scan
 from .dispersion import DispersionRelation
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "LightconeReport",
     "fit_universal_bound",
     "check_lightcone_decay",
+    "decay_orders",
     "decay_slope_fit",
     "bound_fit_csv_rows",
     "summarize_bound_fits",
@@ -41,8 +42,6 @@ __all__ = [
 
 PROBABILITY_FLOOR = 1e-26      # |A| ~ 1e-13, the oscillatory cancellation limit
 SLOPE_WINDOW = 5               # samples per local slope fit of the light-cone check
-T_OFFSET_GRID_DECADES = (-2.0, 2.0)
-T_OFFSET_GRID_POINTS = 50
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class BoundFit:
     t_offset: float | None = None
     orders: tuple[int, int] | None = None
     refinement_drift: float | None = None
-    t_offset_profile: tuple[np.ndarray, np.ndarray] | None = None
     asymptotic_constant: float | None = None
     n_points: int = 0
     n_below_floor: int = 0
@@ -102,33 +100,17 @@ class LightconeReport:
 # ----------------------------------------------------------------------
 
 def _refined_grid(v: np.ndarray) -> np.ndarray:
-    """Double the density keeping the original nodes (midpoint insertion)."""
+    """Double the density by midpoint insertion; the original nodes sit at even positions."""
     v = np.asarray(v, dtype=float)
-    mids = 0.5 * (v[:-1] + v[1:])
-    return np.sort(np.concatenate([v, mids]))
-
-
-def asymptotic_bound_weight(f, d: DispersionRelation,
-                            v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """P * t1 * t2 in the large-time limit, on a velocity grid.
-
-    From the stationary-phase probability this equals
-    |f(k10,k20) + f(k20,k10)|^2 / (16 w''(k10) w(k10) w''(k20) w(k20));
-    its grid supremum is the asymptotic estimate of the universal C.
-    """
-    v1 = np.atleast_1d(np.asarray(v1, dtype=float))
-    v2 = np.atleast_1d(np.asarray(v2, dtype=float))
-    k1 = d.stationary_point(v1)
-    k2 = d.stationary_point(v2)
-    pair = f(k1[:, None], k2[None, :]) + f(k2[None, :], k1[:, None])
-    den1 = d.omega_dd(k1) * d.omega(k1)
-    den2 = d.omega_dd(k2) * d.omega(k2)
-    return np.abs(pair) ** 2 / (16.0 * den1[:, None] * den2[None, :])
+    fine = np.empty(2 * v.size - 1)
+    fine[::2] = v
+    fine[1::2] = 0.5 * (v[:-1] + v[1:])
+    return fine
 
 
 def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
                         rel_tol: float = 1e-6) -> BoundFit:
-    """Fit C and t0 such that P <= C / ((t0+|t1|) (t0+|t2|)) on the grid.
+    """Fit C such that P <= C / ((t0+|t1|) (t0+|t2|)) on the grid.
 
     The scan covers every (t1, t2) pair combined with the velocity grid
     (detectors at z_i = v_i t_i).  Every point is evaluated by quadrature
@@ -139,15 +121,18 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
     ``osc_tensor_scan``): pairs whose panels are set by the same largest
     time, such as 800:800 and 50:800, factor the envelope once.
 
-    C(t0) = sup P (t0+|t1|)(t0+|t2|) is profiled on a logarithmic t0 grid
-    over [1e-2, 1e2]/mass (50 points).  C(t0) never decreases with t0, so
-    the reported t0 is the smallest profiled offset and C is its profile
-    value; max_violation is 0 on the scanned grid by construction.  The
-    grid supremum only bounds the true constant from below:
+    The offset is fixed at t0 = 0.01 / mass.  Every t0 > 0 gives a valid
+    bound with its own constant C(t0) = sup P (t0+|t1|)(t0+|t2|): the
+    weight is positive, and P is bounded and falls like 1/(|t1| |t2|), so
+    the supremum is finite.  C(t0) never decreases with t0, so a profile
+    over t0 selects nothing; the smallest offset gives the least C.
+    max_violation is 0 on the scanned grid by construction.  The grid
+    supremum only bounds the true constant from below:
     refinement_drift records the relative change of C when the velocity
     grids double in density (original nodes kept).
     ``asymptotic_constant`` is the grid supremum of the large-time limit
-    of P t1 t2 (``asymptotic_bound_weight``), for comparison only.
+    of P t1 t2 (``asymptotic_biphoton`` at t1 = t2 = 1), for comparison
+    only.
 
     Raises ValueError for an empty or malformed ``t_pairs`` and for a
     velocity grid that is empty, not 1-D, not finite or reaches |v| >= 1.
@@ -167,9 +152,9 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
                              f"with |v| < 1, got {v!r}")
     v1_fine = _refined_grid(v1_grid)
     v2_fine = _refined_grid(v2_grid)
-    coarse = np.ix_(np.isin(v1_fine, v1_grid), np.isin(v2_fine, v2_grid))
+    t0 = 1e-2 / d.mass
 
-    sups = []           # (|t1|, |t2|, sup P on the coarse grid, sup P on the refined grid)
+    sups = []           # sup P (t0+|t1|)(t0+|t2|) on the coarse and on the refined grid
     # with one velocity grid for both detectors, the (t2, t1) grid is the
     # transpose of the (t1, t2) grid (detector exchange)
     mirror = v1_grid.shape == v2_grid.shape and bool((v1_grid == v2_grid).all())
@@ -183,20 +168,11 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
                                        factorizations=factorizations)
             P = np.abs(amps) ** 2
         scanned[t1, t2] = P
-        sups.append((abs(t1), abs(t2), P[coarse].max(), P.max()))
-    abs_t1, abs_t2, sup_coarse, sup_fine = np.array(sups, dtype=float).T
-
-    def weighted_sup(t0: float, sup: np.ndarray) -> float:
-        return float((sup * ((t0 + abs_t1) * (t0 + abs_t2))).max())
-
-    lo = 10.0 ** T_OFFSET_GRID_DECADES[0] / d.mass
-    hi = 10.0 ** T_OFFSET_GRID_DECADES[1] / d.mass
-    t0_grid = np.geomspace(lo, hi, T_OFFSET_GRID_POINTS)
-    profile = np.array([weighted_sup(t0, sup_coarse) for t0 in t0_grid])
-    # C(t0) never decreases with t0: the least C sits at the smallest offset
-    t0_best, c_base = float(t0_grid[0]), float(profile[0])
-    c_fine = weighted_sup(t0_best, sup_fine)
+        weight = (t0 + abs(t1)) * (t0 + abs(t2))
+        sups.append((P[::2, ::2].max() * weight, P.max() * weight))
+    c_base, c_fine = (float(c) for c in np.max(sups, axis=0))
     drift = abs(c_fine - c_base) / c_base if c_base > 0 else 0.0
+    limit = asymptotic_biphoton(f, d, v1_fine[:, None], v2_fine[None, :], 1.0, 1.0)
 
     desc = (f"{len(sups)} time pairs x {v1_grid.size}x{v2_grid.size} velocities "
             f"(refined {v1_fine.size}x{v2_fine.size})")
@@ -205,10 +181,9 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
         constant=c_base,
         max_violation=0.0,
         grid_descriptor=desc,
-        t_offset=t0_best,
+        t_offset=t0,
         refinement_drift=drift,
-        t_offset_profile=(t0_grid, profile),
-        asymptotic_constant=float(asymptotic_bound_weight(f, d, v1_fine, v2_fine).max()),
+        asymptotic_constant=float(limit.probability.max()),
         n_points=len(sups) * v1_fine.size * v2_fine.size,
     )
 
@@ -283,6 +258,15 @@ def _ray_probabilities(source, d: DispersionRelation, ray: Ray, rel_tol: float):
     return np.abs(amps[:, 0]) ** 2
 
 
+def decay_orders(orders) -> list[int]:
+    """``orders`` as ints; ValueError unless a non-empty list of whole numbers >= 0."""
+    orders = list(orders)
+    if not (orders and all(float(n).is_integer() and n >= 0 for n in orders)):
+        raise ValueError(f"decay orders must be a non-empty list of integers >= 0, "
+                         f"got {orders!r}")
+    return [int(n) for n in orders]
+
+
 def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
                           rel_tol: float = 1e-9) -> LightconeReport:
     """Super-polynomial decay check on outside-the-cone rays.
@@ -300,31 +284,36 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
     P (1+|z1|)^{n1} (1+|z2|)^{n2} over the usable samples (n2 applies to
     the frozen detector of pair scans and is 0 for single-photon rays).
     The evaluated P along every ray is returned in ``probabilities``.
+    Raises ValueError unless ``orders`` passes ``decay_orders``.
     """
-    orders = [int(n) for n in orders]
-    ray_data = []
-    for ray in rays:
-        P = _ray_probabilities(source, d, ray, rel_tol)
-        ray_data.append((ray, P))
-
+    orders = decay_orders(orders)
+    rays = list(rays)
+    probabilities = []
     slopes = []
+    sups = {n: 0.0 for n in orders}
     onsets = {n: [] for n in orders}
     ray_verdicts = []
-    for ray, P in ray_data:
-        zs = np.abs(ray.z_values)
+    below = 0
+    for ray in rays:
+        P = _ray_probabilities(source, d, ray, rel_tol)
+        probabilities.append(P)
         usable = P > PROBABILITY_FLOOR
-        if usable.sum() < SLOPE_WINDOW:
+        below += int((~usable).sum())
+        zu, pu = np.abs(ray.z_values[usable]), P[usable]
+        z_frozen = 0.0 if ray.frozen is None else abs(ray.frozen.z)
+        if pu.size:
+            for n in orders:
+                sups[n] = max(sups[n], float((pu * (1.0 + zu) ** n).max()
+                                             * (1.0 + z_frozen) ** n))
+        if pu.size < SLOPE_WINDOW:
             ray_verdicts.append("inconclusive")
-            slopes.append(SlopeFit(np.nan, np.inf, int(usable.sum()),
-                                   int((~usable).sum())))
+            slopes.append(SlopeFit(np.nan, np.inf, pu.size, P.size - pu.size))
             for n in orders:
                 onsets[n].append(np.nan)
             continue
-        fitted = decay_slope_fit(1.0 + zs[usable], P[usable])
-        slopes.append(fitted)
-        zu = zs[usable]
+        slopes.append(decay_slope_fit(1.0 + zu, pu))
         lx = sliding_window_view(np.log(1.0 + zu), SLOPE_WINDOW)
-        lp = sliding_window_view(np.log(P[usable]), SLOPE_WINDOW)
+        lp = sliding_window_view(np.log(pu), SLOPE_WINDOW)
         dx = lx - lx.mean(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             local = (dx * lp).sum(axis=1) / (dx * dx).sum(axis=1)
@@ -335,28 +324,17 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
         ray_verdicts.append("pass" if all(np.isfinite(onsets[n][-1]) for n in orders)
                             else "fail")
 
-    fits = []
-    for n in orders:
-        sup = 0.0
-        below = 0
-        for ray, P in ray_data:
-            usable = P > PROBABILITY_FLOOR
-            below += int((~usable).sum())
-            w1 = (1.0 + np.abs(ray.z_values[usable])) ** n
-            w2 = 1.0 if ray.frozen is None else (1.0 + abs(ray.frozen.z)) ** n
-            if usable.any():
-                sup = max(sup, float((P[usable] * w1).max() * w2))
-        n2 = 0 if all(r.frozen is None for r, _ in ray_data) else n
-        fits.append(BoundFit(
-            bound_kind="outside_lightcone",
-            constant=sup,
-            max_violation=0.0,
-            grid_descriptor=f"{len(ray_data)} rays",
-            orders=(n, n2),
-            n_points=sum(p.size for _, p in ray_data),
-            n_below_floor=below,
-            diagnostics={"onset_radii": onsets[n]},
-        ))
+    frozen = any(r.frozen is not None for r in rays)
+    fits = tuple(BoundFit(
+        bound_kind="outside_lightcone",
+        constant=sups[n],
+        max_violation=0.0,
+        grid_descriptor=f"{len(rays)} rays",
+        orders=(n, n if frozen else 0),
+        n_points=sum(p.size for p in probabilities),
+        n_below_floor=below,
+        diagnostics={"onset_radii": onsets[n]},
+    ) for n in orders)
 
     if any(v == "inconclusive" for v in ray_verdicts):
         verdict = "inconclusive"
@@ -365,11 +343,11 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
     else:
         verdict = "fail"
     return LightconeReport(
-        fits=tuple(fits),
+        fits=fits,
         verdict=verdict,
         ray_slopes=tuple(slopes),
         diagnostics={"ray_verdicts": ray_verdicts},
-        probabilities=tuple(P for _, P in ray_data),
+        probabilities=tuple(probabilities),
     )
 
 

@@ -30,6 +30,7 @@ from .bounds import (
     Ray,
     bound_fit_csv_rows,
     check_lightcone_decay,
+    decay_orders,
     fit_universal_bound,
     summarize_bound_fits,
 )
@@ -288,6 +289,7 @@ def resolve_mass(cfg: Config) -> float:
 
 
 def resolve_packet(cfg: Config):
+    """The packet and whether to normalize it (which runs quadrature)."""
     family = cfg.get_str("packet", "family", "gaussian")
     if family == "gaussian":
         packet = GaussianPacket(
@@ -299,9 +301,7 @@ def resolve_packet(cfg: Config):
         packet = load_table_packet(cfg.get_str("packet", "file"))
     else:
         raise ConfigError(f"{cfg.path}: [packet] family={family!r} unknown")
-    if cfg.get_bool("packet", "normalize", True):
-        packet = normalized_packet(packet)
-    return packet
+    return packet, cfg.get_bool("packet", "normalize", True)
 
 
 def resolve_biphoton(cfg: Config):
@@ -359,13 +359,24 @@ def cmd_modes(cfg: Config, out: Path) -> int:
 def cmd_single(cfg: Config, out: Path) -> int:
     mass = resolve_mass(cfg)
     d = DispersionRelation(mass)
-    packet = resolve_packet(cfg)
+    packet, normalize = resolve_packet(cfg)
     tol = cfg.get_rel_tol("quadrature_rel", 1e-9)
+    z = cfg.get_grid("scan", "z")
+    t_values = cfg.get_floats("scan", "t_values", [0.0])
+    ray = cfg.has("scan", "v")
+    if ray:
+        v = cfg.get_float("scan", "v")
+        if not abs(v) < 1.0:
+            cfg._fail("scan", "v", f"detector velocities need |v| < 1, got {v!r}")
+        ts = np.geomspace(cfg.get_float("scan", "t_min", 100.0, positive=True),
+                          cfg.get_float("scan", "t_max", 1000.0, positive=True),
+                          cfg.get_int("scan", "t_count", 25, positive=True))
+    # the whole configuration is read, with its checks, before the first quadrature
+    packet = normalized_packet(packet) if normalize else packet
 
     rows = []
     series = []
-    z = cfg.get_grid("scan", "z")
-    for t in cfg.get_floats("scan", "t_values", [0.0]):
+    for t in t_values:
         res = single_scan(packet, d, z, t, rel_tol=tol)
         for pt, a, p, e in zip(res.points, res.amplitudes, res.values,
                                res.error_estimates):
@@ -378,12 +389,7 @@ def cmd_single(cfg: Config, out: Path) -> int:
                       title="detection probability density",
                       xlabel="z", ylabel="P(z, t)")
 
-    if cfg.has("scan", "v"):
-        v = cfg.get_float("scan", "v")
-        t_lo = cfg.get_float("scan", "t_min", 100.0)
-        t_hi = cfg.get_float("scan", "t_max", 1000.0)
-        nt = cfg.get_int("scan", "t_count", 25)
-        ts = np.geomspace(t_lo, t_hi, nt)
+    if ray:
         arows = []
         p_quad, p_asym = [], []
         for t in ts:
@@ -473,22 +479,17 @@ def cmd_bounds(cfg: Config, out: Path) -> int:
             ray = Ray(t_ray, zs)
         except ValueError as exc:  # a detector inside the light cone
             cfg._fail("scan", "lightcone_z_min", str(exc))
-        orders = [int(n) for n in cfg.get_floats("scan", "lightcone_orders",
-                                                 [0.0, 2.0, 4.0, 6.0])]
+        try:
+            orders = decay_orders(cfg.get_floats("scan", "lightcone_orders",
+                                                 [0.0, 2.0, 4.0, 6.0]))
+        except ValueError as exc:
+            cfg._fail("scan", "lightcone_orders", str(exc))
         qtol = cfg.get_rel_tol("quadrature_rel", 1e-9)
-        packet = resolve_packet(cfg)
+        packet, normalize = resolve_packet(cfg)
+        packet = normalized_packet(packet) if normalize else packet
     f = normalize_biphoton(f, norm) if norm else f
 
-    fit = fit_universal_bound(f, d, t_pairs, v1, v2, rel_tol=tol)
-    fits = [fit]
-    t0s, profile = fit.t_offset_profile
-    write_csv(out / "t_offset_profile.csv", ("t_offset", "weighted_sup"),
-              list(zip(t0s, profile)))
-    svgplot.line_plot(out / "t_offset_profile.svg", list(t0s),
-                      [("sup P (t0+t1)(t0+t2)", list(profile))],
-                      title="universal bound constant against the offset",
-                      xlabel="t0", ylabel="C(t0)", logx=True, logy=True)
-
+    fits = [fit_universal_bound(f, d, t_pairs, v1, v2, rel_tol=tol)]
     if lightcone:
         report = check_lightcone_decay(packet, d, [ray], orders, rel_tol=qtol)
         fits.extend(report.fits)

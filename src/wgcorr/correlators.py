@@ -205,20 +205,23 @@ def asymptotic_biphoton(f, d: DispersionRelation, v1, v2, t1, t2) -> AsymptoticB
     exp(-i t_i (omega(k_i0) - k_i0 v_i)) and the e^{-i pi/2} shift.  The
     squared modulus therefore includes the cross term between the two f
     evaluations; for an exchange-symmetric f the terms coincide and the
-    amplitude is twice the single term.  ``v1``, ``v2``, ``t1`` and
-    ``t2`` may be arrays; they broadcast against each other.
+    amplitude is twice the single term, and
+    P ~ |f(k10, k20) + f(k20, k10)|^2 / (16 t1 w''(k10) w(k10) t2 w''(k20) w(k20)).
+    ``v1``, ``v2``, ``t1`` and ``t2`` may be arrays; they broadcast
+    against each other.
     """
     if not (np.all(np.greater(t1, 0)) and np.all(np.greater(t2, 0))):
         raise ValueError("asymptotics requires t1, t2 > 0")
     k10 = d.stationary_point(v1)
     k20 = d.stationary_point(v2)
-    amplitude = (f(k10, k20) + f(k20, k10)) * _spa_factor(d, k10, v1, t1) \
-        * _spa_factor(d, k20, v2, t2)
+    pair = f(k10, k20) + f(k20, k10)
+    amplitude = pair * _spa_factor(d, k10, v1, t1) * _spa_factor(d, k20, v2, t2)
     sigma = f.effective_width()
     g1 = _guard(d, k10, t1, sigma)
     g2 = _guard(d, k20, t2, sigma)
     return AsymptoticBiphoton(
-        probability=np.abs(amplitude) ** 2,
+        probability=np.abs(pair) ** 2 / (16.0 * (t1 * d.omega_dd(k10) * d.omega(k10))
+                                         * (t2 * d.omega_dd(k20) * d.omega(k20))),
         amplitude=amplitude,
         stationary_momenta=(k10, k20),
         guard_values=(g1, g2),

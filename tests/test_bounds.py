@@ -108,21 +108,24 @@ def test_zero_pair_gives_zero_constant():
 
 
 def test_universal_bound_holds_by_construction():
-    fit = small_grid_fit(small_pair())
+    f = small_pair()
+    fit = small_grid_fit(f)
     assert fit.max_violation <= 1e-9 * max(fit.constant, 1e-300)
     # tight: the supremum is attained on the grid, so any smaller C
     # would be violated there
     assert fit.max_violation >= -1e-9 * fit.constant
     assert fit.constant > 0
-    assert fit.t_offset is not None
+    assert fit.t_offset == 1e-2 / D1.mass
     assert fit.refinement_drift is not None
-    t0s, profile = fit.t_offset_profile
-    assert t0s.size == 50
-    # the weighted sup grows with the offset, so the profile is monotone
-    assert (np.diff(profile) >= -1e-12 * profile[:-1]).all()
-    # so the least C sits at the smallest offset
-    assert fit.t_offset == t0s[0]
-    assert fit.constant == profile[0]
+    # C is the supremum over the coarse nodes of P (t0+|t1|)(t0+|t2|)
+    v = np.linspace(0.6, 0.8, 5)
+    fine = bounds._refined_grid(v)
+    np.testing.assert_array_equal(fine[::2], v)
+    weighted = []
+    for t in (25.0, 50.0):
+        amps, _, _ = biphoton_scan(f, D1, t, t, fine * t, fine * t, 1e-5)
+        weighted.append(np.abs(amps[::2, ::2]).max() ** 2 * (fit.t_offset + t) ** 2)
+    assert fit.constant == pytest.approx(max(weighted), rel=1e-12)
     assert fit.asymptotic_constant is not None and fit.asymptotic_constant > 0
 
 
@@ -271,6 +274,33 @@ def test_biphoton_ray_matches_single_photon_shape():
     s1 = single.ray_slopes[0].slope
     s2 = joint.ray_slopes[0].slope
     assert s2 == pytest.approx(s1, rel=0.05)
+
+
+def test_frozen_detector_weights_both_distances():
+    g = GaussianPacket(0.75, 0.1)
+    f = SymmetrizedProduct(g, g)
+    zs = np.linspace(60.0, 90.0, 16)
+    frozen = SpacetimePoint(30.0, 50.0)
+    report = check_lightcone_decay(f, D1, [Ray(t=50.0, z_values=zs, frozen=frozen)],
+                                   orders=[0, 3], rel_tol=1e-7)
+    P = report.probabilities[0]
+    usable = P > bounds.PROBABILITY_FLOOR
+    assert usable.sum() >= 5
+    for fit, n in zip(report.fits, (0, 3)):
+        assert fit.orders == (n, n)
+        expected = (P[usable] * (1.0 + zs[usable]) ** n).max() * (1.0 + frozen.z) ** n
+        assert fit.constant == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("orders", [[], [2.5, 4], [-3], [np.nan]],
+                         ids=["empty", "fractional", "negative", "nan"])
+def test_lightcone_refuses_bad_orders_before_scanning(monkeypatch, orders):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned before the orders were checked")
+
+    monkeypatch.setattr(bounds, "_ray_probabilities", refuse)
+    with pytest.raises(ValueError, match="orders"):
+        check_lightcone_decay(None, D1, [Ray(t=5.0, z_values=np.arange(10.0, 20.0))], orders)
 
 
 # ----------------------------------------------------------------------

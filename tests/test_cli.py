@@ -327,6 +327,13 @@ directory = {out}
     ("bounds", "bounds", "pump_width = 0.1", "pump_width = 0"),
     ("bounds", "bounds", "width = 0.1", "width = -0.1"),  # [packet]
     ("bounds", "bounds", "lightcone_z_min = 36.0", "lightcone_z_min = 10.0"),  # inside the cone
+    ("bounds", "bounds", "lightcone_orders = 0, 6", "lightcone_orders = 2.5, 4"),
+    ("bounds", "bounds", "lightcone_orders = 0, 6", "lightcone_orders ="),
+    ("bounds", "bounds", "lightcone_orders = 0, 6", "lightcone_orders = -3"),
+    ("single", "single", "t_min = 50", "t_min = 0"),
+    ("single", "single", "t_min = 50", "t_min = -5"),
+    ("single", "single", "t_count = 5", "t_count = 0"),
+    ("single", "single", "v = 0.6", "v = 1.0"),
 ])
 def test_bad_config_value_exits_2_before_quadrature(tmp_path, capsys, monkeypatch,
                                                      command, template, line, bad):
@@ -336,7 +343,8 @@ def test_bad_config_value_exits_2_before_quadrature(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(quadrature, "oscillation_breakpoints", refuse)
     raster = tmp_path / "square.txt"
     raster.write_text("spacing 0.05\n" + "\n".join(["1" * 20] * 20) + "\n")
-    template = {"modes_fd": MODES_FD_CFG, "raster": RASTER_CFG, "bounds": BOUNDS_CFG}[template]
+    template = {"modes_fd": MODES_FD_CFG, "raster": RASTER_CFG, "bounds": BOUNDS_CFG,
+                "single": SINGLE_CFG}[template]
     lines = template.format(out=tmp_path / "out", raster=raster).splitlines()
     lineno = lines.index(line) + 1
     lines[lineno - 1] = bad
@@ -367,8 +375,9 @@ def test_bounds_echo_reproduces_outputs(tmp_path):
     run_cli("bounds", "--config", str(cfg))
     out2 = tmp_path / "echo_run"
     run_cli("bounds", "--config", str(out / "config_effective.ini"), "--out", str(out2))
-    for name in ("bound_fits.csv", "t_offset_profile.csv", "lightcone_scan.csv"):
+    for name in ("bound_fits.csv", "lightcone_scan.csv"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+    assert not list(out2.glob("t_offset_profile.*"))
 
 
 def test_bounds_outputs(tmp_path):
@@ -382,7 +391,7 @@ def test_bounds_outputs(tmp_path):
     assert float(uni[header.index("max_violation")]) <= 0.0
     summary = (out / "bounds_summary.txt").read_text()
     assert "holds on grid" in summary
-    assert (out / "t_offset_profile.csv").exists()
+    assert not list(out.glob("t_offset_profile.*"))   # t0 is fixed, not profiled
     assert (out / "lightcone_scan.csv").exists()
 
 

@@ -297,6 +297,8 @@ def test_asymptotic_biphoton_broadcasts_like_scalar_calls():
     v1 = np.linspace(0.55, 0.85, 4)[:, None]
     v2 = np.linspace(0.6, 0.8, 3)[None, :]
     r = asymptotic_biphoton(f, D1, v1, v2, 300.0, 500.0)
+    # the closed-form probability is the squared modulus of the amplitude
+    np.testing.assert_allclose(r.probability, np.abs(r.amplitude) ** 2, rtol=1e-14, atol=0)
     for i, j in np.ndindex(4, 3):
         s = asymptotic_biphoton(f, D1, float(v1[i, 0]), float(v2[0, j]), 300.0, 500.0)
         assert r.probability[i, j] == pytest.approx(s.probability, rel=1e-13)

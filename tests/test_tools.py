@@ -34,3 +34,12 @@ def test_compare_fails_when_probability_moves_beyond_its_errors(tmp_path, capsys
     write_tree(tmp_path / "new", 9.5e-05 + moved, new_error)
     assert tool.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == status
     assert ("OUTSIDE THE ERRORS" in capsys.readouterr().out) == bool(status)
+
+
+def test_compare_fails_on_a_csv_in_one_tree_only(tmp_path, capsys):
+    tool = load_tool()
+    write_tree(tmp_path / "old", 9.5e-05, 1e-12)
+    write_tree(tmp_path / "new", 9.5e-05, 1e-12)
+    (tmp_path / "old" / "out_biphoton" / "extra.csv").write_text("t\n1\n", encoding="utf-8")
+    assert tool.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert f"only in {tmp_path / 'old'}" in capsys.readouterr().out
