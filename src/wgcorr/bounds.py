@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlators import SpacetimePoint, asymptotic_biphoton, biphoton_scan, single_scan
 from .dispersion import DispersionRelation
+from .quadrature import _midpoint_split
 
 __all__ = [
     "BoundFit",
@@ -61,10 +62,24 @@ class BoundFit:
 
 @dataclass(frozen=True)
 class SlopeFit:
+    """A log-log slope, its standard error and the samples it used and left out.
+
+    ``half_width_95`` imports scipy's Student t quantile on first read, so
+    a fit alone loads no scipy; it is inf below 3 samples (no degree of
+    freedom) or for an infinite standard error.
+    """
+
     slope: float
-    half_width_95: float
+    std_error: float
     n_used: int
     n_excluded: int
+
+    @property
+    def half_width_95(self) -> float:
+        if self.n_used < 3:
+            return np.inf
+        from scipy.special import stdtrit
+        return float(stdtrit(self.n_used - 2, 0.975) * self.std_error)
 
 
 @dataclass(frozen=True)
@@ -91,22 +106,12 @@ class LightconeReport:
     fits: tuple[BoundFit, ...]
     verdict: str                          # "pass" | "fail" | "inconclusive"
     ray_slopes: tuple[SlopeFit, ...]
-    diagnostics: dict
     probabilities: tuple[np.ndarray, ...]   # P at each ray's samples, in ray order
 
 
 # ----------------------------------------------------------------------
 # universal bound
 # ----------------------------------------------------------------------
-
-def _refined_grid(v: np.ndarray) -> np.ndarray:
-    """Double the density by midpoint insertion; the original nodes sit at even positions."""
-    v = np.asarray(v, dtype=float)
-    fine = np.empty(2 * v.size - 1)
-    fine[::2] = v
-    fine[1::2] = 0.5 * (v[:-1] + v[1:])
-    return fine
-
 
 def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
                         rel_tol: float = 1e-6) -> BoundFit:
@@ -150,8 +155,8 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
         if not (v.ndim == 1 and v.size and np.isfinite(v).all() and (np.abs(v) < 1.0).all()):
             raise ValueError(f"{name} must be a non-empty 1-D grid of finite velocities "
                              f"with |v| < 1, got {v!r}")
-    v1_fine = _refined_grid(v1_grid)
-    v2_fine = _refined_grid(v2_grid)
+    v1_fine, v2_fine = (_midpoint_split(v, np.ones(v.size - 1, dtype=bool))
+                        for v in (v1_grid, v2_grid))
     t0 = 1e-2 / d.mass
 
     sups = []           # sup P (t0+|t1|)(t0+|t2|) on the coarse and on the refined grid
@@ -192,35 +197,8 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
 # outside the light cone
 # ----------------------------------------------------------------------
 
-def _t_quantile(nu: int, p: float) -> float:
-    """Quantile of Student's t with integer nu >= 1 degrees of freedom, 0.5 < p < 1.
-
-    Inverts the closed-form two-sided CDF A(t|nu) = 2p - 1 (Abramowitz &
-    Stegun 26.7.3 for odd nu, 26.7.4 for even nu) by bisection in
-    theta = arctan(t / sqrt(nu)) on (0, pi/2) until the interval stops
-    shrinking.
-    """
-    odd = nu % 2
-    k = np.arange(nu // 2)
-    # c_0 = 1, c_j = c_{j-1} (2j - 1 + odd) / (2j + odd): the series in cos^2 theta
-    coef = np.cumprod(np.r_[1.0, (2 * k[1:] - 1 + odd) / (2 * k[1:] + odd)])[:k.size]
-
-    def coverage(theta: float) -> float:
-        s, c = np.sin(theta), np.cos(theta)
-        series = coef @ (c * c) ** k
-        return 2 / np.pi * (theta + s * c * series) if odd else s * series
-
-    lo, hi = 0.0, 0.5 * np.pi
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if coverage(mid) < 2 * p - 1:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.sqrt(nu) * np.tan(mid))
-
-
 def decay_slope_fit(x, p) -> SlopeFit:
-    """Least-squares slope of log p against log x with a 95% half-width.
+    """Least-squares slope of log p against log x, with its standard error.
 
     Nonpositive p samples are excluded (flagged in n_excluded).  Raises
     ValueError for x not finite and positive, p not finite, fewer than 5
@@ -244,9 +222,8 @@ def decay_slope_fit(x, p) -> SlopeFit:
     sxx = float(dx @ dx)
     slope = float(dx @ lp) / sxx
     resid = lp - lp.mean() - slope * dx
-    n = x.size
-    se = np.sqrt(float(resid @ resid) / (n - 2) / sxx)
-    return SlopeFit(slope, float(_t_quantile(n - 2, 0.975) * se), n, n_excl)
+    se = np.sqrt(float(resid @ resid) / (x.size - 2) / sxx)
+    return SlopeFit(slope, float(se), x.size, n_excl)
 
 
 def _ray_probabilities(source, d: DispersionRelation, ray: Ray, rel_tol: float):
@@ -278,16 +255,19 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
     the first |z| of the window after the last failing one.  A NaN slope
     fails.  Points with P below ``PROBABILITY_FLOOR`` are counted as
     below-floor passes and excluded from fits; a ray whose usable points
-    cannot support a fit yields an inconclusive verdict with diagnostics.
+    cannot support a fit yields an inconclusive verdict.
 
     Returns one BoundFit per order carrying C_{n1 n2} as the supremum of
     P (1+|z1|)^{n1} (1+|z2|)^{n2} over the usable samples (n2 applies to
     the frozen detector of pair scans and is 0 for single-photon rays).
     The evaluated P along every ray is returned in ``probabilities``.
-    Raises ValueError unless ``orders`` passes ``decay_orders``.
+    Raises ValueError unless ``orders`` passes ``decay_orders`` and
+    ``rays`` holds at least one ray.
     """
     orders = decay_orders(orders)
     rays = list(rays)
+    if not rays:
+        raise ValueError("the light-cone check needs at least one ray")
     probabilities = []
     slopes = []
     sups = {n: 0.0 for n in orders}
@@ -346,7 +326,6 @@ def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
         fits=fits,
         verdict=verdict,
         ray_slopes=tuple(slopes),
-        diagnostics={"ray_verdicts": ray_verdicts},
         probabilities=tuple(probabilities),
     )
 

@@ -378,9 +378,8 @@ def cmd_single(cfg: Config, out: Path) -> int:
     series = []
     for t in t_values:
         res = single_scan(packet, d, z, t, rel_tol=tol)
-        for pt, a, p, e in zip(res.points, res.amplitudes, res.values,
-                               res.error_estimates):
-            rows.append((pt.t, pt.z, a.real, a.imag, p, e, "adaptive_panel"))
+        for zz, a, p, e in zip(z, res.amplitudes, res.values, res.error_estimates):
+            rows.append((float(t), float(zz), a.real, a.imag, p, e, "adaptive_panel"))
         series.append((f"t={t:g}", list(res.values)))
     write_csv(out / "single_scan.csv",
               ("t", "z", "amp_re", "amp_im", "probability", "error", "method"),

@@ -65,18 +65,17 @@ def probability_error(amp_abs, amp_error):
 class CorrelationResult:
     """Evaluated P values on a set of points, with P = |A|^2 enforced."""
 
-    points: tuple
     amplitudes: np.ndarray
     values: np.ndarray
     error_estimates: np.ndarray
 
     @classmethod
-    def from_amplitudes(cls, points, amplitudes, amp_errors):
+    def from_amplitudes(cls, amplitudes, amp_errors):
         amplitudes = np.asarray(amplitudes, dtype=complex)
         amp_errors = np.asarray(amp_errors, dtype=float)
         values = np.abs(amplitudes) ** 2
         p_errors = probability_error(np.abs(amplitudes), amp_errors)
-        return cls(tuple(points), amplitudes, values, p_errors)
+        return cls(amplitudes, values, p_errors)
 
 
 def _single_envelope(packet, d: DispersionRelation):
@@ -231,8 +230,6 @@ def asymptotic_biphoton(f, d: DispersionRelation, v1, v2, t1, t2) -> AsymptoticB
 
 @dataclass(frozen=True)
 class ProfileResult:
-    v1: np.ndarray
-    v2: np.ndarray
     values: np.ndarray    # |f(k10, k20)|^2, zero where invalid
     valid: np.ndarray     # False on or outside the light cone
 
@@ -256,7 +253,7 @@ def entangled_spacetime_profile(f, d: DispersionRelation,
     k2[ok2] = d.stationary_point(v2[ok2])
     vals = np.abs(f(k1[:, None], k2[None, :])) ** 2
     valid = ok1[:, None] & ok2[None, :]
-    return ProfileResult(v1, v2, np.where(valid, vals, 0.0), valid)
+    return ProfileResult(np.where(valid, vals, 0.0), valid)
 
 
 # ----------------------------------------------------------------------
@@ -266,12 +263,10 @@ def entangled_spacetime_profile(f, d: DispersionRelation,
 def single_scan(packet, d: DispersionRelation, z_values, t: float,
                 rel_tol: float = 1e-9) -> CorrelationResult:
     """A(z, t) and P(z, t) on a z-grid at fixed t, sharing one panelization."""
-    z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
-    amps, errs, panels = osc_integrate_1d_many(
+    amps, errs, _ = osc_integrate_1d_many(
         _single_envelope(packet, d), d, z_values, t,
         _quadrature_domain(packet), rel_tol=rel_tol, max_width=_feature_width(packet))
-    pts = [SpacetimePoint(float(z), float(t)) for z in z_values]
-    return CorrelationResult.from_amplitudes(pts, amps, errs)
+    return CorrelationResult.from_amplitudes(amps, errs)
 
 
 def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
@@ -296,21 +291,20 @@ def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
 # conserved quantities and residuals
 # ----------------------------------------------------------------------
 
-def momentum_norm(packet, d: DispersionRelation, rel_tol: float = 1e-11) -> float:
-    """int |g(k)|^2 / (4 omega(k)) dk, the conserved norm of A."""
+def momentum_norm(packet, d: DispersionRelation) -> float:
+    """int |g(k)|^2 / (4 omega(k)) dk, the conserved norm of A, at rel_tol 1e-11."""
     vals, _, _ = osc_integrate_1d_many(
         lambda k: np.abs(packet(k)) ** 2 / (4.0 * d.omega(k)), d, [0.0], 0.0,
-        _quadrature_domain(packet), rel_tol=rel_tol, max_width=_feature_width(packet))
+        _quadrature_domain(packet), rel_tol=1e-11, max_width=_feature_width(packet))
     return float(vals[0].real)
 
 
-def position_norm(packet, d: DispersionRelation, t: float,
-                  rel_tol: float = 1e-10) -> float:
+def position_norm(packet, d: DispersionRelation, t: float) -> float:
     """int |A(z, t)|^2 dz on an automatically sized window (Simpson rule).
 
     The window tracks the group-velocity span of the packet support plus
     a dispersive-spreading pad wide enough that the discarded tails are
-    far below the target accuracy.
+    far below the target accuracy.  The amplitudes are scanned at rel_tol 1e-10.
     """
     lo, hi = packet.support
     sigma = packet.effective_width()
@@ -325,7 +319,7 @@ def position_norm(packet, d: DispersionRelation, t: float,
     n = int(np.ceil((z_hi - z_lo) / (feature / 32.0)))
     n += n % 2  # Simpson needs an even interval count
     z = np.linspace(z_lo, z_hi, n + 1)
-    res = single_scan(packet, d, z, t, rel_tol=rel_tol)
+    res = single_scan(packet, d, z, t, rel_tol=1e-10)
     simpson = np.full(n + 1, 2.0)   # composite Simpson weights 1, 4, 2, ..., 4, 1
     simpson[1::2] = 4.0
     simpson[[0, -1]] = 1.0

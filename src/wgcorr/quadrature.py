@@ -31,7 +31,8 @@ Gauss(7)/Kronrod(15) pair on each panel:
 * Each point's error estimate is |sum K15 - sum G7| (in 2-D plus a
   bound on the cross approximation's truncation), and at least the
   arithmetic noise scale, below which the estimate, a difference of
-  large sums, cannot certify.  While any point of the batch misses
+  large sums, cannot certify.  One loop, ``_adapt``, refines both
+  rules: while any point of the batch misses
   max(rel_tol * largest |I|, ABS_FLOOR, noise scale), every panel is
   bisected, within a level and panel budget.
 
@@ -194,8 +195,13 @@ def oscillation_breakpoints(
                 f"panel budget {max_panels} exhausted while resolving oscillation on {domain}",
                 QuadResult(0.0 + 0.0j, np.inf, w.size),
             )
-        mids = 0.5 * (breaks[:-1][split] + breaks[1:][split])
-        breaks = np.insert(breaks, np.flatnonzero(split) + 1, mids)
+        breaks = _midpoint_split(breaks, split)
+
+
+def _midpoint_split(breaks: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """``breaks`` with the midpoint of every panel that the mask ``split`` selects."""
+    mids = 0.5 * (breaks[:-1][split] + breaks[1:][split])
+    return np.insert(breaks, np.flatnonzero(split) + 1, mids)
 
 
 def _initial_width(span: float, max_width: float | None) -> float:
@@ -278,6 +284,52 @@ def _project(grid, axis, basis: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# refinement loop
+# ----------------------------------------------------------------------
+
+def _target(values: np.ndarray, rel_tol: float, noise: float) -> float:
+    """The error target of a level, uniform over the batch."""
+    return max(rel_tol * float(np.abs(values).max()), ABS_FLOOR, noise)
+
+
+def _adapt(level: Callable, d: DispersionRelation, domain, axes, rel_tol: float,
+           max_width: float | None, max_levels: int, max_panels: int):
+    """The refinement loop of both rules; returns (values, errors, panels_per_axis).
+
+    ``axes`` holds a (z_values, t) pair per axis, and the panels are valid
+    at the ends of every axis.  ``level(breaks, grid)``, ``grid`` being
+    (k, w15, w7, omega(k)), returns the values, their error estimates and
+    the round-off scale, at which the errors are floored.  While any point
+    misses ``_target``, every panel is bisected, within ``max_levels``
+    levels and ``max_panels`` panels per axis; a stall raises
+    QuadratureError naming the worst point's detector positions.
+    """
+    _check_domain_tol(domain, rel_tol)
+    if any(z.size == 0 for z, _ in axes):
+        raise ValueError("each axis must hold at least one detector position")
+    params = [(float(end(z)), t) for z, t in axes for end in (np.min, np.max)]
+    breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
+                                     max_panels=max_panels)
+    for depth in range(max_levels + 1):
+        k, w15, w7 = _panel_grid(breaks)
+        vals, errs, noise = level(breaks, (k, w15, w7, d.omega(k)))
+        errs = np.maximum(errs, noise)
+        target = _target(vals, rel_tol, noise)
+        panels = len(breaks) - 1
+        if (errs <= target).all():
+            return vals, errs, panels
+        if depth == max_levels or 2 * panels > max_panels:
+            worst = np.unravel_index(int(np.argmax(errs)), errs.shape)
+            at = ", ".join(f"{z[i]:.6g}" for (z, _), i in zip(axes, worst))
+            raise QuadratureError(
+                f"quadrature stalled at z = {at} (error {errs[worst]:.3e}, "
+                f"target {target:.3e}) with {panels} panels per axis",
+                QuadResult(complex(vals[worst]), float(errs[worst]), panels ** len(axes)),
+            )
+        breaks = _midpoint_split(breaks, np.ones(panels, dtype=bool))
+
+
+# ----------------------------------------------------------------------
 # 1-D rule
 # ----------------------------------------------------------------------
 
@@ -297,38 +349,22 @@ def osc_integrate_1d_many(
     The K15 and G7 sums of every z are the ``_project`` of the envelope as
     one basis column, in blocks of ``BLOCK_VALUES`` (the G7 nodes are the
     odd Kronrod positions).  Each point's error is |K15 - G7|, and at
-    least the round-off scale of the target.  A level of global panel
-    bisection is applied when any point misses the error target, which is
-    uniform over the batch: rel_tol times the largest amplitude (deep-tail
-    points are round-off limited and still carry their own estimates).
-    Up to ``SCAN1D_MAX_LEVELS`` levels are tried within ``MAX_PANELS_1D``
+    least the round-off scale of the target.  ``_adapt`` bisects every
+    panel while any point misses the error target, which is uniform over
+    the batch: rel_tol times the largest amplitude (deep-tail points are
+    round-off limited and still carry their own estimates).  Up to
+    ``SCAN1D_MAX_LEVELS`` levels are tried within ``MAX_PANELS_1D``
     panels.  Returns (values, errors, panels).
     """
-    _check_domain_tol(domain, rel_tol)
-    z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
-    if z_values.size == 0:
-        raise ValueError("z_values must hold at least one detector position")
-    params = [(z, t) for z in _sorted_unique([z_values.min(), z_values.max()])]
-    breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
-                                     max_panels=MAX_PANELS_1D)
-    for level in range(SCAN1D_MAX_LEVELS + 1):
-        k, w15, w7 = _panel_grid(breaks)
-        f = np.asarray(envelope(k))
-        vals, g7 = _project((k, w15, w7, d.omega(k)), (z_values, t), f[:, None])[..., 0]
-        noise = ROUNDOFF_FACTOR * float(np.abs(f) @ w15)
-        errs = np.maximum(np.abs(vals - g7), noise)
-        target = max(rel_tol * float(np.abs(vals).max()), ABS_FLOOR, noise)
-        panels = len(breaks) - 1
-        if (errs <= target).all():
-            return vals, errs, panels
-        if level == SCAN1D_MAX_LEVELS or 2 * panels > MAX_PANELS_1D:
-            worst = int(np.argmax(errs))
-            raise QuadratureError(
-                f"batched quadrature stalled at z={z_values[worst]:.6g} "
-                f"(error {errs[worst]:.3e}, target {target:.3e}) with {panels} panels",
-                QuadResult(complex(vals[worst]), float(errs[worst]), panels),
-            )
-        breaks = np.sort(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
+    axis = (np.atleast_1d(np.asarray(z_values, dtype=float)), t)
+
+    def level(breaks, grid):
+        f = np.asarray(envelope(grid[0]))
+        vals, g7 = _project(grid, axis, f[:, None])[..., 0]
+        return vals, np.abs(vals - g7), ROUNDOFF_FACTOR * float(np.abs(f) @ grid[1])
+
+    return _adapt(level, d, domain, [axis], rel_tol, max_width,
+                  SCAN1D_MAX_LEVELS, MAX_PANELS_1D)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +403,7 @@ class _Cross(tuple):
         return self
 
 
-def _symmetric_cross(rows: Callable, checks: np.ndarray, tol: float = CROSS_TOL):
+def _symmetric_cross(rows: Callable, checks: np.ndarray):
     """Symmetric adaptive cross approximation F ~ U M U^T of a symmetric matrix.
 
     ``rows(idx)`` returns the rows F[idx, :]; only O(n r) entries are
@@ -378,7 +414,7 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray, tol: float = CROSS_TOL)
     block, so M is symmetric (block diagonal, here tridiagonal) and
     U M U^T is exactly symmetric.  The ``checks`` rows are sampled at
     the start and again whenever the candidate row's residual falls to
-    ``tol`` times the largest entry seen; a check row above that
+    ``CROSS_TOL`` times the largest entry seen; a check row above that
     becomes the next candidate.  Pivoting is deterministic.  Returns a
     ``_Cross`` (U, M, rho), rho being the largest residual entry on
     those non-pivot rows, or None when the rank would pass
@@ -393,12 +429,13 @@ def _symmetric_cross(rows: Callable, checks: np.ndarray, tol: float = CROSS_TOL)
     ``BLOCK_VALUES``: memory O((r + checks) n) values of 8 bytes (16 on
     the complex path).
     """
-    return _Cross(_cross_steps(rows, checks, tol))
+    return _Cross(_cross_steps(rows, checks))
 
 
-def _cross_steps(rows: Callable, checks: np.ndarray, tol: float):
+def _cross_steps(rows: Callable, checks: np.ndarray):
     """The cross of ``_symmetric_cross``: yields (U, M, rho) once it meets
-    ``tol``, then goes on until rho falls by the factor sent back."""
+    ``CROSS_TOL``, then goes on until rho falls by the factor sent back."""
+    tol = CROSS_TOL
     first = rows(checks[:1])
     n, dtype = first.shape[1], first.dtype
     step = max(BLOCK_VALUES // n, 1)
@@ -504,10 +541,7 @@ def _low_rank(fac, grid, left, right):
     contracted factors, costs O(N r); it bounds the weighted L1 norm
     w15^T |F| w15 from above apart from the truncation, which rho (the
     largest residual entry on the sampled non-pivot rows) accounts for.
-    None when ``fac`` is None (F has no low-rank form).
     """
-    if fac is None:
-        return None
     u, m, rho = fac
     p1 = _project(grid, left, u)
     p2 = p1 if right is left else _project(grid, right, u)
@@ -588,74 +622,49 @@ def osc_tensor_scan(
     and the dense path is still made per scan, against that scan's error
     target.
 
-    The error target is uniform over the grid: rel_tol times the largest
-    grid amplitude.  Grid points far in the tails are then not refined
-    to a meaningless per-point relative accuracy; every point still
-    carries its own error estimate.  Up to ``SCAN2D_MAX_LEVELS`` levels
-    are tried within ``MAX_PANELS_AXIS`` panels per axis.
+    ``_adapt`` refines the grid as the 1-D rule refines its batch, for up
+    to ``SCAN2D_MAX_LEVELS`` levels within ``MAX_PANELS_AXIS`` panels per axis.
     """
-    _check_domain_tol(domain, rel_tol)
-    z1_values = np.atleast_1d(np.asarray(z1_values, dtype=float))
-    z2_values = np.atleast_1d(np.asarray(z2_values, dtype=float))
-    if z1_values.size == 0 or z2_values.size == 0:
-        raise ValueError("z1_values and z2_values must each hold at least one detector position")
-    params = [(float(z1_values.min()), t1), (float(z1_values.max()), t1),
-              (float(z2_values.min()), t2), (float(z2_values.max()), t2)]
-    breaks = oscillation_breakpoints(d, domain, params, max_width=max_width,
-                                     max_panels=MAX_PANELS_AXIS)
+    z1_values, z2_values = (np.atleast_1d(np.asarray(z, dtype=float))
+                            for z in (z1_values, z2_values))
     left = (z1_values, t1)
-    same = t1 == t2 and np.array_equal(z1_values, z2_values)
-    right = left if same else (z2_values, t2)
-    # the cross approximation samples the rows nearest to points one initial
-    # panel apart, so no envelope feature the panels resolve falls between them
-    edges = np.asarray(domain, dtype=float)
-    width = _initial_width(edges[-1] - edges[0], max_width)
-    check_at = np.arange(edges[0] + 0.5 * width, edges[-1], width)
+    right = left if t1 == t2 and np.array_equal(z1_values, z2_values) else (z2_values, t2)
     store = {} if factorizations is None else factorizations
 
-    for level in range(SCAN2D_MAX_LEVELS + 1):
-        k, w15, w7 = _panel_grid(breaks)
-        grid = (k, w15, w7, d.omega(k))
+    def contract(fac, grid):
+        """The low-rank (V, truncation bound, noise, target) of ``fac``."""
+        v, l1, rho = _low_rank(fac, grid, left, right)
+        noise = ROUNDOFF_FACTOR * l1
+        return v, rho * float(grid[1].sum()) ** 2, noise, _target(v[0], rel_tol, noise)
+
+    def level(breaks, grid):
+        k = grid[0]
         rows = joint_envelope(k, grid[3])
-        checks = _sorted_unique(np.minimum(np.searchsorted(k, check_at), k.size - 1))
         key = breaks.tobytes()
         if key not in store:
+            # the cross samples the rows nearest to points one initial panel
+            # apart, so no envelope feature the panels resolve falls between them
+            edges = np.asarray(domain, dtype=float)
+            width = _initial_width(edges[-1] - edges[0], max_width)
+            check_at = np.arange(edges[0] + 0.5 * width, edges[-1], width)
+            checks = _sorted_unique(np.minimum(np.searchsorted(k, check_at), k.size - 1))
             store[key] = _symmetric_cross(rows, checks)
-        fac = store[key]
-        for path in ("cross", "retry", "dense"):
-            if path == "retry":
-                if got is None:
-                    continue
-                fac = fac.refine(0.5 * target / trunc)
-                if fac is not None:
-                    store[key] = fac
-            elif path == "dense" and k.size ** 2 > DENSE_MAX_VALUES:
-                reached = (f"no symmetric cross of rank <= {min(k.size // 10, MAX_CROSS_RANK)}"
-                           if store[key] is None else f"cross rank {store[key][0].shape[1]} "
-                           f"leaves truncation {trunc:.2e} above target {target:.2e}")
-                raise QuadratureError(
-                    f"N = {k.size} nodes per axis: {reached}, and N^2 > DENSE_MAX_VALUES",
-                    QuadResult(0j, np.inf, (len(breaks) - 1) ** 2))
-            got = (_dense(rows, grid, left, right) if path == "dense"
-                   else _low_rank(fac, grid, left, right))
-            if got is None:
-                continue
-            v, l1, rho = got
-            trunc = rho * float(w15.sum()) ** 2
-            noise = ROUNDOFF_FACTOR * l1
-            target = max(rel_tol * float(np.abs(v[0]).max()), ABS_FLOOR, noise)
+        reached = f"no symmetric cross of rank <= {min(k.size // 10, MAX_CROSS_RANK)}"
+        if store[key] is not None:
+            v, trunc, noise, target = contract(store[key], grid)
+            if trunc > target and (fac := store[key].refine(0.5 * target / trunc)) is not None:
+                store[key] = fac
+                v, trunc, noise, target = contract(fac, grid)
             if trunc <= target:
-                break
-        errs = np.maximum(np.abs(v[0] - v[1]) + trunc, noise)
-        panels = len(breaks) - 1
-        if (errs <= target).all():
-            return v[0], errs, panels
-        if level == SCAN2D_MAX_LEVELS or 2 * panels > MAX_PANELS_AXIS:
-            bad = np.unravel_index(int(np.argmax(errs)), errs.shape)
+                return v[0], np.abs(v[0] - v[1]) + trunc, noise
+            reached = (f"cross rank {store[key][0].shape[1]} leaves truncation "
+                       f"{trunc:.2e} above target {target:.2e}")
+        if k.size ** 2 > DENSE_MAX_VALUES:
             raise QuadratureError(
-                f"tensor scan stalled at grid point {bad} "
-                f"(error {errs[bad]:.3e}, target {target:.3e})",
-                QuadResult(complex(v[0][bad]), float(errs[bad]), panels * panels),
-            )
-        breaks = np.sort(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
+                f"N = {k.size} nodes per axis: {reached}, and N^2 > DENSE_MAX_VALUES",
+                QuadResult(0j, np.inf, (len(breaks) - 1) ** 2))
+        v, l1, _ = _dense(rows, grid, left, right)
+        return v[0], np.abs(v[0] - v[1]), ROUNDOFF_FACTOR * l1
 
+    return _adapt(level, d, domain, [left, right], rel_tol, max_width,
+                  SCAN2D_MAX_LEVELS, MAX_PANELS_AXIS)

@@ -269,11 +269,11 @@ BiphotonSpec = SymmetrizedProduct | CorrelatedGaussian | PumpedPair
 _UNIT_MASS = DispersionRelation(1.0)  # phase factors drop out at z = t = 0
 
 
-def packet_norm(packet, rel_tol: float = 1e-11) -> float:
-    """sqrt of int |g(k)|^2 dk over the packet support."""
+def packet_norm(packet) -> float:
+    """sqrt of int |g(k)|^2 dk over the packet support, at rel_tol 1e-11."""
     vals, _, _ = osc_integrate_1d_many(
         lambda k: np.abs(packet(k)) ** 2, _UNIT_MASS, [0.0], 0.0,
-        _quadrature_domain(packet), rel_tol=rel_tol, max_width=_feature_width(packet))
+        _quadrature_domain(packet), rel_tol=1e-11, max_width=_feature_width(packet))
     return float(np.sqrt(vals[0].real))
 
 
@@ -287,23 +287,21 @@ def normalized_packet(packet):
     return TablePacket(packet.k, packet.values / n)
 
 
-def biphoton_norm(spec: BiphotonSpec, k_domain: tuple[float, float],
-                  rel_tol: float = 1e-10) -> float:
-    """sqrt of the truncated L2 norm  int int |f|^2 dk1 dk2  over k_domain^2."""
+def biphoton_norm(spec: BiphotonSpec, k_domain: tuple[float, float]) -> float:
+    """sqrt of the truncated L2 norm  int int |f|^2 dk1 dk2  over k_domain^2, at rel_tol 1e-10."""
     def env(k, wk):
         rows = spec.rows(k, np.ones_like(k))
         return lambda idx: np.abs(rows(idx)) ** 2
 
     vals, _, _ = osc_tensor_scan(env, _UNIT_MASS, _quadrature_domain(spec, k_domain),
-                                 0.0, 0.0, [0.0], [0.0], rel_tol=rel_tol,
+                                 0.0, 0.0, [0.0], [0.0], rel_tol=1e-10,
                                  max_width=_feature_width(spec))
     return float(np.sqrt(vals[0, 0].real))
 
 
-def normalize_biphoton(spec: BiphotonSpec, k_domain: tuple[float, float],
-                       rel_tol: float = 1e-10) -> BiphotonSpec:
+def normalize_biphoton(spec: BiphotonSpec, k_domain: tuple[float, float]) -> BiphotonSpec:
     """Rescale so that the truncated L2 norm over k_domain^2 equals one."""
-    n = biphoton_norm(spec, k_domain, rel_tol)
+    n = biphoton_norm(spec, k_domain)
     if not (np.isfinite(n) and n > 0):
         raise ValueError("cannot normalize a pair amplitude with zero norm on the domain")
     return replace(spec, scale=spec.scale / n)

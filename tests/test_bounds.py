@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -15,7 +18,7 @@ from wgcorr import (
     normalize_biphoton,
     single_scan,
 )
-from wgcorr import bounds
+from wgcorr import bounds, quadrature
 from wgcorr.bounds import Ray, bound_fit_csv_rows, summarize_bound_fits
 from wgcorr.correlators import probability_error
 
@@ -34,19 +37,29 @@ def test_slope_fit_exact_power_law():
     assert fit.half_width_95 < 1e-9
 
 
-def test_t_quantile_matches_scipy():
-    from scipy.special import stdtrit
-    nu = np.arange(1, 201)
-    ours = [bounds._t_quantile(int(n), 0.975) for n in nu]
-    np.testing.assert_allclose(ours, stdtrit(nu, 0.975), rtol=1e-13, atol=0)
-
-
 @pytest.mark.parametrize("n, half_width", [(7, 0.03837781804602929), (30, 0.018460112436000292)])
 def test_slope_fit_half_width_unchanged(n, half_width):
-    # half-widths from scipy.special.stdtrit before the numpy quantile replaced it
+    # half-widths from scipy.special.stdtrit
     x = np.geomspace(1.0, 100.0, n)
     fit = decay_slope_fit(x, x**-3.0 * np.exp(0.1 * np.sin(7.0 * x)))
     assert fit.half_width_95 == pytest.approx(half_width, rel=1e-13)
+
+
+SLOPE_PROBE = """
+import sys
+import numpy as np
+from wgcorr.bounds import decay_slope_fit
+x = np.geomspace(1.0, 100.0, 7)
+fit = decay_slope_fit(x, x**-3.0 * np.exp(0.1 * np.sin(7.0 * x)))
+print("scipy" in sys.modules, fit.half_width_95 > 0, "scipy.special" in sys.modules)
+"""
+
+
+def test_slope_fit_imports_scipy_only_for_its_half_width():
+    # scipy.special costs about 0.33 s of start-up, and only the 95% half-width needs it
+    out = subprocess.run([sys.executable, "-c", SLOPE_PROBE], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True", "True"]
 
 
 def test_slope_fit_constant():
@@ -119,7 +132,7 @@ def test_universal_bound_holds_by_construction():
     assert fit.refinement_drift is not None
     # C is the supremum over the coarse nodes of P (t0+|t1|)(t0+|t2|)
     v = np.linspace(0.6, 0.8, 5)
-    fine = bounds._refined_grid(v)
+    fine = quadrature._midpoint_split(v, np.ones(4, dtype=bool))
     np.testing.assert_array_equal(fine[::2], v)
     weighted = []
     for t in (25.0, 50.0):
@@ -149,7 +162,7 @@ def test_bound_constant_approaches_asymptotic_constant_from_below():
         gaps.append((fit.asymptotic_constant - fit.constant) / fit.asymptotic_constant)
     assert gaps[0] > gaps[1] > gaps[2] > 0
     # at t = 4000 the fitted C is the quadrature supremum, not the leading term
-    z = bounds._refined_grid(v) * t
+    z = quadrature._midpoint_split(v, np.ones(2, dtype=bool)) * t
     amps, errs, _ = biphoton_scan(f, D1, t, t, z, z, 1e-6)
     coarse = np.abs(amps[::2, ::2])
     worst = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
@@ -290,6 +303,16 @@ def test_frozen_detector_weights_both_distances():
         assert fit.orders == (n, n)
         expected = (P[usable] * (1.0 + zs[usable]) ** n).max() * (1.0 + frozen.z) ** n
         assert fit.constant == pytest.approx(expected, rel=1e-14)
+
+
+def test_lightcone_refuses_no_rays_before_scanning(monkeypatch):
+    # with no ray there is nothing to bound: no verdict, and no constant of 0.0
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned without a ray")
+
+    monkeypatch.setattr(bounds, "_ray_probabilities", refuse)
+    with pytest.raises(ValueError, match="at least one ray"):
+        check_lightcone_decay(GaussianPacket(0.75, 0.1), D1, [], [2])
 
 
 @pytest.mark.parametrize("orders", [[], [2.5, 4], [-3], [np.nan]],

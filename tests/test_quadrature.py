@@ -22,7 +22,6 @@ from wgcorr import (
     normalized_packet,
     quadrature,
 )
-from wgcorr.bounds import _refined_grid
 from wgcorr.correlators import _joint_envelope, _single_envelope, probability_error
 from wgcorr.wavepackets import _feature_width, _quadrature_domain
 from wgcorr.quadrature import (
@@ -257,6 +256,46 @@ def test_unreachable_tolerance_carries_payload(monkeypatch):
     assert abs(res.value.real - exact) < 0.3 * exact
 
 
+def stall_1d():
+    # criterion 1's packet at t = 1e4 on z in [5000, 7000] with no bisection level
+    g = normalized_packet(GaussianPacket(0.75, 0.1))
+    z = np.linspace(5000.0, 7000.0, 21)
+    return lambda rel_tol: osc_integrate_1d_many(
+        _single_envelope(g, D1), D1, z, 1e4, _quadrature_domain(g), rel_tol=rel_tol,
+        max_width=_feature_width(g)), [z]
+
+
+def stall_2d():
+    # criterion 3's pair and velocity grid at t = 800 with no bisection level;
+    # the shared store gives the loose rerun the continued cross of the stall
+    f = criterion_3_pair()
+    z = (1.0 / np.sqrt(2.0) + 0.035 * (np.arange(10) - 5)) * 800.0
+    store = {}
+    return lambda rel_tol: osc_tensor_scan(
+        _joint_envelope(f), D1, _quadrature_domain(f, rel_tol=1e-10), 800.0, 800.0, z, z,
+        rel_tol=rel_tol, max_width=_feature_width(f), factorizations=store), [z, z]
+
+
+@pytest.mark.parametrize("scan, levels, rel_tol", [
+    (stall_1d, "SCAN1D_MAX_LEVELS", 1e-12),
+    (stall_2d, "SCAN2D_MAX_LEVELS", 1e-10),
+], ids=["1d", "2d"])
+def test_stall_names_worst_point(scan, levels, rel_tol, monkeypatch):
+    # a scan out of levels names the detector positions of its worst point on
+    # every axis; at a loose tolerance the same panels pass, with the same errors
+    monkeypatch.setattr(quadrature, levels, 0)
+    run, axes = scan()
+    with pytest.raises(QuadratureError) as info:
+        run(rel_tol)
+    _, errs, panels = run(0.5)
+    worst = np.unravel_index(int(np.argmax(errs)), errs.shape)
+    at = ", ".join(f"{z[i]:.6g}" for z, i in zip(axes, worst))
+    assert f"stalled at z = {at} (error {errs[worst]:.3e}, target " in str(info.value)
+    assert str(info.value).endswith(f" with {panels} panels per axis")
+    assert info.value.result.error_estimate == errs[worst]
+    assert info.value.result.panels_used == panels ** len(axes)
+
+
 # ----------------------------------------------------------------------
 # 2-D integrals
 # ----------------------------------------------------------------------
@@ -372,7 +411,7 @@ def test_low_rank_scan_matches_dense_within_error(family, monkeypatch):
     dense_levels = spy_dense(monkeypatch)
     amps, errs, panels = biphoton_scan(f, D1, t1, t2, z1, z2, rel_tol=PAIR_TOLS[family])
     assert not dense_levels
-    monkeypatch.setattr(quadrature, "_low_rank", lambda *args: None)
+    monkeypatch.setattr(quadrature, "_symmetric_cross", lambda rows, checks: None)
     ref, _, ref_panels = biphoton_scan(f, D1, t1, t2, z1, z2, rel_tol=PAIR_TOLS[family])
     assert ref_panels == panels and dense_levels
     assert (np.abs(amps - ref) <= errs).all()
@@ -402,9 +441,9 @@ def test_scans_share_one_factorization_per_panelization(monkeypatch):
     calls = []
     cross = quadrature._symmetric_cross
 
-    def counting(rows, checks, tol=quadrature.CROSS_TOL):
+    def counting(rows, checks):
         calls.append(checks.size)
-        return cross(rows, checks, tol)
+        return cross(rows, checks)
 
     monkeypatch.setattr(quadrature, "_symmetric_cross", counting)
     f = PAIR_FAMILIES["correlated"]
@@ -558,8 +597,7 @@ def test_generic_phase_scale_factors_in_float64(family, scale, monkeypatch):
                          for fac in store.values())
     cross = quadrature._symmetric_cross
     monkeypatch.setattr(quadrature, "_symmetric_cross",
-                        lambda rows, checks, tol=quadrature.CROSS_TOL:
-                        cross(lambda idx: rows(idx).astype(complex), checks, tol))
+                        lambda rows, checks: cross(lambda idx: rows(idx).astype(complex), checks))
     ref, ref_errs, _ = biphoton_scan(f, D1, t1, t2, z1, z2, rel_tol=PAIR_TOLS[family])
     assert (np.abs(amps - ref) <= errs + ref_errs).all()
 
@@ -591,13 +629,14 @@ def test_pair_scan_memory_at_large_time(monkeypatch):
     checks = []
     cross = quadrature._symmetric_cross
 
-    def counting(rows, idx, tol=quadrature.CROSS_TOL):
+    def counting(rows, idx):
         checks.append(idx.size)
-        return cross(rows, idx, tol)
+        return cross(rows, idx)
 
     f = criterion_3_pair()
     monkeypatch.setattr(quadrature, "_symmetric_cross", counting)
-    v = _refined_grid(1.0 / np.sqrt(2.0) + 0.035 * (np.arange(10) - 5))
+    v = quadrature._midpoint_split(1.0 / np.sqrt(2.0) + 0.035 * (np.arange(10) - 5),
+                                   np.ones(9, dtype=bool))
     t = 1e4
     store = {}
     tracemalloc.start()
@@ -680,11 +719,11 @@ def spy_cross_rows(monkeypatch):
     evaluated, first = [], []
     cross = quadrature._symmetric_cross
 
-    def counting(rows, checks, tol=quadrature.CROSS_TOL):
+    def counting(rows, checks):
         def counted(idx):
             evaluated.append(np.atleast_1d(idx).copy())
             return rows(idx)
-        fac = cross(counted, checks, tol)
+        fac = cross(counted, checks)
         first.append(len(evaluated))
         return fac
 

@@ -43,3 +43,18 @@ def test_compare_fails_on_a_csv_in_one_tree_only(tmp_path, capsys):
     (tmp_path / "old" / "out_biphoton" / "extra.csv").write_text("t\n1\n", encoding="utf-8")
     assert tool.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 1
     assert f"only in {tmp_path / 'old'}" in capsys.readouterr().out
+
+
+def test_compare_reports_byte_identical_files(tmp_path, capsys):
+    tool = load_tool()
+    for root, probability in (("old", 9.5e-05), ("new", 9.5e-05 + 5e-13)):
+        write_tree(tmp_path / root, probability, 1e-12)
+        out = tmp_path / root / "out_biphoton"
+        (out / "profile.csv").write_text("v1,valid\n0.5,true\n", encoding="utf-8")
+        (out / "config_effective.ini").write_text(f"[scan]\nt = {root}\n", encoding="utf-8")
+    assert tool.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "out_biphoton/biphoton_scan.csv  differs" in lines
+    assert "out_biphoton/config_effective.ini  differs" in lines
+    assert "out_biphoton/profile.csv  byte-identical" in lines
+    assert lines[-1] == "1 of 3 files byte-identical"

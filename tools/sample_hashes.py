@@ -11,11 +11,14 @@ CSV and ``config_effective.ini`` under ``DIR/out_*/`` is printed in
 ``sha256sum`` format, sorted by path, so two checkouts compare with
 ``diff``.  Exits 1 if any run ends with a non-zero status.
 
-``--compare`` reads the CSVs of two such trees and prints, per CSV, the
-largest |new - old| of every numeric column, and for a probability
-column with a reported error (``error`` or ``p_error``) the largest
-|new - old| divided by the larger of the two errors on that row; other
-columns are reported as equal or with the number of rows that differ.
+``--compare`` reads two such trees and prints, for every CSV and
+``config_effective.ini``, whether it is byte-identical in both, ending
+with a ``k of n files byte-identical`` line.  For a CSV that differs
+it prints the largest |new - old| of every numeric column, and for a
+probability column with a reported error (``error`` or ``p_error``) the
+largest |new - old| divided by the larger of the two errors on that row;
+other columns are reported as equal or with the number of rows that
+differ.
 Exits 1 if a CSV is missing from one tree or changes its header or row
 count, or if a probability column moves by more than that error.
 """
@@ -60,13 +63,19 @@ def _read(path: Path) -> tuple[list[str], list[list[str]]]:
 
 def compare(old: Path, new: Path) -> int:
     names = sorted({p.relative_to(root) for root in (old, new)
-                    for p in root.glob("out_*/*.csv")})
+                    for pattern in ("out_*/*.csv", "out_*/config_effective.ini")
+                    for p in root.glob(pattern)})
     broken = False
+    identical = 0
     for name in names:
-        print(name)
         if not ((old / name).exists() and (new / name).exists()):
-            print(f"  only in {old if (old / name).exists() else new}")
-            broken = True
+            print(f"{name}\n  only in {old if (old / name).exists() else new}")
+            broken = broken or name.suffix == ".csv"
+            continue
+        same = (old / name).read_bytes() == (new / name).read_bytes()
+        identical += same
+        print(f"{name}  {'byte-identical' if same else 'differs'}")
+        if same or name.suffix != ".csv":
             continue
         (head_a, rows_a), (head_b, rows_b) = _read(old / name), _read(new / name)
         if head_a != head_b or len(rows_a) != len(rows_b):
@@ -99,6 +108,7 @@ def compare(old: Path, new: Path) -> int:
             if n_text or not delta:
                 line += f" {n_text} text rows differ" if n_text else " equal"
             print(line)
+    print(f"{identical} of {len(names)} files byte-identical")
     return 1 if broken else 0
 
 
