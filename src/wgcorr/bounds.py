@@ -169,9 +169,8 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
         if mirror and (t2, t1) in scanned:
             P = scanned[t2, t1].T
         else:
-            amps, _, _ = biphoton_scan(f, d, t1, t2, v1_fine * t1, v2_fine * t2, rel_tol,
-                                       factorizations=factorizations)
-            P = np.abs(amps) ** 2
+            P = biphoton_scan(f, d, t1, t2, v1_fine * t1, v2_fine * t2, rel_tol,
+                              factorizations=factorizations).values
         scanned[t1, t2] = P
         weight = (t0 + abs(t1)) * (t0 + abs(t2))
         sups.append((P[::2, ::2].max() * weight, P.max() * weight))
@@ -228,11 +227,9 @@ def decay_slope_fit(x, p) -> SlopeFit:
 
 def _ray_probabilities(source, d: DispersionRelation, ray: Ray, rel_tol: float):
     if ray.frozen is None:
-        res = single_scan(source, d, ray.z_values, ray.t, rel_tol=rel_tol)
-        return res.values
-    amps, _, _ = biphoton_scan(source, d, ray.t, ray.frozen.t,
-                               ray.z_values, [ray.frozen.z], rel_tol)
-    return np.abs(amps[:, 0]) ** 2
+        return single_scan(source, d, ray.z_values, ray.t, rel_tol=rel_tol).values
+    return biphoton_scan(source, d, ray.t, ray.frozen.t,
+                         ray.z_values, [ray.frozen.z], rel_tol).values[:, 0]
 
 
 def decay_orders(orders) -> list[int]:

@@ -35,6 +35,7 @@ from .bounds import (
     summarize_bound_fits,
 )
 from .correlators import (
+    CorrelationResult,
     SpacetimePoint,
     amplitude_biphoton,
     amplitude_single,
@@ -45,7 +46,6 @@ from .correlators import (
     momentum_norm,
     position_norm,
     probability_biphoton,
-    probability_error,
     probability_single,
     single_scan,
 )
@@ -81,6 +81,34 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _finite_pair(raw: str) -> tuple[float, float]:
+    a, _, b = raw.partition(":")
+    return _finite_float(a), _finite_float(b)
+
+
+def _list_of(item):
+    """The conversion of a non-empty list of comma-separated ``item`` tokens."""
+    def conv(raw):
+        values = [item(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
+        if not values:
+            raise ValueError(raw)
+        return values
+    return conv
+
+
+def _check(test, expected: str):
+    """A ``check`` of ``Config``: ValueError naming ``expected`` unless ``test(value)``."""
+    def check(value):
+        if not test(value):
+            raise ValueError(f"expected {expected}, got {value!r}")
+    return check
+
+
+_positive = _check(lambda v: (np.asarray(v) > 0).all(), "a positive value")
+_subluminal = _check(lambda v: abs(v) < 1.0, "a detector velocity with |v| < 1")
+_rel_tol = _check(lambda v: 0 < v < 1, "a relative tolerance in (0, 1)")
+
+
 def _fmt(value) -> str:
     """CSV cell rendering; floats carry 17 significant digits."""
     if isinstance(value, (bool, np.bool_)):
@@ -100,11 +128,18 @@ def write_csv(path, header, rows):
             w.writerow([_fmt(v) for v in row])
 
 
+def _rows(*columns):
+    """CSV rows from columns that broadcast against each other, in C order."""
+    return zip(*(c.ravel() for c in np.broadcast_arrays(*columns)))
+
+
 class Config:
     """Typed, line-anchored access to an INI file, recording every lookup.
 
     The record of resolved values (explicit and defaulted) is what gets
-    echoed next to the outputs.
+    echoed next to the outputs.  Every read may take a ``check``: a value
+    it rejects with ValueError is a config error at the key's line, as is
+    a value that does not convert.
     """
 
     def __init__(self, path):
@@ -125,10 +160,8 @@ class Config:
             s = ln.strip()
             if s.startswith("[") and s.endswith("]"):
                 current = s[1:-1].strip().lower()
-            elif current == section.lower() and (
-                    s.lower().startswith(key.lower() + " ") or
-                    s.lower().startswith(key.lower() + "=") or
-                    s.lower().split("=")[0].strip() == key.lower()):
+            elif (current == section.lower()   # configparser splits at "=" or ":"
+                  and s.replace(":", "=").partition("=")[0].strip().lower() == key.lower()):
                 return i
         return None
 
@@ -137,21 +170,27 @@ class Config:
         anchor = f"{self.path}:{line}" if line else f"{self.path} [{section}] {key}"
         raise ConfigError(f"{anchor}: {message}")
 
+    def anchored(self, section, key, fn, *args):
+        """``fn(*args)``, a ValueError it raises being a config error at [section] key."""
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            self._fail(section, key, str(exc))
+
     def has(self, section, key) -> bool:
         return self._cp.has_option(section, key)
 
-    def _get(self, section, key, default, conv, kind, positive=False):
+    def _get(self, section, key, default, conv, kind, check=None):
         if self._cp.has_option(section, key):
             raw = self._cp.get(section, key).strip()
             try:
                 value = conv(raw)
-            except ValueError:
+            except (KeyError, ValueError):
                 self._fail(section, key, f"expected {kind}, got {raw!r}")
-            if positive and not (np.asarray(value) > 0).all():
-                self._fail(section, key, f"{key} must be positive, got {raw!r}")
+            if check is not None:
+                self.anchored(section, key, check, value)
         elif default is None:
-            anchor = f"{self.path}"
-            raise ConfigError(f"{anchor}: missing required key [{section}] {key}")
+            raise ConfigError(f"{self.path}: missing required key [{section}] {key}")
         else:
             value = default
         self.resolved[(section, key)] = self._render(value)
@@ -172,55 +211,34 @@ class Config:
     def get_str(self, section, key, default=None):
         return self._get(section, key, default, str, "a string")
 
-    def get_float(self, section, key, default=None, positive=False):
-        return self._get(section, key, default, _finite_float, "a finite number", positive)
+    def get_choice(self, section, key, choices, default=None):
+        return self._get(section, key, default, str, "a string",
+                         _check(lambda v: v in choices, f"one of {'/'.join(choices)}"))
 
-    def get_int(self, section, key, default=None, positive=False):
-        return self._get(section, key, default, int, "an integer", positive)
+    def get_float(self, section, key, default=None, check=None):
+        return self._get(section, key, default, _finite_float, "a finite number", check)
+
+    def get_int(self, section, key, default=None, check=None):
+        return self._get(section, key, default, int, "an integer", check)
 
     def get_bool(self, section, key, default=None):
-        def conv(raw):
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return self._get(section, key, default, conv, "a boolean")
+        states = configparser.ConfigParser.BOOLEAN_STATES   # 1/0, yes/no, true/false, on/off
+        return self._get(section, key, default, lambda raw: states[raw.lower()], "a boolean")
 
-    def get_floats(self, section, key, default=None):
-        def conv(raw):
-            return [_finite_float(tok) for tok in raw.replace(";", ",").split(",")
-                    if tok.strip()]
-        return self._get(section, key, default, conv,
-                         "a comma-separated list of finite numbers")
+    def get_floats(self, section, key, default=None, check=None):
+        return self._get(section, key, default, _list_of(_finite_float),
+                         "a comma-separated list of finite numbers", check)
 
-    def get_pairs(self, section, key, default=None, positive=False):
-        def conv(raw):
-            pairs = []
-            for tok in raw.split(","):
-                tok = tok.strip()
-                if not tok:
-                    continue
-                a, _, b = tok.partition(":")
-                pairs.append((_finite_float(a), _finite_float(b)))
-            if not pairs:
-                raise ValueError(raw)
-            return pairs
-        return self._get(section, key, default, conv,
-                         "a list of finite pairs like 50:50, 800:800", positive)
+    def get_pairs(self, section, key, default=None, check=None):
+        return self._get(section, key, default, _list_of(_finite_pair),
+                         "a list of finite pairs like 50:50, 800:800", check)
 
-    def get_grid(self, section, name, lo=None, hi=None, count=None):
-        """``count`` (> 0) points spaced evenly over [``name``_min, ``name``_max]."""
-        return np.linspace(self.get_float(section, f"{name}_min", lo),
-                           self.get_float(section, f"{name}_max", hi),
-                           self.get_int(section, f"{name}_count", count, positive=True))
-
-    def get_rel_tol(self, key, default):
-        tol = self.get_float("tolerances", key, default)
-        if not 0 < tol < 1:
-            self._fail("tolerances", key, f"relative tolerance must lie in (0, 1), got {tol!r}")
-        return tol
+    def get_grid(self, section, name, lo=None, hi=None, count=None, check=None):
+        """``count`` (> 0) points spaced evenly over [``name``_min, ``name``_max],
+        both ends passing ``check``."""
+        return np.linspace(self.get_float(section, f"{name}_min", lo, check),
+                           self.get_float(section, f"{name}_max", hi, check),
+                           self.get_int(section, f"{name}_count", count, _positive))
 
     def echo(self, path):
         cp = configparser.ConfigParser()
@@ -236,31 +254,37 @@ class Config:
 # model construction from config sections
 # ----------------------------------------------------------------------
 
+def _load(cfg: Config, section: str, loader, what: str):
+    """``loader`` applied to [section] file, whose errors name a line of that file."""
+    path = cfg.get_str(section, "file")
+    try:
+        return loader(path)
+    except OSError as exc:
+        cfg._fail(section, "file", f"cannot read {what} file: {exc}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def resolve_spectrum(cfg: Config, count: int, count_key: str = "count"):
-    source = cfg.get_str("mode", "source")
+    source = cfg.get_choice("mode", "source", ("rectangle", "disk", "raster"))
     if source == "rectangle":
-        cs = Rectangle(cfg.get_float("mode", "a", positive=True),
-                       cfg.get_float("mode", "b", positive=True))
+        cs = Rectangle(cfg.get_float("mode", "a", check=_positive),
+                       cfg.get_float("mode", "b", check=_positive))
     elif source == "disk":
-        cs = Disk(cfg.get_float("mode", "radius", positive=True))
-    elif source == "raster":
-        try:
-            cs = load_raster(cfg.get_str("mode", "file"))
-        except OSError as exc:
-            cfg._fail("mode", "file", f"cannot read raster file: {exc}")
-        except ValueError as exc:  # load_raster anchors its messages to path:line
-            raise ConfigError(str(exc)) from exc
+        cs = Disk(cfg.get_float("mode", "radius", check=_positive))
     else:
-        raise ConfigError(f"{cfg.path}: [mode] source={source!r} does not define a spectrum")
-    solver = cfg.get_str("mode", "solver", "analytic" if source != "raster" else "fd")
+        cs = _load(cfg, "mode", load_raster, "raster")
+    raster = source == "raster"
+    solver = cfg.get_choice("mode", "solver", ("fd",) if raster else ("analytic", "fd"),
+                            "fd" if raster else "analytic")
     try:
         if solver == "analytic":
             return analytic_spectrum(cs, count)
         spacing = (cfg.get_float("mode", "spacing")
-                   if cfg.has("mode", "spacing") or source != "raster" else None)
+                   if cfg.has("mode", "spacing") or not raster else None)
         return fd_spectrum(cs, count, spacing)  # a raster's own spacing when None
-    except ValueError as exc:  # the solver, count or lattice does not suit the section
-        key = ("solver" if solver == "analytic" else count_key if "count" in str(exc)
+    except ValueError as exc:  # the count or lattice does not suit the section
+        key = (count_key if "count" in str(exc)
                else "spacing" if cfg.has("mode", "spacing") else "file")
         cfg._fail("mode", key, str(exc))
 
@@ -270,65 +294,58 @@ _SOURCE_KEYS = {"mass": ("mass",), "rectangle": ("a", "b"),
 
 
 def resolve_mass(cfg: Config) -> float:
-    source = cfg.get_str("mode", "source")
-    if source not in _SOURCE_KEYS:
-        raise ConfigError(
-            f"{cfg.path}: [mode] source must be one of mass/rectangle/disk/raster, "
-            f"got {source!r}")
+    source = cfg.get_choice("mode", "source", tuple(_SOURCE_KEYS))
     foreign = [k for s, keys in _SOURCE_KEYS.items() if s != source
                for k in keys if cfg.has("mode", k)]
     if foreign:
-        raise ConfigError(
-            f"{cfg.path}: [mode] must specify exactly one mass source; "
-            f"source={source} conflicts with keys {foreign}")
+        cfg._fail("mode", foreign[0], f"[mode] must specify exactly one mass source; "
+                                      f"source={source} conflicts with keys {foreign}")
     if source == "mass":
-        return cfg.get_float("mode", "mass", positive=True)
-    index = cfg.get_int("mode", "index", 1, positive=True)
+        return cfg.get_float("mode", "mass", check=_positive)
+    index = cfg.get_int("mode", "index", 1, check=_positive)
     spectrum = resolve_spectrum(cfg, index, "index")
     return float(spectrum.cutoff_masses[index - 1])
 
 
 def resolve_packet(cfg: Config):
     """The packet and whether to normalize it (which runs quadrature)."""
-    family = cfg.get_str("packet", "family", "gaussian")
-    if family == "gaussian":
+    if cfg.get_choice("packet", "family", ("gaussian", "table"), "gaussian") == "table":
+        packet = _load(cfg, "packet", load_table_packet, "table")
+    else:
         packet = GaussianPacket(
             center=cfg.get_float("packet", "center"),
-            width=cfg.get_float("packet", "width", positive=True),
+            width=cfg.get_float("packet", "width", check=_positive),
             amplitude=complex(cfg.get_float("packet", "amplitude_re", 1.0),
                               cfg.get_float("packet", "amplitude_im", 0.0)))
-    elif family == "table":
-        packet = load_table_packet(cfg.get_str("packet", "file"))
-    else:
-        raise ConfigError(f"{cfg.path}: [packet] family={family!r} unknown")
     return packet, cfg.get_bool("packet", "normalize", True)
 
 
 def resolve_biphoton(cfg: Config):
     """The pair amplitude and the domain to normalize it on (None: keep its scale)."""
-    family = cfg.get_str("biphoton", "family")
+    family = cfg.get_choice("biphoton", "family",
+                            ("separable", "gaussian_correlated", "pumped_pair", "yls"))
     if family == "separable":
         f = SymmetrizedProduct(
             GaussianPacket(cfg.get_float("biphoton", "packet1_center"),
-                           cfg.get_float("biphoton", "packet1_width", positive=True)),
+                           cfg.get_float("biphoton", "packet1_width", check=_positive)),
             GaussianPacket(cfg.get_float("biphoton", "packet2_center"),
-                           cfg.get_float("biphoton", "packet2_width", positive=True)))
+                           cfg.get_float("biphoton", "packet2_width", check=_positive)))
     elif family == "gaussian_correlated":
         f = CorrelatedGaussian(
             pump_center=cfg.get_float("biphoton", "pump_center"),
-            pump_width=cfg.get_float("biphoton", "pump_width", positive=True),
-            relative_width=cfg.get_float("biphoton", "relative_width", positive=True))
-    elif family in ("pumped_pair", "yls"):
-        pump = GaussianPacket(cfg.get_float("biphoton", "pump_center"),
-                              cfg.get_float("biphoton", "pump_width", positive=True))
-        f = PumpedPair(pump, pump_scale=cfg.get_float("biphoton", "pump_scale"))
+            pump_width=cfg.get_float("biphoton", "pump_width", check=_positive),
+            relative_width=cfg.get_float("biphoton", "relative_width", check=_positive))
     else:
-        raise ConfigError(f"{cfg.path}: [biphoton] family={family!r} unknown")
+        pump = GaussianPacket(cfg.get_float("biphoton", "pump_center"),
+                              cfg.get_float("biphoton", "pump_width", check=_positive))
+        scale = cfg.get_float("biphoton", "pump_scale", check=_positive)
+        f = cfg.anchored("biphoton", "pump_center", PumpedPair, pump, scale)
     if not cfg.get_bool("biphoton", "normalize", True):
         return f, None
     lo, hi = f.axis_domain()
-    return f, (cfg.get_float("biphoton", "norm_k_min", float(lo)),
-               cfg.get_float("biphoton", "norm_k_max", float(hi)))
+    lo = cfg.get_float("biphoton", "norm_k_min", float(lo))
+    return f, (lo, cfg.get_float("biphoton", "norm_k_max", float(hi),
+                                 _check(lambda k: k > lo, f"a value above norm_k_min = {lo!r}")))
 
 
 # ----------------------------------------------------------------------
@@ -336,157 +353,123 @@ def resolve_biphoton(cfg: Config):
 # ----------------------------------------------------------------------
 
 def cmd_modes(cfg: Config, out: Path) -> int:
-    count = cfg.get_int("mode", "count", 10, positive=True)
-    spectrum = resolve_spectrum(cfg, count)
-    clusters = spectrum.degenerate_clusters()
-    cluster_of = {}
-    for cid, members in enumerate(clusters):
-        for m in members:
-            cluster_of[m] = cid
-    rows = [(m.index, m.label, m.mode_class, m.cutoff_mass, m.cutoff_mass**2,
-             cluster_of[i]) for i, m in enumerate(spectrum.modes)]
+    spectrum = resolve_spectrum(cfg, cfg.get_int("mode", "count", 10, check=_positive))
+    modes, masses = spectrum.modes, spectrum.cutoff_masses
+    sizes = [len(members) for members in spectrum.degenerate_clusters()]
     write_csv(out / "modes.csv",
               ("index", "label", "mode_class", "cutoff_mass", "m_squared", "cluster"),
-              rows)
-    svgplot.line_plot(out / "modes.svg",
-                      [m.index for m in spectrum.modes],
-                      [("cutoff mass", [m.cutoff_mass for m in spectrum.modes])],
+              _rows([m.index for m in modes], [m.label for m in modes],
+                    [m.mode_class for m in modes], masses, masses**2,
+                    np.repeat(np.arange(len(sizes)), sizes)))
+    svgplot.line_plot(out / "modes.svg", [m.index for m in modes],
+                      [("cutoff mass", masses)],
                       title="mode cutoff masses", xlabel="mode index",
                       ylabel="cutoff mass")
     return 0
 
 
 def cmd_single(cfg: Config, out: Path) -> int:
-    mass = resolve_mass(cfg)
-    d = DispersionRelation(mass)
+    d = DispersionRelation(resolve_mass(cfg))
     packet, normalize = resolve_packet(cfg)
-    tol = cfg.get_rel_tol("quadrature_rel", 1e-9)
+    tol = cfg.get_float("tolerances", "quadrature_rel", 1e-9, _rel_tol)
     z = cfg.get_grid("scan", "z")
-    t_values = cfg.get_floats("scan", "t_values", [0.0])
+    t_values = np.array(cfg.get_floats("scan", "t_values", [0.0]))
     ray = cfg.has("scan", "v")
     if ray:
-        v = cfg.get_float("scan", "v")
-        if not abs(v) < 1.0:
-            cfg._fail("scan", "v", f"detector velocities need |v| < 1, got {v!r}")
-        ts = np.geomspace(cfg.get_float("scan", "t_min", 100.0, positive=True),
-                          cfg.get_float("scan", "t_max", 1000.0, positive=True),
-                          cfg.get_int("scan", "t_count", 25, positive=True))
+        v = cfg.get_float("scan", "v", check=_subluminal)
+        ts = np.geomspace(cfg.get_float("scan", "t_min", 100.0, _positive),
+                          cfg.get_float("scan", "t_max", 1000.0, _positive),
+                          cfg.get_int("scan", "t_count", 25, _positive))
     # the whole configuration is read, with its checks, before the first quadrature
-    packet = normalized_packet(packet) if normalize else packet
+    if normalize:
+        packet = cfg.anchored("packet", "normalize", normalized_packet, packet)
 
-    rows = []
-    series = []
-    for t in t_values:
-        res = single_scan(packet, d, z, t, rel_tol=tol)
-        for zz, a, p, e in zip(z, res.amplitudes, res.values, res.error_estimates):
-            rows.append((float(t), float(zz), a.real, a.imag, p, e, "adaptive_panel"))
-        series.append((f"t={t:g}", list(res.values)))
+    scans = [single_scan(packet, d, z, t, rel_tol=tol) for t in t_values]
+    res = CorrelationResult(*map(np.array, zip(*scans)))   # one row per t, one column per z
     write_csv(out / "single_scan.csv",
               ("t", "z", "amp_re", "amp_im", "probability", "error", "method"),
-              rows)
-    svgplot.line_plot(out / "single_scan.svg", list(z), series,
+              _rows(t_values[:, None], z, res.amplitudes.real, res.amplitudes.imag,
+                    res.values, res.error_estimates, "adaptive_panel"))
+    svgplot.line_plot(out / "single_scan.svg", z,
+                      [(f"t={t:g}", p) for t, p in zip(t_values, res.values)],
                       title="detection probability density",
                       xlabel="z", ylabel="P(z, t)")
 
     if ray:
-        arows = []
-        p_quad, p_asym = [], []
-        for t in ts:
-            pq, pe = probability_single(packet, d, SpacetimePoint(v * t, t), rel_tol=tol)
-            asym = asymptotic_single(packet, d, v, t)
-            rel = abs(pq - asym.probability) / asym.probability if asym.probability else np.inf
-            arows.append((t, v, v * t, pq, pe, asym.probability, rel,
-                          asym.guard_value, asym.guard_ok))
-            p_quad.append(t * pq)
-            p_asym.append(t * asym.probability)
+        pq, pe = np.array([probability_single(packet, d, SpacetimePoint(v * t, t), rel_tol=tol)
+                           for t in ts]).T
+        asym = asymptotic_single(packet, d, v, ts)
+        pa = asym.probability
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(pa > 0, np.abs(pq - pa) / pa, np.inf)
         write_csv(out / "asymptotic_comparison.csv",
                   ("t", "v", "z", "p_quadrature", "p_error", "p_asymptotic",
                    "rel_diff", "guard_value", "guard_ok"),
-                  arows)
-        svgplot.line_plot(out / "asymptotic_comparison.svg", list(ts),
-                          [("t * P quadrature", p_quad), ("t * P asymptotic", p_asym)],
+                  _rows(ts, v, v * ts, pq, pe, pa, rel, asym.guard_value, asym.guard_ok))
+        svgplot.line_plot(out / "asymptotic_comparison.svg", ts,
+                          [("t * P quadrature", ts * pq), ("t * P asymptotic", ts * pa)],
                           title="ray probability against the large-time form",
                           xlabel="t", ylabel="t * P(v t, t)", logx=True)
     return 0
 
 
 def cmd_biphoton(cfg: Config, out: Path) -> int:
-    mass = resolve_mass(cfg)
-    d = DispersionRelation(mass)
+    d = DispersionRelation(resolve_mass(cfg))
     f, norm = resolve_biphoton(cfg)
-    f = normalize_biphoton(f, norm) if norm else f
-    tol = cfg.get_rel_tol("biphoton_rel", 1e-6)
-
+    tol = cfg.get_float("tolerances", "biphoton_rel", 1e-6, _rel_tol)
     t1 = cfg.get_float("scan", "t1")
     t2 = cfg.get_float("scan", "t2")
     z1 = cfg.get_grid("scan", "z1")
     z2 = cfg.get_grid("scan", "z2")
-    amps, errs, _ = biphoton_scan(f, d, t1, t2, z1, z2, rel_tol=tol)
-    rows = []
-    for i, a in enumerate(z1):
-        for j, b in enumerate(z2):
-            amp = amps[i, j]
-            err = errs[i, j]
-            p = abs(amp) ** 2
-            rows.append((t1, a, t2, b, amp.real, amp.imag, p,
-                         probability_error(abs(amp), err), "adaptive_panel"))
+    v = cfg.get_grid("scan", "profile_v", 0.1, 0.9, 41)
+    # the whole configuration is read, with its checks, before the first quadrature
+    if norm:
+        f = cfg.anchored("biphoton", "normalize", normalize_biphoton, f, norm)
+
+    res = biphoton_scan(f, d, t1, t2, z1, z2, rel_tol=tol)
     write_csv(out / "biphoton_scan.csv",
               ("t1", "z1", "t2", "z2", "amp_re", "amp_im", "probability",
                "error", "method"),
-              rows)
+              _rows(t1, z1[:, None], t2, z2, res.amplitudes.real, res.amplitudes.imag,
+                    res.values, res.error_estimates, "adaptive_panel"))
     step = max(1, z2.size // 6)
-    series = [(f"z2={z2[j]:g}", list(np.abs(amps[:, j]) ** 2))
-              for j in range(0, z2.size, step)]
-    svgplot.line_plot(out / "biphoton_scan.svg", list(z1), series,
+    series = [(f"z2={z2[j]:g}", res.values[:, j]) for j in range(0, z2.size, step)]
+    svgplot.line_plot(out / "biphoton_scan.svg", z1, series,
                       title="joint detection probability density",
                       xlabel="z1", ylabel="P(z1, t1, z2, t2)")
 
-    v = cfg.get_grid("scan", "profile_v", 0.1, 0.9, 41)
     prof = entangled_spacetime_profile(f, d, v, v)
-    prows = []
-    for i, a in enumerate(v):
-        for j, b in enumerate(v):
-            prows.append((a, b, prof.values[i, j], bool(prof.valid[i, j])))
-    write_csv(out / "profile.csv", ("v1", "v2", "pair_weight", "valid"), prows)
+    write_csv(out / "profile.csv", ("v1", "v2", "pair_weight", "valid"),
+              _rows(v[:, None], v, prof.values, prof.valid))
     step = max(1, v.size // 6)
-    series = [(f"v2={v[j]:.3g}", list(prof.values[:, j]))
-              for j in range(0, v.size, step)]
-    svgplot.line_plot(out / "profile.svg", list(v), series,
+    series = [(f"v2={v[j]:.3g}", prof.values[:, j]) for j in range(0, v.size, step)]
+    svgplot.line_plot(out / "profile.svg", v, series,
                       title="spacetime profile of the pair amplitude",
                       xlabel="v1", ylabel="|f(k10, k20)|^2")
     return 0
 
 
 def cmd_bounds(cfg: Config, out: Path) -> int:
-    mass = resolve_mass(cfg)
-    d = DispersionRelation(mass)
+    d = DispersionRelation(resolve_mass(cfg))
     f, norm = resolve_biphoton(cfg)
-    tol = cfg.get_rel_tol("biphoton_rel", 1e-6)
-    t_pairs = cfg.get_pairs("scan", "t_pairs", [(50.0, 50.0), (200.0, 200.0)], positive=True)
-    v1 = cfg.get_grid("scan", "v1")
-    v2 = cfg.get_grid("scan", "v2")
-    for name, v in (("v1", v1), ("v2", v2)):   # the grid ends are its extremes
-        for key, value in ((f"{name}_min", v[0]), (f"{name}_max", v[-1])):
-            if not abs(value) < 1.0:
-                cfg._fail("scan", key, f"detector velocities need |v| < 1, got {float(value)!r}")
-    # the whole configuration is read, with its checks, before the first quadrature
+    tol = cfg.get_float("tolerances", "biphoton_rel", 1e-6, _rel_tol)
+    t_pairs = cfg.get_pairs("scan", "t_pairs", [(50.0, 50.0), (200.0, 200.0)], _positive)
+    v1 = cfg.get_grid("scan", "v1", check=_subluminal)   # the grid ends are its extremes
+    v2 = cfg.get_grid("scan", "v2", check=_subluminal)
     lightcone = cfg.has("scan", "lightcone_t")
     if lightcone:
         t_ray = cfg.get_float("scan", "lightcone_t")
         zs = cfg.get_grid("scan", "lightcone_z", count=21)
-        try:
-            ray = Ray(t_ray, zs)
-        except ValueError as exc:  # a detector inside the light cone
-            cfg._fail("scan", "lightcone_z_min", str(exc))
-        try:
-            orders = decay_orders(cfg.get_floats("scan", "lightcone_orders",
-                                                 [0.0, 2.0, 4.0, 6.0]))
-        except ValueError as exc:
-            cfg._fail("scan", "lightcone_orders", str(exc))
-        qtol = cfg.get_rel_tol("quadrature_rel", 1e-9)
+        ray = cfg.anchored("scan", "lightcone_z_min", Ray, t_ray, zs)  # outside the cone
+        orders = cfg.get_floats("scan", "lightcone_orders", [0.0, 2.0, 4.0, 6.0],
+                                decay_orders)
+        qtol = cfg.get_float("tolerances", "quadrature_rel", 1e-9, _rel_tol)
         packet, normalize = resolve_packet(cfg)
-        packet = normalized_packet(packet) if normalize else packet
-    f = normalize_biphoton(f, norm) if norm else f
+    # the whole configuration is read, with its checks, before the first quadrature
+    if lightcone and normalize:
+        packet = cfg.anchored("packet", "normalize", normalized_packet, packet)
+    if norm:
+        f = cfg.anchored("biphoton", "normalize", normalize_biphoton, f, norm)
 
     fits = [fit_universal_bound(f, d, t_pairs, v1, v2, rel_tol=tol)]
     if lightcone:
@@ -495,11 +478,9 @@ def cmd_bounds(cfg: Config, out: Path) -> int:
         P = report.probabilities[0]
         write_csv(out / "lightcone_scan.csv",
                   ("t", "z", "probability", "below_floor"),
-                  [(t_ray, float(z), p, p <= PROBABILITY_FLOOR)
-                   for z, p in zip(zs, P)])
-        svgplot.line_plot(out / "lightcone_scan.svg",
-                          [1.0 + float(z) for z in zs],
-                          [("P", list(np.maximum(P, 1e-300)))],
+                  _rows(t_ray, zs, P, P <= PROBABILITY_FLOOR))
+        svgplot.line_plot(out / "lightcone_scan.svg", 1.0 + zs,
+                          [("P", np.maximum(P, 1e-300))],
                           title=f"decay outside the light cone (verdict: {report.verdict})",
                           xlabel="1 + |z|", ylabel="P", logx=True, logy=True)
 

@@ -18,6 +18,7 @@ grid and aggregate deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,21 +62,20 @@ def probability_error(amp_abs, amp_error):
     return 2.0 * amp_abs * amp_error + amp_error**2
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    """Evaluated P values on a set of points, with P = |A|^2 enforced."""
+class CorrelationResult(NamedTuple):
+    """Amplitudes on a set of points, with P = |A|^2 and its error derived from them."""
 
     amplitudes: np.ndarray
-    values: np.ndarray
-    error_estimates: np.ndarray
+    amp_errors: np.ndarray
+    panels: int             # panels per axis of the final level
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes, amp_errors):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        amp_errors = np.asarray(amp_errors, dtype=float)
-        values = np.abs(amplitudes) ** 2
-        p_errors = probability_error(np.abs(amplitudes), amp_errors)
-        return cls(amplitudes, values, p_errors)
+    @property
+    def values(self) -> np.ndarray:
+        return np.abs(self.amplitudes) ** 2
+
+    @property
+    def error_estimates(self) -> np.ndarray:
+        return probability_error(np.abs(self.amplitudes), self.amp_errors)
 
 
 def _single_envelope(packet, d: DispersionRelation):
@@ -96,18 +96,15 @@ def _joint_envelope(f):
 def amplitude_single(packet, d: DispersionRelation, pt: SpacetimePoint,
                      rel_tol: float = 1e-9) -> QuadResult:
     """Detection amplitude A(z, t) by adaptive quadrature over the packet support."""
-    vals, errs, panels = osc_integrate_1d_many(
-        _single_envelope(packet, d), d, [pt.z], pt.t, _quadrature_domain(packet),
-        rel_tol=rel_tol, max_width=_feature_width(packet))
-    return QuadResult(complex(vals[0]), float(errs[0]), panels)
+    amps, errs, panels = single_scan(packet, d, [pt.z], pt.t, rel_tol)
+    return QuadResult(complex(amps[0]), float(errs[0]), panels)
 
 
 def probability_single(packet, d: DispersionRelation, pt: SpacetimePoint,
                        rel_tol: float = 1e-9) -> tuple[float, float]:
     """P(z, t) = |A(z, t)|^2 and its propagated error estimate."""
-    r = amplitude_single(packet, d, pt, rel_tol)
-    a = abs(r.value)
-    return a * a, probability_error(a, r.error_estimate)
+    r = single_scan(packet, d, [pt.z], pt.t, rel_tol)
+    return float(r.values[0]), float(r.error_estimates[0])
 
 
 @dataclass(frozen=True)
@@ -178,9 +175,8 @@ def amplitude_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
 
 def probability_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
                          pt2: SpacetimePoint, rel_tol: float = 1e-8) -> tuple[float, float]:
-    r = amplitude_biphoton(f, d, pt1, pt2, rel_tol)
-    a = abs(r.value)
-    return a * a, probability_error(a, r.error_estimate)
+    r = biphoton_scan(f, d, pt1.t, pt2.t, [pt1.z], [pt2.z], rel_tol)
+    return float(r.values[0, 0]), float(r.error_estimates[0, 0])
 
 
 @dataclass(frozen=True)
@@ -263,20 +259,19 @@ def entangled_spacetime_profile(f, d: DispersionRelation,
 def single_scan(packet, d: DispersionRelation, z_values, t: float,
                 rel_tol: float = 1e-9) -> CorrelationResult:
     """A(z, t) and P(z, t) on a z-grid at fixed t, sharing one panelization."""
-    amps, errs, _ = osc_integrate_1d_many(
+    return CorrelationResult(*osc_integrate_1d_many(
         _single_envelope(packet, d), d, z_values, t,
-        _quadrature_domain(packet), rel_tol=rel_tol, max_width=_feature_width(packet))
-    return CorrelationResult.from_amplitudes(amps, errs)
+        _quadrature_domain(packet), rel_tol=rel_tol, max_width=_feature_width(packet)))
 
 
 def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
                   z1_values, z2_values, rel_tol: float = 1e-7,
-                  factorizations: dict | None = None):
+                  factorizations: dict | None = None) -> CorrelationResult:
     """Joint amplitudes on a (z1, z2) grid at fixed times.
 
-    Returns (amplitudes, amp_errors, panels_per_axis) with shape
-    (len(z1), len(z2)); amplitudes include the exchange doubling.  The
-    scan integrates f's kernel, and its result is multiplied by f's phase.
+    The amplitudes and their errors have shape (len(z1), len(z2)) and
+    include the exchange doubling.  The scan integrates f's kernel, and
+    its result is multiplied by f's phase.
     ``factorizations`` is the envelope factorizations dict of
     ``osc_tensor_scan``; share one only among scans of the same f and d.
     """
@@ -284,7 +279,7 @@ def biphoton_scan(f, d: DispersionRelation, t1: float, t2: float,
         _joint_envelope(f), d, _quadrature_domain(f, rel_tol=rel_tol), t1, t2,
         z1_values, z2_values, rel_tol=rel_tol, max_width=_feature_width(f),
         factorizations=factorizations)
-    return 2.0 * f.phase * vals, 2.0 * errs, panels
+    return CorrelationResult(2.0 * f.phase * vals, 2.0 * errs, panels)
 
 
 # ----------------------------------------------------------------------

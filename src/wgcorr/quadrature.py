@@ -299,7 +299,8 @@ def _adapt(level: Callable, d: DispersionRelation, domain, axes, rel_tol: float,
     ``axes`` holds a (z_values, t) pair per axis, and the panels are valid
     at the ends of every axis.  ``level(breaks, grid)``, ``grid`` being
     (k, w15, w7, omega(k)), returns the values, their error estimates and
-    the round-off scale, at which the errors are floored.  While any point
+    the round-off scale, at which the errors are floored; values that are
+    not finite raise ValueError at once.  While any point
     misses ``_target``, every panel is bisected, within ``max_levels``
     levels and ``max_panels`` panels per axis; a stall raises
     QuadratureError naming the worst point's detector positions.
@@ -313,6 +314,8 @@ def _adapt(level: Callable, d: DispersionRelation, domain, axes, rel_tol: float,
     for depth in range(max_levels + 1):
         k, w15, w7 = _panel_grid(breaks)
         vals, errs, noise = level(breaks, (k, w15, w7, d.omega(k)))
+        if not np.isfinite(vals).all():
+            raise ValueError(f"the integrand is not finite on {len(breaks) - 1} panels")
         errs = np.maximum(errs, noise)
         target = _target(vals, rel_tol, noise)
         panels = len(breaks) - 1

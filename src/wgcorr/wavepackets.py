@@ -86,6 +86,8 @@ class TablePacket:
         v = np.asarray(self.values, dtype=complex)
         if k.ndim != 1 or k.size < 2 or v.shape != k.shape:
             raise ValueError("table packet needs matching 1-D grids with >= 2 samples")
+        if not (np.isfinite(k).all() and np.isfinite(v).all()):
+            raise ValueError("table packet grid and values must be finite")
         if not (np.diff(k) > 0).all():
             raise ValueError("table grid must be strictly increasing")
         object.__setattr__(self, "k", k)
@@ -116,22 +118,29 @@ class TablePacket:
 
 
 def load_table_packet(path) -> TablePacket:
-    """Read a (k, re, im) CSV file; a non-numeric first row is a header."""
+    """Read a (k, re, im) CSV file; a non-numeric first row is a header.
+    Every error message starts with `path:line`."""
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not "".join(row).strip():
+        reader = csv.reader(fh)
+        for row in reader:
+            if not "".join(row).strip():
                 continue
             try:
                 rows.append((float(row[0]), float(row[1]), float(row[2])))
             except (ValueError, IndexError):
                 if rows:
-                    raise ValueError(f"malformed table row {row!r} in {path}")
+                    raise ValueError(f"{path}:{reader.line_num}: malformed table row {row!r}")
                 continue  # header line
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"{path}:{reader.line_num}: non-finite table row {row!r}")
     if len(rows) < 2:
-        raise ValueError(f"table file {path} holds fewer than 2 samples")
+        raise ValueError(f"{path}:1: table file holds fewer than 2 samples")
     data = np.asarray(rows, dtype=float)
-    return TablePacket(data[:, 0], data[:, 1] + 1j * data[:, 2])
+    try:
+        return TablePacket(data[:, 0], data[:, 1] + 1j * data[:, 2])
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +249,9 @@ class PumpedPair(_PairKernel):
     def __post_init__(self):
         if not (self.pump_scale > 0):
             raise ValueError("pump_scale must be positive")
+        if not self.pump.support[1] > 0:
+            raise ValueError(f"the pump support {self.pump.support} must reach k1 + k2 > 0, "
+                             f"where the pair amplitude lives")
 
     def _constant(self):
         return self.scale * 1j * self.pump.amplitude / self.pump_scale**2

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgcorr import quadrature
+from wgcorr import cli, quadrature
 from wgcorr.cli import Config, ConfigError, main
 
 
@@ -451,3 +451,110 @@ def test_cli_imports_scipy_solvers_only_to_solve(tmp_path):
     assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(after_modes)
     _, rows = read_csv(tmp_path / "modes" / "modes.csv")
     assert len(rows) == 6
+
+
+# ----------------------------------------------------------------------
+# every bad value of the sample configurations is a config error at its line
+# ----------------------------------------------------------------------
+
+SAMPLE_COMMANDS = {"modes_square": "modes", "modes_disk_fd": "modes", "single_ray": "single",
+                   "biphoton_pumped": "biphoton", "bounds_pumped": "bounds"}
+FUZZ_VALUES = ("", "x", "nan", "-1", "0", "1e400")
+
+
+class Reached(Exception):
+    """The run got past its configuration checks to a solve or a quadrature."""
+
+
+def _reach(*args, **kwargs):
+    raise Reached
+
+
+@pytest.fixture
+def checks_only(monkeypatch):
+    monkeypatch.setattr(quadrature, "oscillation_breakpoints", _reach)
+    monkeypatch.setattr(cli, "fd_spectrum", _reach)
+    monkeypatch.setattr(cli, "analytic_spectrum", _reach)
+
+
+def _key_lines(lines):
+    """(line number, key) of every key = value line but ``directory``."""
+    out = []
+    for no, ln in enumerate(lines, start=1):
+        key, sep, _ = ln.partition("=")
+        if sep and not ln.lstrip().startswith("#") and key.strip() != "directory":
+            out.append((no, key.strip()))
+    return out
+
+
+def _config_error_at(capsys, command, cfg, out, anchors):
+    """Whether ``command`` exits 2 with a config error anchored at one of ``anchors``
+    (``path:line`` strings); a run that reaches a solve or a quadrature is None."""
+    capsys.readouterr()
+    try:
+        status = main([command, "--config", str(cfg), "--out", str(out)])
+    except Reached:
+        return None
+    except Exception:   # a traceback
+        return False
+    err = capsys.readouterr().err
+    return status == 2 and any(err.startswith(f"config error: {a}: ") for a in anchors)
+
+
+def test_every_bad_sample_value_is_anchored(tmp_path, capsys, checks_only):
+    escapes, cases = [], 0
+    cfg = tmp_path / "cfg.ini"
+    for name, command in SAMPLE_COMMANDS.items():
+        lines = (CONFIGS / f"{name}.ini").read_text().splitlines()
+        keys = _key_lines(lines)
+        grid_ends = [no for no, key in keys if key in ("lightcone_z_min", "lightcone_z_max")]
+        for no, key in keys:
+            # a light-cone grid inside the cone is reported at either end of the grid
+            anchors = {no, *grid_ends} if key.startswith("lightcone_z") else {no}
+            for value in FUZZ_VALUES:
+                bad = list(lines)
+                bad[no - 1] = f"{key} = {value}"
+                cfg.write_text("\n".join(bad) + "\n")
+                cases += 1
+                if _config_error_at(capsys, command, cfg, tmp_path / "out",
+                                    [f"{cfg}:{n}" for n in anchors]) is False:
+                    escapes.append(f"{name}: {key} = {value!r}")
+    assert cases == 414
+    assert escapes == []
+
+
+BAD_TABLES = {"malformed": "k,re,im\n0.5,1,0\n0.6,x,0\n0.7,1,0\n",
+              "nan": "k,re,im\n0.5,1,0\n0.6,nan,0\n0.7,1,0\n"}
+
+
+@pytest.mark.parametrize("config, old, new, anchor", [
+    ("modes_disk_fd", "solver = fd", "solver = fdd", "solver"),
+    ("biphoton_pumped", "pump_width = 0.1", "pump_width: -0.1", "pump_width"),
+    ("biphoton_pumped", "pump_center = 2.0", "pump_center = -1", "pump_center"),
+    ("biphoton_pumped", "normalize = true",
+     "normalize = true\nnorm_k_min = 10\nnorm_k_max = 11", "normalize"),
+    ("biphoton_pumped", "normalize = true",
+     "normalize = true\nnorm_k_min = 2\nnorm_k_max = 1", "norm_k_max"),
+    ("single_ray", "width = 0.1", "width = 0.1\namplitude_re = 0", "normalize"),
+    ("single_ray", "family = gaussian", "family = table\nfile = {absent}", "file"),
+    ("single_ray", "family = gaussian", "family = table\nfile = {malformed}", "{malformed}:3"),
+    ("single_ray", "family = gaussian", "family = table\nfile = {nan}", "{nan}:3"),
+], ids=["solver_fdd", "colon_line", "pump_center_negative", "zero_pair_norm",
+        "reversed_norm_range", "zero_packet", "missing_table", "malformed_table",
+        "nan_table"])
+def test_bad_value_is_anchored(tmp_path, capsys, monkeypatch, config, old, new, anchor):
+    monkeypatch.setattr(cli, "fd_spectrum", _reach)
+    files = {"absent": tmp_path / "absent.csv"}
+    for name, text in BAD_TABLES.items():
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text(text)
+    text = (CONFIGS / f"{config}.ini").read_text()
+    assert old in text
+    text = text.replace(old, new.format(**files), 1)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    if anchor.startswith("{"):
+        at = anchor.format(**files)
+    else:
+        at = f"{cfg}:{1 + next(i for i, ln in enumerate(text.splitlines()) if ln.startswith(anchor))}"
+    assert _config_error_at(capsys, SAMPLE_COMMANDS[config], cfg, tmp_path / "out", [at])

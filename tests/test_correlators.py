@@ -470,3 +470,18 @@ def test_wave_operator_residual_quarters_with_step():
     assert abs(r1) / a1 < 1e-2            # residual is small to begin with
     ratio = abs(r1) / abs(r2)
     assert 3.5 < ratio < 4.5
+
+
+def test_point_probabilities_are_scan_results():
+    # P = |A|^2 and its error have one definition, CorrelationResult, so a
+    # point and a one-point scan agree bit for bit
+    g = GaussianPacket(0.75, 0.1)
+    scan = single_scan(g, D1, [12.0], 20.0)
+    assert probability_single(g, D1, SpacetimePoint(12.0, 20.0)) == (
+        scan.values[0], scan.error_estimates[0])
+    f = pumped_spec()
+    pair = biphoton_scan(f, D1, 4.0, 5.0, [3.0], [2.0], rel_tol=1e-6)
+    assert probability_biphoton(f, D1, SpacetimePoint(3.0, 4.0), SpacetimePoint(2.0, 5.0),
+                                rel_tol=1e-6) == (pair.values[0, 0], pair.error_estimates[0, 0])
+    amps, errs, panels = pair
+    assert (pair.amplitudes is amps) and (pair.amp_errors is errs) and panels == pair.panels

@@ -795,3 +795,24 @@ def test_pumped_scan_errors_bound_finer_reference(t1, t2):
     ref, _, ref_panels = scan(1e-10, 0.25 * _feature_width(f))
     assert ref_panels > 3 * panels
     assert (np.abs(amps - ref) <= errs).all()
+
+
+@pytest.mark.parametrize("rule", ["1d", "2d"])
+def test_non_finite_envelope_fails_at_first_level(rule):
+    # a NaN in the envelope raises at once instead of bisecting every level
+    levels = []
+
+    def envelope(k):
+        levels.append(k.size)
+        return np.where(k > 1.0, np.nan, 1.0)
+
+    def joint(k, wk):
+        levels.append(k.size)
+        return lambda idx: np.where(k[idx][:, None] + k[None, :] > 2.0, np.nan, 1.0)
+
+    with pytest.raises(ValueError, match="not finite"):
+        if rule == "1d":
+            osc_integrate_1d_many(envelope, D1, [0.0, 5.0], 10.0, (0.5, 1.5))
+        else:
+            osc_tensor_scan(joint, D1, (0.5, 1.5), 10.0, 10.0, [0.0], [0.0, 5.0])
+    assert len(levels) == 1

@@ -52,7 +52,8 @@ def test_compare_reports_byte_identical_files(tmp_path, capsys):
         out = tmp_path / root / "out_biphoton"
         (out / "profile.csv").write_text("v1,valid\n0.5,true\n", encoding="utf-8")
         (out / "config_effective.ini").write_text(f"[scan]\nt = {root}\n", encoding="utf-8")
-    assert tool.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    # a differing echo fails: it reproduces the run and has no error bar
+    assert tool.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "out_biphoton/biphoton_scan.csv  differs" in lines
     assert "out_biphoton/config_effective.ini  differs" in lines

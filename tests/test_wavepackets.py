@@ -59,6 +59,22 @@ def test_table_grid_must_increase():
         TablePacket(np.array([0.0, 0.0, 1.0]), np.zeros(3, dtype=complex))
 
 
+@pytest.mark.parametrize("k, values", [
+    (np.linspace(0.5, 1.5, 11), [1.0] * 5 + [np.nan] + [1.0] * 5),
+    (np.array([0.5, 1.0, np.inf]), np.ones(3)),
+], ids=["nan_value", "inf_grid"])
+def test_table_must_be_finite(k, values):
+    with pytest.raises(ValueError, match="finite"):
+        TablePacket(k, values)
+
+
+def test_pumped_pair_needs_pump_support_above_zero():
+    # a pump below k1 + k2 = 0 would give a reversed axis domain
+    with pytest.raises(ValueError, match="k1 \\+ k2 > 0"):
+        PumpedPair(GaussianPacket(-1.0, 0.1), pump_scale=2.0)
+    assert PumpedPair(GaussianPacket(0.0, 0.1), pump_scale=2.0).axis_domain()[1] > 0
+
+
 def test_table_interpolation_is_linear():
     t = TablePacket(np.array([0.0, 1.0]), np.array([0.0 + 0.0j, 2.0 + 4.0j]))
     assert t(0.5) == pytest.approx(1.0 + 2.0j)
@@ -188,5 +204,17 @@ def test_load_table_packet_roundtrip(tmp_path):
 def test_load_table_packet_rejects_bad_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("k,re,im\n0.0,1.0,0.0\noops,not,numbers\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{path}:3: malformed"):
+        load_table_packet(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("k,re,im\n0.0,1.0,0.0\n\n0.5,nan,0.0\n1.0,0.0,0.0\n", 4),
+    ("k,re,im\n0.0,1.0,0.0\n", 1),
+    ("0.0,1.0,0.0\n0.0,1.0,0.0\n", 1),
+], ids=["nan", "one_sample", "grid_not_increasing"])
+def test_load_table_packet_errors_name_file_and_line(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{path}:{line}: "):
         load_table_packet(path)

@@ -19,8 +19,10 @@ probability column with a reported error (``error`` or ``p_error``) the
 largest |new - old| divided by the larger of the two errors on that row;
 other columns are reported as equal or with the number of rows that
 differ.
-Exits 1 if a CSV is missing from one tree or changes its header or row
-count, or if a probability column moves by more than that error.
+Exits 1 if a file is missing from one tree, if a ``config_effective.ini``
+differs (the echo that reproduces a run has no error bar), if a CSV
+changes its header or row count, or if a probability column moves by
+more than that error.
 """
 
 from __future__ import annotations
@@ -70,12 +72,16 @@ def compare(old: Path, new: Path) -> int:
     for name in names:
         if not ((old / name).exists() and (new / name).exists()):
             print(f"{name}\n  only in {old if (old / name).exists() else new}")
-            broken = broken or name.suffix == ".csv"
+            broken = True
             continue
         same = (old / name).read_bytes() == (new / name).read_bytes()
         identical += same
         print(f"{name}  {'byte-identical' if same else 'differs'}")
-        if same or name.suffix != ".csv":
+        if same:
+            continue
+        if name.suffix != ".csv":
+            print("  the echo must be byte-identical")
+            broken = True
             continue
         (head_a, rows_a), (head_b, rows_b) = _read(old / name), _read(new / name)
         if head_a != head_b or len(rows_a) != len(rows_b):
