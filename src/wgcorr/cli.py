@@ -240,6 +240,13 @@ class Config:
                            self.get_float(section, f"{name}_max", hi, check),
                            self.get_int(section, f"{name}_count", count, _positive))
 
+    def reject_unknown(self):
+        """Config error at the first key that no read asked for, in every section read."""
+        read = {section for section, _ in self.resolved}
+        for section, key in [(s, k) for s in self._cp.sections() if s in read
+                             for k in self._cp.options(s) if (s, k) not in self.resolved]:
+            self._fail(section, key, f"unknown key '{key}' in [{section}]")
+
     def echo(self, path):
         cp = configparser.ConfigParser()
         for (section, key), rendered in self.resolved.items():
@@ -266,6 +273,7 @@ def _load(cfg: Config, section: str, loader, what: str):
 
 
 def resolve_spectrum(cfg: Config, count: int, count_key: str = "count"):
+    """The solve of the [mode] spectrum, to be called once the configuration is read."""
     source = cfg.get_choice("mode", "source", ("rectangle", "disk", "raster"))
     if source == "rectangle":
         cs = Rectangle(cfg.get_float("mode", "a", check=_positive),
@@ -277,23 +285,27 @@ def resolve_spectrum(cfg: Config, count: int, count_key: str = "count"):
     raster = source == "raster"
     solver = cfg.get_choice("mode", "solver", ("fd",) if raster else ("analytic", "fd"),
                             "fd" if raster else "analytic")
-    try:
-        if solver == "analytic":
-            return analytic_spectrum(cs, count)
-        spacing = (cfg.get_float("mode", "spacing")
-                   if cfg.has("mode", "spacing") or not raster else None)
-        return fd_spectrum(cs, count, spacing)  # a raster's own spacing when None
-    except ValueError as exc:  # the count or lattice does not suit the section
-        key = (count_key if "count" in str(exc)
-               else "spacing" if cfg.has("mode", "spacing") else "file")
-        cfg._fail("mode", key, str(exc))
+    spacing = (cfg.get_float("mode", "spacing")   # a raster's own spacing when None
+               if solver == "fd" and (cfg.has("mode", "spacing") or not raster) else None)
+
+    def solve():
+        try:
+            if solver == "analytic":
+                return analytic_spectrum(cs, count)
+            return fd_spectrum(cs, count, spacing)
+        except ValueError as exc:  # the count or lattice does not suit the section
+            key = (count_key if "count" in str(exc)
+                   else "spacing" if cfg.has("mode", "spacing") else "file")
+            cfg._fail("mode", key, str(exc))
+    return solve
 
 
 _SOURCE_KEYS = {"mass": ("mass",), "rectangle": ("a", "b"),
                 "disk": ("radius",), "raster": ("file",)}
 
 
-def resolve_mass(cfg: Config) -> float:
+def resolve_mass(cfg: Config):
+    """The call that gives the cutoff mass, to be made once the configuration is read."""
     source = cfg.get_choice("mode", "source", tuple(_SOURCE_KEYS))
     foreign = [k for s, keys in _SOURCE_KEYS.items() if s != source
                for k in keys if cfg.has("mode", k)]
@@ -301,10 +313,11 @@ def resolve_mass(cfg: Config) -> float:
         cfg._fail("mode", foreign[0], f"[mode] must specify exactly one mass source; "
                                       f"source={source} conflicts with keys {foreign}")
     if source == "mass":
-        return cfg.get_float("mode", "mass", check=_positive)
+        mass = cfg.get_float("mode", "mass", check=_positive)
+        return lambda: mass
     index = cfg.get_int("mode", "index", 1, check=_positive)
-    spectrum = resolve_spectrum(cfg, index, "index")
-    return float(spectrum.cutoff_masses[index - 1])
+    solve = resolve_spectrum(cfg, index, "index")
+    return lambda: float(solve().cutoff_masses[index - 1])
 
 
 def resolve_packet(cfg: Config):
@@ -353,7 +366,9 @@ def resolve_biphoton(cfg: Config):
 # ----------------------------------------------------------------------
 
 def cmd_modes(cfg: Config, out: Path) -> int:
-    spectrum = resolve_spectrum(cfg, cfg.get_int("mode", "count", 10, check=_positive))
+    solve = resolve_spectrum(cfg, cfg.get_int("mode", "count", 10, check=_positive))
+    cfg.reject_unknown()   # the whole configuration is read before the solve
+    spectrum = solve()
     modes, masses = spectrum.modes, spectrum.cutoff_masses
     sizes = [len(members) for members in spectrum.degenerate_clusters()]
     write_csv(out / "modes.csv",
@@ -369,7 +384,7 @@ def cmd_modes(cfg: Config, out: Path) -> int:
 
 
 def cmd_single(cfg: Config, out: Path) -> int:
-    d = DispersionRelation(resolve_mass(cfg))
+    mass = resolve_mass(cfg)
     packet, normalize = resolve_packet(cfg)
     tol = cfg.get_float("tolerances", "quadrature_rel", 1e-9, _rel_tol)
     z = cfg.get_grid("scan", "z")
@@ -380,7 +395,8 @@ def cmd_single(cfg: Config, out: Path) -> int:
         ts = np.geomspace(cfg.get_float("scan", "t_min", 100.0, _positive),
                           cfg.get_float("scan", "t_max", 1000.0, _positive),
                           cfg.get_int("scan", "t_count", 25, _positive))
-    # the whole configuration is read, with its checks, before the first quadrature
+    cfg.reject_unknown()   # the whole configuration is read before a solve or quadrature
+    d = DispersionRelation(mass())
     if normalize:
         packet = cfg.anchored("packet", "normalize", normalized_packet, packet)
 
@@ -414,7 +430,7 @@ def cmd_single(cfg: Config, out: Path) -> int:
 
 
 def cmd_biphoton(cfg: Config, out: Path) -> int:
-    d = DispersionRelation(resolve_mass(cfg))
+    mass = resolve_mass(cfg)
     f, norm = resolve_biphoton(cfg)
     tol = cfg.get_float("tolerances", "biphoton_rel", 1e-6, _rel_tol)
     t1 = cfg.get_float("scan", "t1")
@@ -422,7 +438,8 @@ def cmd_biphoton(cfg: Config, out: Path) -> int:
     z1 = cfg.get_grid("scan", "z1")
     z2 = cfg.get_grid("scan", "z2")
     v = cfg.get_grid("scan", "profile_v", 0.1, 0.9, 41)
-    # the whole configuration is read, with its checks, before the first quadrature
+    cfg.reject_unknown()   # the whole configuration is read before a solve or quadrature
+    d = DispersionRelation(mass())
     if norm:
         f = cfg.anchored("biphoton", "normalize", normalize_biphoton, f, norm)
 
@@ -450,7 +467,7 @@ def cmd_biphoton(cfg: Config, out: Path) -> int:
 
 
 def cmd_bounds(cfg: Config, out: Path) -> int:
-    d = DispersionRelation(resolve_mass(cfg))
+    mass = resolve_mass(cfg)
     f, norm = resolve_biphoton(cfg)
     tol = cfg.get_float("tolerances", "biphoton_rel", 1e-6, _rel_tol)
     t_pairs = cfg.get_pairs("scan", "t_pairs", [(50.0, 50.0), (200.0, 200.0)], _positive)
@@ -459,13 +476,15 @@ def cmd_bounds(cfg: Config, out: Path) -> int:
     lightcone = cfg.has("scan", "lightcone_t")
     if lightcone:
         t_ray = cfg.get_float("scan", "lightcone_t")
-        zs = cfg.get_grid("scan", "lightcone_z", count=21)
-        ray = cfg.anchored("scan", "lightcone_z_min", Ray, t_ray, zs)  # outside the cone
+        zs = cfg.get_grid("scan", "lightcone_z", count=21, check=_check(
+            lambda z: abs(z) >= abs(t_ray), f"a ray end outside the cone |z| >= {abs(t_ray)!r}"))
+        ray = cfg.anchored("scan", "lightcone_z_max", Ray, t_ray, zs)  # ends across the cone
         orders = cfg.get_floats("scan", "lightcone_orders", [0.0, 2.0, 4.0, 6.0],
                                 decay_orders)
         qtol = cfg.get_float("tolerances", "quadrature_rel", 1e-9, _rel_tol)
         packet, normalize = resolve_packet(cfg)
-    # the whole configuration is read, with its checks, before the first quadrature
+    cfg.reject_unknown()   # the whole configuration is read before a solve or quadrature
+    d = DispersionRelation(mass())
     if lightcone and normalize:
         packet = cfg.anchored("packet", "normalize", normalized_packet, packet)
     if norm:
@@ -492,6 +511,7 @@ def cmd_bounds(cfg: Config, out: Path) -> int:
 
 def cmd_validate(cfg: Config, out: Path) -> int:
     """Built-in property battery; one PASS/FAIL line per check."""
+    cfg.reject_unknown()
     d = DispersionRelation(1.0)
     checks = []
 
@@ -541,16 +561,12 @@ def cmd_validate(cfg: Config, out: Path) -> int:
     ratio = abs(r1) / abs(r2)
     checks.append(("wave_operator_residual_ratio", abs(ratio - 4.0), 1.0))
 
-    rows = []
-    failed = 0
-    for name, metric, threshold in checks:
-        ok = metric <= threshold
-        failed += 0 if ok else 1
+    rows = [(name, metric, threshold, metric <= threshold) for name, metric, threshold in checks]
+    for name, metric, threshold, ok in rows:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: metric={metric:.3e} "
               f"threshold={threshold:.1e}")
-        rows.append((name, metric, threshold, ok))
     write_csv(out / "validation.csv", ("check", "metric", "threshold", "passed"), rows)
-    return 1 if failed else 0
+    return 0 if all(ok for *_, ok in rows) else 1
 
 
 _COMMANDS = {

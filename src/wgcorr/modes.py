@@ -152,21 +152,13 @@ def _rectangle_spectrum(cs: Rectangle, count: int):
     a, b = cs.a, cs.b
     # Enough (p, q) candidates to cover the lowest `count`; ties ordered
     # by (p, q) lexicographic.
-    pmax = count + 1
-    cand = []
-    for p in range(1, pmax + 1):
-        for q in range(1, pmax + 1):
-            m2 = np.pi**2 * (p**2 / a**2 + q**2 / b**2)
-            cand.append((m2, p, q))
-    cand.sort()
-    cand = cand[:count]
+    cand = sorted((np.pi**2 * (p**2 / a**2 + q**2 / b**2), p, q)
+                  for p in range(1, count + 2) for q in range(1, count + 2))[:count]
     pq_max = max(max(p, q) for _, p, q in cand)
 
     nx = ny = max(64, 4 * pq_max)
     hx, hy = a / nx, b / ny
-    xs = hx * np.arange(1, nx)
-    ys = hy * np.arange(1, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = np.meshgrid(hx * np.arange(1, nx), hy * np.arange(1, ny), indexing="ij")
     node_x, node_y = X.ravel(), Y.ravel()
     weights = np.full(node_x.size, hx * hy)
 
@@ -302,15 +294,21 @@ def _connected_regions(mask: np.ndarray) -> int:
     return int(connected_components(graph, directed=False)[0])
 
 
-def _laplacian(mask: np.ndarray, h: float):
-    """5-point Dirichlet Laplacian on the mask; outside nodes contribute zero."""
+def _red_black_block(mask: np.ndarray, h: float, black: np.ndarray):
+    """B of the 5-point A = [[d I, B], [B^T, d I]]: red rows by black columns in
+    node order, -1/h^2 per lattice edge (every edge joins a red and a black node)."""
     import scipy.sparse as sp
-    n, src, dst = _lattice_edges(mask)
-    diag = np.arange(n)
-    rows = np.concatenate([diag, src, dst])
-    cols = np.concatenate([diag, dst, src])
-    vals = np.concatenate([np.full(n, 4.0 / h**2), np.full(2 * src.size, -1.0 / h**2)])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    _, src, dst = _lattice_edges(mask)
+    pos = np.where(black, np.cumsum(black), np.cumsum(~black)) - 1   # index in its colour
+    red_end, black_end = pos[np.where(black[src], (dst, src), (src, dst))]
+    return sp.csr_matrix((np.full(src.size, -1.0 / h**2), (red_end, black_end)),
+                         shape=(np.count_nonzero(~black), np.count_nonzero(black)))
+
+
+def _block_residual(B, d: float, lam: np.ndarray, v_red: np.ndarray, v_black: np.ndarray):
+    """||A v - lam v|| / lam per column of v = (v_red, v_black), A = [[d I, B], [B^T, d I]]."""
+    return np.hypot(np.linalg.norm(B @ v_black + (d - lam) * v_red, axis=0),
+                    np.linalg.norm(B.T @ v_red + (d - lam) * v_black, axis=0)) / lam
 
 
 def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> ModeSpectrum:
@@ -342,6 +340,10 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
     stable here because S, a Schur complement of the symmetric positive
     definite A, is symmetric positive definite itself; the symmetric
     ordering nearly halves the fill of the default column ordering.
+    A is never assembled: B, built from the lattice edges, is dropped once
+    S is formed, so only S (CSC), the node and colour arrays, the factor
+    and ARPACK's basis are alive in the solve.  B is built again after the
+    factor is freed, for the lift and for the residual in the block form.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -360,18 +362,17 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
     n = rows_i.size
     odd = (rows_i + cols_i) % 2 == 1
     black = odd if 2 * np.count_nonzero(odd) <= n else ~odd
-    red = ~black
     nb = int(np.count_nonzero(black))
     if count >= nb:
         raise ValueError(
             f"requested {count} modes but the smaller colour class of the lattice "
             f"has only {nb} nodes; count must be below {nb}")
 
-    A = _laplacian(mask, h)
     d = 4.0 / h**2
-    B = A[red][:, black]
-    S = sp.identity(nb, format="csr") * d - (B.T @ B) / d
-    lu = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    B = _red_black_block(mask, h, black)
+    S = (sp.identity(nb, format="csr") * d - (B.T @ B) / d).tocsc()
+    del B   # only S, the node and colour arrays and then the factor live in the solve
+    lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     s_inv = spla.LinearOperator(S.shape, matvec=lu.solve, dtype=S.dtype)
     v0 = np.ones(nb) / np.sqrt(nb)
@@ -382,33 +383,31 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
         raise ModeSolverError(
             f"eigensolver failed to converge within {ITERATION_CAP} iterations: {exc}"
         ) from exc
+    del S, lu, s_inv   # the factor is freed before B is built again
     order = np.argsort(mu)
     mu, v_black = mu[order], v_black[:, order]
 
     # a mu at (or round-off above) d has no eigenvalue below d: its lam or
     # lifted vector turns NaN and the residual contract reports the pair
+    B = _red_black_block(mask, h, black)
     with np.errstate(invalid="ignore", divide="ignore"):
         eigvals = mu / (1.0 + np.sqrt(1.0 - mu / d))
         eigvecs = np.empty((n, count))
         eigvecs[black] = v_black
-        eigvecs[red] = -(B @ v_black) / (d - eigvals)
+        eigvecs[~black] = -(B @ v_black) / (d - eigvals)
         eigvecs /= np.linalg.norm(eigvecs, axis=0)
 
-    res = np.linalg.norm(A @ eigvecs - eigvecs * eigvals, axis=0) / eigvals
+    res = _block_residual(B, d, eigvals, eigvecs[~black], eigvecs[black])
     bad = np.nonzero(~(res <= RESIDUAL_TOL))[0]
     if bad.size:
         report = "; ".join(f"pair {i + 1}: lam={eigvals[i]:.6e} residual={res[i]:.3e}"
                            for i in bad)
         raise ModeSolverError(f"residual contract {RESIDUAL_TOL} violated: {report}")
 
-    node_x = x0 + rows_i * h
-    node_y = y0 + cols_i * h
-    weights = np.full(n, h * h)
-    modes = []
-    for i in range(count):
-        v = _fix_signs(eigvecs[:, i] / h)  # unit discrete L2 norm: sum h^2 v^2 = 1
-        modes.append(Mode(i + 1, "TM", float(np.sqrt(eigvals[i])), v, "fd"))
-    return ModeSpectrum(tuple(modes), node_x, node_y, weights, h)
+    # samples v / h have unit discrete L2 norm: sum h^2 (v / h)^2 = 1
+    modes = tuple(Mode(i, "TM", float(np.sqrt(lam)), _fix_signs(v / h), "fd")
+                  for i, (lam, v) in enumerate(zip(eigvals, eigvecs.T), start=1))
+    return ModeSpectrum(modes, x0 + rows_i * h, y0 + cols_i * h, np.full(n, h * h), h)
 
 
 # ----------------------------------------------------------------------

@@ -506,21 +506,59 @@ def test_every_bad_sample_value_is_anchored(tmp_path, capsys, checks_only):
     cfg = tmp_path / "cfg.ini"
     for name, command in SAMPLE_COMMANDS.items():
         lines = (CONFIGS / f"{name}.ini").read_text().splitlines()
-        keys = _key_lines(lines)
-        grid_ends = [no for no, key in keys if key in ("lightcone_z_min", "lightcone_z_max")]
-        for no, key in keys:
-            # a light-cone grid inside the cone is reported at either end of the grid
-            anchors = {no, *grid_ends} if key.startswith("lightcone_z") else {no}
+        for no, key in _key_lines(lines):
             for value in FUZZ_VALUES:
                 bad = list(lines)
                 bad[no - 1] = f"{key} = {value}"
                 cfg.write_text("\n".join(bad) + "\n")
                 cases += 1
                 if _config_error_at(capsys, command, cfg, tmp_path / "out",
-                                    [f"{cfg}:{n}" for n in anchors]) is False:
+                                    [f"{cfg}:{no}"]) is False:
                     escapes.append(f"{name}: {key} = {value!r}")
     assert cases == 414
     assert escapes == []
+
+
+def test_every_sample_section_rejects_a_key_nothing_reads(tmp_path, capsys, checks_only):
+    # a misspelled key in any section a run reads is a config error at its
+    # line, raised before the first solve or quadrature; [output] is not read
+    # when --out is given
+    cfg = tmp_path / "cfg.ini"
+    cases = 0
+    for name, command in SAMPLE_COMMANDS.items():
+        lines = (CONFIGS / f"{name}.ini").read_text().splitlines()
+        for no, ln in enumerate(lines, start=1):
+            section = ln.strip()[1:-1]
+            if not ln.startswith("[") or section == "output":
+                continue
+            cfg.write_text("\n".join([*lines[:no], "cuont = 4", *lines[no:]]) + "\n")
+            cases += 1
+            capsys.readouterr()
+            status = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert (status, capsys.readouterr().err) == (
+                2, f"config error: {cfg}:{no + 1}: unknown key 'cuont' in [{section}]\n")
+    assert cases == 15
+
+
+def test_unknown_key_is_reported_before_the_mode_solve(tmp_path, capsys, checks_only):
+    # a mass from a mode spectrum is solved only once the whole file is read
+    text = (CONFIGS / "single_ray.ini").read_text()
+    for old, new in [("source = mass", "source = disk"), ("mass = 1.0", "radius = 1.0"),
+                     ("width = 0.1", "width = 0.1\nwdith = 0.2")]:
+        text = text.replace(old, new, 1)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    at = 1 + text.splitlines().index("wdith = 0.2")
+    assert _config_error_at(capsys, "single", cfg, tmp_path / "out", [f"{cfg}:{at}"])
+
+
+def test_validate_reads_no_mode_key(tmp_path, checks_only):
+    # sections a subcommand never reads are not checked for unknown keys
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text((CONFIGS / "modes_square.ini").read_text()
+                   .replace("count = 10", "cuont = 10"))
+    with pytest.raises(Reached):
+        main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
 
 BAD_TABLES = {"malformed": "k,re,im\n0.5,1,0\n0.6,x,0\n0.7,1,0\n",
@@ -539,9 +577,11 @@ BAD_TABLES = {"malformed": "k,re,im\n0.5,1,0\n0.6,x,0\n0.7,1,0\n",
     ("single_ray", "family = gaussian", "family = table\nfile = {absent}", "file"),
     ("single_ray", "family = gaussian", "family = table\nfile = {malformed}", "{malformed}:3"),
     ("single_ray", "family = gaussian", "family = table\nfile = {nan}", "{nan}:3"),
+    # both ends outside the cone, on opposite sides: the grid crosses it
+    ("bounds_pumped", "lightcone_z_min = 60.0", "lightcone_z_min = -60", "lightcone_z_max"),
 ], ids=["solver_fdd", "colon_line", "pump_center_negative", "zero_pair_norm",
         "reversed_norm_range", "zero_packet", "missing_table", "malformed_table",
-        "nan_table"])
+        "nan_table", "cone_ends_across"])
 def test_bad_value_is_anchored(tmp_path, capsys, monkeypatch, config, old, new, anchor):
     monkeypatch.setattr(cli, "fd_spectrum", _reach)
     files = {"absent": tmp_path / "absent.csv"}

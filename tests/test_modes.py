@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import bisect
 from scipy.special import j0
@@ -16,6 +19,18 @@ from wgcorr import (
     load_raster,
     modes,
 )
+
+
+def laplacian(mask, h):
+    """Oracle: the 5-point Dirichlet Laplacian on the mask, the sum of 1-D
+    second differences on the bounding grid with the outside nodes deleted."""
+    def second_difference(m):
+        return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m)) / h**2
+    nx, ny = mask.shape
+    full = (sp.kron(second_difference(nx), sp.identity(ny))
+            + sp.kron(sp.identity(nx), second_difference(ny))).tocsr()
+    inside = mask.ravel()
+    return full[inside][:, inside]
 
 
 def bessel_j0_first_zero():
@@ -241,13 +256,52 @@ def l_mask():
 def test_fd_reduction_matches_dense_oracle(mask, h):
     assert 300 <= mask.sum() <= 600
     count = 12
-    A = modes._laplacian(mask, h)
+    A = laplacian(mask, h)
     oracle = np.linalg.eigh(A.toarray())[0][:count]
     ms = fd_spectrum(Raster(mask, h), count=count)
     np.testing.assert_allclose(ms.cutoff_masses**2, oracle, rtol=1e-11, atol=0)
     V = np.stack([m.samples for m in ms.modes], axis=1) * h  # unit Euclidean norm
     res = np.linalg.norm(A @ V - V * oracle, axis=0) / oracle
     assert (res <= modes.RESIDUAL_TOL).all()
+
+
+@pytest.mark.parametrize("mask, h", [(annulus_mask(), 0.1),
+                                     (np.ones((17, 23), dtype=bool), 0.07),
+                                     (l_mask(), 0.05)],
+                         ids=["annulus", "odd_rectangle", "l_shape"])
+def test_block_residual_matches_full_lattice_oracle(mask, h):
+    # B from the lattice edges in the block form [[d I, B], [B^T, d I]] is the
+    # full Laplacian with red nodes first; checked on vectors that are not
+    # eigenvectors, so the residual is large and round-off cannot hide a term
+    rows_i, cols_i = np.nonzero(mask)
+    black = (rows_i + cols_i) % 2 == 1
+    lam = np.array([1.0, 7.5, 40.0])
+    V = np.random.default_rng(3).standard_normal((mask.sum(), lam.size))
+    B = modes._red_black_block(mask, h, black)
+    got = modes._block_residual(B, 4.0 / h**2, lam, V[~black], V[black])
+    want = np.linalg.norm(laplacian(mask, h) @ V - V * lam, axis=0) / lam
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_fd_factors_with_only_the_schur_matrix_alive(monkeypatch):
+    # at the factorization the traced heap holds S and the lattice's node
+    # and colour arrays, not the full 5-point matrix or its red-black block
+    seen = []
+    splu = spla.splu
+
+    def spy(S, *args, **kwargs):
+        seen.append((tracemalloc.get_traced_memory()[0],
+                     S.data.nbytes + S.indices.nbytes + S.indptr.nbytes))
+        return splu(S, *args, **kwargs)
+    monkeypatch.setattr(spla, "splu", spy)
+    raster = Raster(np.ones((120, 90), dtype=bool), 0.05)
+    tracemalloc.start()
+    try:
+        fd_spectrum(raster, count=4)
+    finally:
+        tracemalloc.stop()
+    (traced, s_bytes), = seen
+    assert traced <= 2 * s_bytes
 
 
 @pytest.mark.parametrize("cs, spacing", [(Raster(np.ones((23, 37), dtype=bool), 0.05), None),
@@ -260,7 +314,7 @@ def test_fd_stop_meets_a_hundredth_of_the_residual_contract(cs, spacing):
     # relative residual ||A v - lam v|| / lam a hundred times inside it
     ms = fd_spectrum(cs, count=8, spacing=spacing)
     mask, _, _, h = modes._rasterize(cs, spacing)
-    A = modes._laplacian(mask, h)
+    A = laplacian(mask, h)
     lam = ms.cutoff_masses**2
     V = np.stack([m.samples for m in ms.modes], axis=1) * h  # unit Euclidean norm
     res = np.linalg.norm(A @ V - V * lam, axis=0) / lam
