@@ -6,7 +6,7 @@ Two families of bounds are checked on finite grids:
   everywhere, fitted by scanning P by quadrature over spacetime grids at
   the fixed offset t0 = 0.01 / mass;
 * super-polynomial decay outside the light cone |z| >= |t|, checked by
-  fitting log-log slopes of P along rays and by computing the constants
+  fitting log-log slopes of P along a ray and by computing the constants
   C_{n1 n2} = sup P (1 + |z1|)^{n1} (1 + |z2|)^{n2}.
 
 A grid supremum only bounds the true supremum from below, so every fit
@@ -103,10 +103,12 @@ class Ray:
 
 @dataclass(frozen=True)
 class LightconeReport:
+    """The light-cone check of one ray: its fits, verdict, whole-ray slope and P."""
+
     fits: tuple[BoundFit, ...]
     verdict: str                          # "pass" | "fail" | "inconclusive"
-    ray_slopes: tuple[SlopeFit, ...]
-    probabilities: tuple[np.ndarray, ...]   # P at each ray's samples, in ray order
+    slope: SlopeFit
+    probabilities: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -241,90 +243,60 @@ def decay_orders(orders) -> list[int]:
     return [int(n) for n in orders]
 
 
-def check_lightcone_decay(source, d: DispersionRelation, rays, orders,
+def check_lightcone_decay(source, d: DispersionRelation, ray: Ray, orders,
                           rel_tol: float = 1e-9) -> LightconeReport:
-    """Super-polynomial decay check on outside-the-cone rays.
+    """Super-polynomial decay check on one outside-the-cone ray.
 
     For every requested order n the local log-log slope of P against
     (1 + |z|) is fitted by least squares on every ``SLOPE_WINDOW``
-    consecutive usable samples of each ray; the bound of order n passes
-    on a ray once the slope stays at or below -n, the onset radius being
-    the first |z| of the window after the last failing one.  A NaN slope
+    consecutive usable samples of the ray; the bound of order n passes
+    once the slope stays at or below -n, the onset radius being the
+    first |z| of the window after the last failing one.  A NaN slope
     fails.  Points with P below ``PROBABILITY_FLOOR`` are counted as
-    below-floor passes and excluded from fits; a ray whose usable points
-    cannot support a fit yields an inconclusive verdict.
+    below-floor passes and excluded from fits; usable points too few
+    for a fit yield an inconclusive verdict.
 
     Returns one BoundFit per order carrying C_{n1 n2} as the supremum of
     P (1+|z1|)^{n1} (1+|z2|)^{n2} over the usable samples (n2 applies to
-    the frozen detector of pair scans and is 0 for single-photon rays).
-    The evaluated P along every ray is returned in ``probabilities``.
-    Raises ValueError unless ``orders`` passes ``decay_orders`` and
-    ``rays`` holds at least one ray.
+    the frozen detector of a pair ray and is 0 for a single-photon ray),
+    the whole-ray slope fit and P at the ray's samples; a caller with more
+    rays loops.  Raises ValueError, before any scan, unless ``orders``
+    passes ``decay_orders``.
     """
     orders = decay_orders(orders)
-    rays = list(rays)
-    if not rays:
-        raise ValueError("the light-cone check needs at least one ray")
-    probabilities = []
-    slopes = []
-    sups = {n: 0.0 for n in orders}
-    onsets = {n: [] for n in orders}
-    ray_verdicts = []
-    below = 0
-    for ray in rays:
-        P = _ray_probabilities(source, d, ray, rel_tol)
-        probabilities.append(P)
-        usable = P > PROBABILITY_FLOOR
-        below += int((~usable).sum())
-        zu, pu = np.abs(ray.z_values[usable]), P[usable]
-        z_frozen = 0.0 if ray.frozen is None else abs(ray.frozen.z)
-        if pu.size:
-            for n in orders:
-                sups[n] = max(sups[n], float((pu * (1.0 + zu) ** n).max()
-                                             * (1.0 + z_frozen) ** n))
-        if pu.size < SLOPE_WINDOW:
-            ray_verdicts.append("inconclusive")
-            slopes.append(SlopeFit(np.nan, np.inf, pu.size, P.size - pu.size))
-            for n in orders:
-                onsets[n].append(np.nan)
-            continue
-        slopes.append(decay_slope_fit(1.0 + zu, pu))
+    P = _ray_probabilities(source, d, ray, rel_tol)
+    usable = P > PROBABILITY_FLOOR
+    zu, pu = np.abs(ray.z_values[usable]), P[usable]
+    z_frozen = 0.0 if ray.frozen is None else abs(ray.frozen.z)
+    if pu.size < SLOPE_WINDOW:
+        slope = SlopeFit(np.nan, np.inf, pu.size, P.size - pu.size)
+        onsets = [np.nan] * len(orders)
+        verdict = "inconclusive"
+    else:
+        slope = decay_slope_fit(1.0 + zu, pu)
         lx = sliding_window_view(np.log(1.0 + zu), SLOPE_WINDOW)
         lp = sliding_window_view(np.log(pu), SLOPE_WINDOW)
         dx = lx - lx.mean(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             local = (dx * lp).sum(axis=1) / (dx * dx).sum(axis=1)
+        onsets = []
         for n in orders:
             failing = np.flatnonzero(~(local <= -n))
             start = failing[-1] + 1 if failing.size else 0
-            onsets[n].append(float(zu[start]) if start < local.size else np.nan)
-        ray_verdicts.append("pass" if all(np.isfinite(onsets[n][-1]) for n in orders)
-                            else "fail")
+            onsets.append(float(zu[start]) if start < local.size else np.nan)
+        verdict = "pass" if np.isfinite(onsets).all() else "fail"
 
-    frozen = any(r.frozen is not None for r in rays)
     fits = tuple(BoundFit(
         bound_kind="outside_lightcone",
-        constant=sups[n],
+        constant=float((pu * (1.0 + zu) ** n).max() * (1.0 + z_frozen) ** n) if pu.size else 0.0,
         max_violation=0.0,
-        grid_descriptor=f"{len(rays)} rays",
-        orders=(n, n if frozen else 0),
-        n_points=sum(p.size for p in probabilities),
-        n_below_floor=below,
-        diagnostics={"onset_radii": onsets[n]},
-    ) for n in orders)
-
-    if any(v == "inconclusive" for v in ray_verdicts):
-        verdict = "inconclusive"
-    elif all(v == "pass" for v in ray_verdicts):
-        verdict = "pass"
-    else:
-        verdict = "fail"
-    return LightconeReport(
-        fits=fits,
-        verdict=verdict,
-        ray_slopes=tuple(slopes),
-        probabilities=tuple(probabilities),
-    )
+        grid_descriptor="1 rays",   # the grid text of bound_fits.csv, kept byte-stable
+        orders=(n, 0 if ray.frozen is None else n),
+        n_points=P.size,
+        n_below_floor=int((~usable).sum()),
+        diagnostics={"onset_radii": [r]},
+    ) for n, r in zip(orders, onsets))
+    return LightconeReport(fits=fits, verdict=verdict, slope=slope, probabilities=P)
 
 
 # ----------------------------------------------------------------------

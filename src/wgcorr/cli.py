@@ -139,35 +139,45 @@ class Config:
     The record of resolved values (explicit and defaulted) is what gets
     echoed next to the outputs.  Every read may take a ``check``: a value
     it rejects with ValueError is a config error at the key's line, as is
-    a value that does not convert.
+    a value that does not convert; a section outside ``SECTIONS`` (names
+    are case-sensitive) is one at its header.
     """
+
+    SECTIONS = ("mode", "packet", "biphoton", "scan", "tolerances", "output")
 
     def __init__(self, path):
         self.path = Path(path)
         if not self.path.exists():
             raise ConfigError(f"{path}: configuration file not found")
         self._raw_lines = self.path.read_text().splitlines()
-        self._cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        self._cp = configparser.ConfigParser(   # "[]" is no header: [DEFAULT] is unknown too
+            inline_comment_prefixes=("#", ";"), default_section="")
         try:
             self._cp.read_string("\n".join(self._raw_lines), source=str(path))
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         self.resolved: dict[tuple[str, str], str] = {}
+        for section in self._cp.sections():
+            if section not in self.SECTIONS:
+                self._fail(section, None, f"unknown section [{section}]")
 
-    def _line_of(self, section: str, key: str) -> int | None:
+    def _line_of(self, section: str, key: str | None) -> int | None:
         current = None
         for i, ln in enumerate(self._raw_lines, start=1):
             s = ln.strip()
-            if s.startswith("[") and s.endswith("]"):
-                current = s[1:-1].strip().lower()
-            elif (current == section.lower()   # configparser splits at "=" or ":"
+            header = self._cp.SECTCRE.match(s)   # as configparser reads a header
+            if header:
+                if key is None and header["header"] == section:
+                    return i
+                current = header["header"].strip().lower()
+            elif (key is not None and current == section.lower()   # split at "=" or ":"
                   and s.replace(":", "=").partition("=")[0].strip().lower() == key.lower()):
                 return i
         return None
 
     def _fail(self, section, key, message):
         line = self._line_of(section, key)
-        anchor = f"{self.path}:{line}" if line else f"{self.path} [{section}] {key}"
+        anchor = f"{self.path}:{line}" if line else f"{self.path} [{section}] {key or ''}".rstrip()
         raise ConfigError(f"{anchor}: {message}")
 
     def anchored(self, section, key, fn, *args):
@@ -300,19 +310,9 @@ def resolve_spectrum(cfg: Config, count: int, count_key: str = "count"):
     return solve
 
 
-_SOURCE_KEYS = {"mass": ("mass",), "rectangle": ("a", "b"),
-                "disk": ("radius",), "raster": ("file",)}
-
-
 def resolve_mass(cfg: Config):
     """The call that gives the cutoff mass, to be made once the configuration is read."""
-    source = cfg.get_choice("mode", "source", tuple(_SOURCE_KEYS))
-    foreign = [k for s, keys in _SOURCE_KEYS.items() if s != source
-               for k in keys if cfg.has("mode", k)]
-    if foreign:
-        cfg._fail("mode", foreign[0], f"[mode] must specify exactly one mass source; "
-                                      f"source={source} conflicts with keys {foreign}")
-    if source == "mass":
+    if cfg.get_choice("mode", "source", ("mass", "rectangle", "disk", "raster")) == "mass":
         mass = cfg.get_float("mode", "mass", check=_positive)
         return lambda: mass
     index = cfg.get_int("mode", "index", 1, check=_positive)
@@ -492,9 +492,9 @@ def cmd_bounds(cfg: Config, out: Path) -> int:
 
     fits = [fit_universal_bound(f, d, t_pairs, v1, v2, rel_tol=tol)]
     if lightcone:
-        report = check_lightcone_decay(packet, d, [ray], orders, rel_tol=qtol)
+        report = check_lightcone_decay(packet, d, ray, orders, rel_tol=qtol)
         fits.extend(report.fits)
-        P = report.probabilities[0]
+        P = report.probabilities
         write_csv(out / "lightcone_scan.csv",
                   ("t", "z", "probability", "below_floor"),
                   _rows(t_ray, zs, P, P <= PROBABILITY_FLOOR))

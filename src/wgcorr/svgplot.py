@@ -92,13 +92,13 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
         yt = _nice_ticks(y_lo, y_hi)
 
     for v in xt:
-        X = px(v) if not logx else _ML + (math.log10(v) - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+        X = px(v)
         out.append(f'<line x1="{X:.2f}" y1="{_MT}" x2="{X:.2f}" y2="{_H - _MB}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{X:.2f}" y="{_H - _MB + 18}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="11">{_fmt(v)}</text>')
     for v in yt:
-        Y = _H - _MB - ((math.log10(v) if logy else v) - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+        Y = py(v)
         out.append(f'<line x1="{_ML}" y1="{Y:.2f}" x2="{_W - _MR}" y2="{Y:.2f}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{_ML - 6}" y="{Y + 4:.2f}" text-anchor="end" '

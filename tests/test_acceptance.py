@@ -111,11 +111,11 @@ def test_criterion_03_universal_bound():
 
 def test_criterion_04_lightcone_decay():
     zs = np.linspace(60.0, 100.0, 21)
-    report_lc = check_lightcone_decay(PACKET, D1, [Ray(t=50.0, z_values=zs)],
+    report_lc = check_lightcone_decay(PACKET, D1, Ray(t=50.0, z_values=zs),
                                       orders=[6], rel_tol=1e-10)
-    slope = report_lc.ray_slopes[0].slope
+    slope = report_lc.slope.slope
     fit6 = report_lc.fits[0]
-    accounted = fit6.n_points == fit6.n_below_floor + report_lc.ray_slopes[0].n_used
+    accounted = fit6.n_points == fit6.n_below_floor + report_lc.slope.n_used
     ok = bool(report_lc.verdict == "pass" and slope <= -6.0 and accounted)
     report(4, ok,
            f"fitted slope = {slope:.1f} (require <= -6), verdict = "

@@ -226,14 +226,14 @@ def test_ray_requires_outside_cone_samples():
 def test_single_photon_lightcone_decay():
     g = GaussianPacket(0.75, 0.1)
     ray = Ray(t=50.0, z_values=np.linspace(60.0, 100.0, 21))
-    report = check_lightcone_decay(g, D1, [ray], orders=range(0, 7))
+    report = check_lightcone_decay(g, D1, ray, orders=range(0, 7))
     assert report.verdict == "pass"
-    np.testing.assert_array_equal(report.probabilities[0],
+    np.testing.assert_array_equal(report.probabilities,
                                   single_scan(g, D1, ray.z_values, ray.t).values)
     fit6 = [f for f in report.fits if f.orders[0] == 6][0]
     assert np.isfinite(fit6.constant) and fit6.constant > 0
     # global slope is far steeper than -6 for a Gaussian envelope
-    assert report.ray_slopes[0].slope <= -6.0
+    assert report.slope.slope <= -6.0
     fit0 = [f for f in report.fits if f.orders[0] == 0][0]
     assert fit0.constant > 0          # plain sup of P over the region
 
@@ -241,7 +241,7 @@ def test_single_photon_lightcone_decay():
 def test_below_floor_points_flagged():
     g = GaussianPacket(0.75, 0.1)
     ray = Ray(t=50.0, z_values=np.linspace(60.0, 160.0, 26))
-    report = check_lightcone_decay(g, D1, [ray], orders=[6])
+    report = check_lightcone_decay(g, D1, ray, orders=[6])
     assert report.fits[0].n_below_floor > 0
     assert report.verdict == "pass"
 
@@ -249,7 +249,7 @@ def test_below_floor_points_flagged():
 def test_inconclusive_when_everything_below_floor():
     g = GaussianPacket(0.75, 0.1)
     ray = Ray(t=50.0, z_values=np.linspace(400.0, 500.0, 8))
-    report = check_lightcone_decay(g, D1, [ray], orders=[2])
+    report = check_lightcone_decay(g, D1, ray, orders=[2])
     assert report.verdict == "inconclusive"
 
 
@@ -262,7 +262,7 @@ def test_lightcone_onset_follows_last_failing_window(monkeypatch):
     rate = np.where((z >= 15.0) & (z < 25.0), -2.0, -8.0)[:-1]
     P = np.exp(np.r_[0.0, np.cumsum(rate * np.diff(lx))])
     monkeypatch.setattr(bounds, "_ray_probabilities", lambda *args: P)
-    report = check_lightcone_decay(None, D1, [Ray(t=5.0, z_values=z)], orders=[1, 4, 9])
+    report = check_lightcone_decay(None, D1, Ray(t=5.0, z_values=z), orders=[1, 4, 9])
     local = np.array([decay_slope_fit(1.0 + z[i:i + 5], P[i:i + 5]).slope
                       for i in range(z.size - 4)])
     assert local[0] <= -4.0
@@ -279,13 +279,13 @@ def test_biphoton_ray_matches_single_photon_shape():
     g = GaussianPacket(0.75, 0.1)
     f = SymmetrizedProduct(g, g)
     zs = np.linspace(60.0, 90.0, 16)
-    single = check_lightcone_decay(g, D1, [Ray(t=50.0, z_values=zs)], orders=[6])
+    single = check_lightcone_decay(g, D1, Ray(t=50.0, z_values=zs), orders=[6])
     frozen = SpacetimePoint(30.0, 50.0)
-    joint = check_lightcone_decay(f, D1, [Ray(t=50.0, z_values=zs, frozen=frozen)],
+    joint = check_lightcone_decay(f, D1, Ray(t=50.0, z_values=zs, frozen=frozen),
                                   orders=[6], rel_tol=1e-7)
     assert joint.verdict == "pass"
-    s1 = single.ray_slopes[0].slope
-    s2 = joint.ray_slopes[0].slope
+    s1 = single.slope.slope
+    s2 = joint.slope.slope
     assert s2 == pytest.approx(s1, rel=0.05)
 
 
@@ -294,25 +294,15 @@ def test_frozen_detector_weights_both_distances():
     f = SymmetrizedProduct(g, g)
     zs = np.linspace(60.0, 90.0, 16)
     frozen = SpacetimePoint(30.0, 50.0)
-    report = check_lightcone_decay(f, D1, [Ray(t=50.0, z_values=zs, frozen=frozen)],
+    report = check_lightcone_decay(f, D1, Ray(t=50.0, z_values=zs, frozen=frozen),
                                    orders=[0, 3], rel_tol=1e-7)
-    P = report.probabilities[0]
+    P = report.probabilities
     usable = P > bounds.PROBABILITY_FLOOR
     assert usable.sum() >= 5
     for fit, n in zip(report.fits, (0, 3)):
         assert fit.orders == (n, n)
         expected = (P[usable] * (1.0 + zs[usable]) ** n).max() * (1.0 + frozen.z) ** n
         assert fit.constant == pytest.approx(expected, rel=1e-14)
-
-
-def test_lightcone_refuses_no_rays_before_scanning(monkeypatch):
-    # with no ray there is nothing to bound: no verdict, and no constant of 0.0
-    def refuse(*args, **kwargs):
-        raise AssertionError("scanned without a ray")
-
-    monkeypatch.setattr(bounds, "_ray_probabilities", refuse)
-    with pytest.raises(ValueError, match="at least one ray"):
-        check_lightcone_decay(GaussianPacket(0.75, 0.1), D1, [], [2])
 
 
 @pytest.mark.parametrize("orders", [[], [2.5, 4], [-3], [np.nan]],
@@ -323,7 +313,7 @@ def test_lightcone_refuses_bad_orders_before_scanning(monkeypatch, orders):
 
     monkeypatch.setattr(bounds, "_ray_probabilities", refuse)
     with pytest.raises(ValueError, match="orders"):
-        check_lightcone_decay(None, D1, [Ray(t=5.0, z_values=np.arange(10.0, 20.0))], orders)
+        check_lightcone_decay(None, D1, Ray(t=5.0, z_values=np.arange(10.0, 20.0)), orders)
 
 
 # ----------------------------------------------------------------------
@@ -338,3 +328,28 @@ def test_csv_rows_and_summary():
     text = summarize_bound_fits([fit])
     assert "two_photon_universal" in text
     assert "holds on grid" in text
+
+
+@pytest.mark.parametrize("frozen, n2, constants", [
+    (None, (0, 0), (5.644739300537774e-07, 27.0)),
+    (SpacetimePoint(3.0, 5.0), (2, 9), (9.031582880860439e-06, 7077888.0)),
+], ids=["packet_ray", "frozen_pair_ray"])
+def test_one_ray_report_renders_bound_rows_and_summary(monkeypatch, frozen, n2, constants):
+    # P falls like (1 + z)^-8 with its last three samples below the floor:
+    # order 2 holds from the first sample, order 9 never.  The expected rows
+    # and summary are pinned byte for byte: grid "1 rays", all 20 samples
+    # counted, and the onset radius in a one-element list
+    z = np.arange(10.0, 30.0)
+    P = (1.0 + z) ** -8.0
+    P[-3:] = 1e-30
+    monkeypatch.setattr(bounds, "_ray_probabilities", lambda *args: P)
+    report = check_lightcone_decay(None, D1, Ray(t=5.0, z_values=z, frozen=frozen), [2, 9])
+    assert report.verdict == "fail"
+    _, rows = bound_fit_csv_rows(report.fits)
+    assert rows == [("outside_lightcone", n, m, c, "", 0.0, "", "", 20, 3, "1 rays")
+                    for n, m, c in zip((2, 9), n2, constants)]
+    assert summarize_bound_fits(report.fits) == "".join(
+        f"bound: outside_lightcone\n  orders: n1={n} n2={m}\n  constant: {c:.9e}\n"
+        f"  max_violation: 0.000e+00 (holds on grid)\n  grid: 1 rays\n"
+        f"  below_floor_points: 3\n  onset_radii: [{r}]\n"
+        for n, m, c, r in zip((2, 9), n2, constants, ("10.0", "nan")))

@@ -243,10 +243,16 @@ def test_missing_key_reported(tmp_path, capsys):
 
 
 def test_conflicting_mass_sources_rejected(tmp_path, capsys):
-    cfg_text = SINGLE_CFG.replace("mass = 1.0", "mass = 1.0\nradius = 2.0")
-    cfg, _ = write_cfg(tmp_path, cfg_text)
-    assert run_cli("single", "--config", str(cfg)) == 2
-    assert "exactly one mass source" in capsys.readouterr().err
+    # a key of another mass source is never read, so it is an unknown key
+    for old, new, key in [("mass = 1.0", "mass = 1.0\nradius = 2.0", "radius"),
+                          ("source = mass", "source = rectangle\na = 1.0\nb = 2.0", "mass")]:
+        cfg_text = SINGLE_CFG.replace(old, new, 1)
+        cfg, _ = write_cfg(tmp_path, cfg_text)
+        at = 1 + next(i for i, ln in enumerate(cfg_text.splitlines())
+                      if ln.startswith(f"{key} ="))
+        assert run_cli("single", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:{at}: unknown key '{key}' in [mode]\n")
 
 
 def test_modes_from_raster_file(tmp_path):
@@ -559,6 +565,31 @@ def test_validate_reads_no_mode_key(tmp_path, checks_only):
                    .replace("count = 10", "cuont = 10"))
     with pytest.raises(Reached):
         main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_every_sample_section_typo_is_an_unknown_section(tmp_path, capsys, checks_only):
+    # a section outside mode/packet/biphoton/scan/tolerances/output is a
+    # config error at its header, before any solve or quadrature, whether
+    # misspelled or capitalized (section names are case-sensitive)
+    cfg = tmp_path / "cfg.ini"
+    cases = 0
+    for name, command in SAMPLE_COMMANDS.items():
+        lines = (CONFIGS / f"{name}.ini").read_text().splitlines()
+        for no, ln in enumerate(lines, start=1):
+            if not ln.startswith("["):
+                continue
+            for typo in (ln[1:-2], ln[1:-1].capitalize()):
+                cfg.write_text("\n".join([*lines[:no - 1], f"[{typo}]", *lines[no:]]) + "\n")
+                cases += 1
+                capsys.readouterr()
+                status = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+                assert (status, capsys.readouterr().err) == (
+                    2, f"config error: {cfg}:{no}: unknown section [{typo}]\n")
+    assert cases == 40
+    # configparser's [DEFAULT] would pass its keys to every section
+    cfg.write_text("[DEFAULT]\ncount = 3\n\n" + (CONFIGS / "modes_square.ini").read_text())
+    assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:1: unknown section [DEFAULT]\n"
 
 
 BAD_TABLES = {"malformed": "k,re,im\n0.5,1,0\n0.6,x,0\n0.7,1,0\n",

@@ -59,3 +59,25 @@ def test_compare_reports_byte_identical_files(tmp_path, capsys):
     assert "out_biphoton/config_effective.ini  differs" in lines
     assert "out_biphoton/profile.csv  byte-identical" in lines
     assert lines[-1] == "1 of 3 files byte-identical"
+
+
+def test_compare_counts_plots_and_summaries_apart(tmp_path, capsys):
+    tool = load_tool()
+    for root, verdict in (("old", "pass"), ("new", "fail")):
+        write_tree(tmp_path / root, 9.5e-05, 1e-12)
+        out = tmp_path / root / "out_bounds"
+        out.mkdir()
+        (out / "lightcone_scan.svg").write_text(f"<svg>verdict: {verdict}</svg>\n",
+                                               encoding="utf-8")
+        (out / "bounds_summary.txt").write_text("grid: 1 rays\n", encoding="utf-8")
+    # a plot that differs is listed and counted, but does not fail the comparison
+    assert tool.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "out_bounds/lightcone_scan.svg  differs" in lines
+    assert "out_bounds/bounds_summary.txt  byte-identical" in lines
+    assert lines[-2:] == ["1 of 2 plots and summaries byte-identical",
+                          "1 of 1 files byte-identical"]
+    # a plot that one run did not write does
+    (tmp_path / "new" / "out_bounds" / "lightcone_scan.svg").unlink()
+    assert tool.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert f"only in {tmp_path / 'old'}" in capsys.readouterr().out

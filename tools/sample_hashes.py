@@ -7,19 +7,23 @@ Each run starts in DIR, so the output directories named by the sample
 configs (``out_modes``, ``out_modes_fd``, ``out_single``, ...) and
 ``out_validate`` land there.  The program is imported from the ``src/``
 of the checkout that holds this script.  Afterwards the sha256 of every
-CSV and ``config_effective.ini`` under ``DIR/out_*/`` is printed in
-``sha256sum`` format, sorted by path, so two checkouts compare with
-``diff``.  Exits 1 if any run ends with a non-zero status.
+CSV, ``config_effective.ini``, SVG plot and text summary under
+``DIR/out_*/`` is printed in ``sha256sum`` format, sorted by path, so two
+checkouts compare with ``diff``.  Exits 1 if any run ends with a non-zero
+status.
 
-``--compare`` reads two such trees and prints, for every CSV and
-``config_effective.ini``, whether it is byte-identical in both, ending
-with a ``k of n files byte-identical`` line.  For a CSV that differs
-it prints the largest |new - old| of every numeric column, and for a
-probability column with a reported error (``error`` or ``p_error``) the
-largest |new - old| divided by the larger of the two errors on that row;
-other columns are reported as equal or with the number of rows that
-differ.
-Exits 1 if a file is missing from one tree, if a ``config_effective.ini``
+``--compare`` reads two such trees and prints, for every file of them,
+whether it is byte-identical in both.  The plots and summaries (SVG and
+text) are counted on a ``k of m plots and summaries byte-identical``
+line; a difference there does not fail the comparison, since values that
+move within their errors move the plots too.  The CSVs and echoes are
+counted on the last line, ``k of n files byte-identical``.  For a CSV
+that differs it prints the largest |new - old| of every numeric column,
+and for a probability column with a reported error (``error`` or
+``p_error``) the largest |new - old| divided by the larger of the two
+errors on that row; other columns are reported as equal or with the
+number of rows that differ.
+Exits 1 if any file is missing from one tree, if a ``config_effective.ini``
 differs (the echo that reproduces a run has no error bar), if a CSV
 changes its header or row count, or if a probability column moves by
 more than that error.
@@ -46,6 +50,9 @@ RUNS = (
 )
 
 
+DATA = ("out_*/*.csv", "out_*/config_effective.ini")   # compared value by value
+VIEWS = ("out_*/*.svg", "out_*/*.txt")                  # plots and summaries
+
 # error column -> the probability column it belongs to
 ERROR_OF = {"error": "probability", "p_error": "p_quadrature"}
 
@@ -63,21 +70,31 @@ def _read(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _outputs(root: Path, patterns) -> list[Path]:
+    return [p for pattern in patterns for p in root.glob(pattern)]
+
+
+def _same(old: Path, new: Path, name: Path) -> bool | None:
+    """Whether ``name`` is byte-identical in both trees (printed); None if in one only."""
+    if not ((old / name).exists() and (new / name).exists()):
+        print(f"{name}\n  only in {old if (old / name).exists() else new}")
+        return None
+    same = (old / name).read_bytes() == (new / name).read_bytes()
+    print(f"{name}  {'byte-identical' if same else 'differs'}")
+    return same
+
+
 def compare(old: Path, new: Path) -> int:
-    names = sorted({p.relative_to(root) for root in (old, new)
-                    for pattern in ("out_*/*.csv", "out_*/config_effective.ini")
-                    for p in root.glob(pattern)})
+    names, views = ({p.relative_to(root) for root in (old, new)
+                     for p in _outputs(root, patterns)}
+                    for patterns in (DATA, VIEWS))
     broken = False
     identical = 0
-    for name in names:
-        if not ((old / name).exists() and (new / name).exists()):
-            print(f"{name}\n  only in {old if (old / name).exists() else new}")
-            broken = True
-            continue
-        same = (old / name).read_bytes() == (new / name).read_bytes()
-        identical += same
-        print(f"{name}  {'byte-identical' if same else 'differs'}")
-        if same:
+    for name in sorted(names):
+        same = _same(old, new, name)
+        broken |= same is None
+        identical += bool(same)
+        if same is not False:
             continue
         if name.suffix != ".csv":
             print("  the echo must be byte-identical")
@@ -114,6 +131,9 @@ def compare(old: Path, new: Path) -> int:
             if n_text or not delta:
                 line += f" {n_text} text rows differ" if n_text else " equal"
             print(line)
+    same_views = [_same(old, new, name) for name in sorted(views)]
+    broken |= None in same_views
+    print(f"{sum(map(bool, same_views))} of {len(views)} plots and summaries byte-identical")
     print(f"{identical} of {len(names)} files byte-identical")
     return 1 if broken else 0
 
@@ -140,9 +160,7 @@ def main(argv: list[str]) -> int:
         if status:
             print(f"wgcorr {command} exited with status {status}", file=sys.stderr)
             failed = True
-    files = sorted(p for p in work.glob("out_*/*")
-                   if p.suffix == ".csv" or p.name == "config_effective.ini")
-    for path in files:
+    for path in sorted(_outputs(work, DATA + VIEWS)):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(work)}")
     return 1 if failed else 0
