@@ -3,7 +3,6 @@
 from .dispersion import DispersionRelation
 from .modes import (
     Disk,
-    Mode,
     ModeSolverError,
     ModeSpectrum,
     Raster,

@@ -369,14 +369,13 @@ def cmd_modes(cfg: Config, out: Path) -> int:
     solve = resolve_spectrum(cfg, cfg.get_int("mode", "count", 10, check=_positive))
     cfg.reject_unknown()   # the whole configuration is read before the solve
     spectrum = solve()
-    modes, masses = spectrum.modes, spectrum.cutoff_masses
-    sizes = [len(members) for members in spectrum.degenerate_clusters()]
+    masses = spectrum.cutoff_masses
+    index = np.arange(1, masses.size + 1)
     write_csv(out / "modes.csv",
               ("index", "label", "mode_class", "cutoff_mass", "m_squared", "cluster"),
-              _rows([m.index for m in modes], [m.label for m in modes],
-                    [m.mode_class for m in modes], masses, masses**2,
-                    np.repeat(np.arange(len(sizes)), sizes)))
-    svgplot.line_plot(out / "modes.svg", [m.index for m in modes],
+              _rows(index, spectrum.labels, "TM", masses, masses**2,
+                    spectrum.degenerate_clusters()))
+    svgplot.line_plot(out / "modes.svg", index,
                       [("cutoff mass", masses)],
                       title="mode cutoff masses", xlabel="mode index",
                       ylabel="cutoff mass")

@@ -8,9 +8,9 @@ mode profiles.  Only Dirichlet (TM-class) modes are computed.
 Two solvers are provided: closed-form spectra for rectangles and disks,
 and a 5-point finite-difference discretization with a shift-invert
 smallest-eigenvalue solve on one colour of the lattice for arbitrary
-raster masks.  Every returned spectrum carries its sample nodes together
-with discrete L2 quadrature weights, so orthonormality and completeness
-checks are plain weighted sums.
+raster masks.  Every returned spectrum holds one row of samples per mode
+on its nodes, with discrete L2 quadrature weights, so the orthonormality
+and completeness checks are weighted matrix products.
 
 scipy is imported where it is used: scipy.sparse and its solver and
 graph packages by the lattice functions, scipy.special by closed-form disk
@@ -28,7 +28,6 @@ __all__ = [
     "Rectangle",
     "Disk",
     "Raster",
-    "Mode",
     "ModeSpectrum",
     "UnsupportedShapeError",
     "ModeSolverError",
@@ -92,55 +91,36 @@ CrossSection = Rectangle | Disk | Raster
 
 
 @dataclass(frozen=True)
-class Mode:
-    index: int
-    mode_class: str
-    cutoff_mass: float
-    samples: np.ndarray
-    label: str
-
-
-@dataclass(frozen=True)
 class ModeSpectrum:
-    modes: tuple[Mode, ...]
+    """Lowest modes of a cross section: row n of ``samples`` is mode n + 1 on
+    the nodes (node_x, node_y), whose weights give the discrete L2 product."""
+
+    cutoff_masses: np.ndarray
+    samples: np.ndarray       # (modes, nodes), C order
+    labels: tuple[str, ...]
     node_x: np.ndarray
     node_y: np.ndarray
     weights: np.ndarray
     resolution: float
 
-    @property
-    def cutoff_masses(self) -> np.ndarray:
-        return np.array([m.cutoff_mass for m in self.modes])
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(self.weights * u * v))
-
     def gram(self) -> np.ndarray:
-        V = np.stack([m.samples for m in self.modes])
-        return (V * self.weights) @ V.T
+        return (self.samples * self.weights) @ self.samples.T
 
     def orthonormality_defect(self) -> float:
-        g = self.gram()
-        return float(np.abs(g - np.eye(len(self.modes))).max())
+        return float(np.abs(self.gram() - np.eye(len(self.labels))).max())
 
-    def degenerate_clusters(self, rel_tol: float = DEGENERACY_RTOL) -> list[list[int]]:
-        """Groups of mode indices whose cutoff masses agree to rel_tol."""
-        clusters: list[list[int]] = []
-        for i, m in enumerate(self.modes):
-            if clusters and abs(m.cutoff_mass - self.modes[clusters[-1][-1]].cutoff_mass) \
-                    <= rel_tol * m.cutoff_mass:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        return clusters
+    def degenerate_clusters(self, rel_tol: float = DEGENERACY_RTOL) -> np.ndarray:
+        """Cluster number of each mode, counted from 0: a mode joins the cluster
+        of the mode before it when their cutoff masses agree to rel_tol."""
+        m = self.cutoff_masses
+        return np.concatenate([[0], np.cumsum(np.abs(np.diff(m)) > rel_tol * m[1:])])
 
 
 def _fix_signs(samples: np.ndarray) -> np.ndarray:
-    """First sample above noise level is made positive (reproducible spectra)."""
-    tol = 1e-12 * np.abs(samples).max()
-    nz = np.nonzero(np.abs(samples) > tol)[0]
-    if nz.size and samples[nz[0]] < 0:
-        return -samples
+    """Make each row's first sample above noise level positive, in place."""
+    mag = np.abs(samples)
+    first = (mag > 1e-12 * mag.max(axis=1, keepdims=True)).argmax(axis=1)
+    samples[samples[np.arange(len(samples)), first] < 0] *= -1.0
     return samples
 
 
@@ -150,50 +130,39 @@ def _fix_signs(samples: np.ndarray) -> np.ndarray:
 
 def _rectangle_spectrum(cs: Rectangle, count: int):
     a, b = cs.a, cs.b
-    # Enough (p, q) candidates to cover the lowest `count`; ties ordered
-    # by (p, q) lexicographic.
-    cand = sorted((np.pi**2 * (p**2 / a**2 + q**2 / b**2), p, q)
-                  for p in range(1, count + 2) for q in range(1, count + 2))[:count]
-    pq_max = max(max(p, q) for _, p, q in cand)
+    # p, q <= count + 1 cover the lowest `count`; ties in (p, q) lexicographic order
+    p, q = np.indices((count + 1, count + 1)).reshape(2, -1) + 1
+    m2 = np.pi**2 * (p**2 / a**2 + q**2 / b**2)
+    pick = np.lexsort((q, p, m2))[:count]
+    m2, p, q = m2[pick], p[pick], q[pick]
 
-    nx = ny = max(64, 4 * pq_max)
+    nx = ny = max(64, 4 * int(np.maximum(p, q).max()))
     hx, hy = a / nx, b / ny
     X, Y = np.meshgrid(hx * np.arange(1, nx), hy * np.arange(1, ny), indexing="ij")
     node_x, node_y = X.ravel(), Y.ravel()
     weights = np.full(node_x.size, hx * hy)
 
-    modes = []
-    norm = 2.0 / np.sqrt(a * b)
-    for n, (m2, p, q) in enumerate(cand, start=1):
-        v = norm * np.sin(p * np.pi * node_x / a) * np.sin(q * np.pi * node_y / b)
-        modes.append(Mode(n, "TM", float(np.sqrt(m2)), _fix_signs(v), f"({p},{q})"))
-    return ModeSpectrum(tuple(modes), node_x, node_y, weights, max(hx, hy))
+    samples = (2.0 / np.sqrt(a * b) * np.sin(p[:, None] * np.pi * node_x / a)
+               * np.sin(q[:, None] * np.pi * node_y / b))
+    return ModeSpectrum(np.sqrt(m2), _fix_signs(samples), tuple(map("({},{})".format, p, q)),
+                        node_x, node_y, weights, max(hx, hy))
 
 
 def _disk_spectrum(cs: Disk, count: int):
     from scipy.special import jn_zeros, jv
     R = cs.radius
-    # Collect Bessel zeros until no lower candidate can appear; angular
-    # order l >= 1 contributes cos and sin partners (multiplicity 2).
-    cand = []
-    ell = 0
-    smax = count + 1
-    while True:
-        zeros = jn_zeros(ell, smax)
-        if ell > 0 and len(cand) >= count and zeros[0] > sorted(c[0] for c in cand)[count - 1]:
-            break
-        for s, j in enumerate(zeros, start=1):
-            cand.append((float(j), ell, s, 0))
-            if ell:
-                cand.append((float(j), ell, s, 1))
-        ell += 1
-        if ell > 4 * count + 4:
-            break
-    cand.sort()
-    cand = cand[:count]
-    lmax = max(c[1] for c in cand)
+    # j_{l,1} grows with l and every order l >= 1 holds a cos and a sin mode,
+    # so a mode of order l among the lowest `count` needs 2 l <= count, and
+    # one of zero number s needs s <= count
+    orders = count // 2 + 1
+    l, s, parity = np.indices((orders, count, 2)).reshape(3, -1)
+    s += 1
+    j = np.repeat([jn_zeros(ell, count) for ell in range(orders)], 2)   # j_{l,s} per parity
+    j[(l == 0) & (parity == 1)] = np.inf   # order 0 has no sin partner
+    pick = np.lexsort((parity, s, l, j))[:count]
+    j, l, s, parity = j[pick], l[pick], s[pick], parity[pick]
 
-    n_theta = max(64, 4 * lmax + 8)
+    n_theta = max(64, 4 * int(l.max()) + 8)
     n_r = 64
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * R * (gl_x + 1.0)
@@ -204,17 +173,14 @@ def _disk_spectrum(cs: Disk, count: int):
     node_y = (Rg * np.sin(Tg)).ravel()
     weights = (wr[:, None] * Rg * (2.0 * np.pi / n_theta)).ravel()
 
-    modes = []
-    for n, (j, l, s, parity) in enumerate(cand, start=1):
-        radial = jv(l, j * Rg / R)
-        angular = np.cos(l * Tg) if parity == 0 else np.sin(l * Tg)
-        ang_norm = 2.0 * np.pi if l == 0 else np.pi
-        norm = np.sqrt(ang_norm * 0.5 * R**2 * jv(l + 1, j) ** 2)
-        v = (radial * angular / norm).ravel()
-        tag = "cos" if parity == 0 else "sin"
-        modes.append(Mode(n, "TM", float(j / R), _fix_signs(v), f"({l},{s},{tag})"))
+    l3 = l[:, None, None]
+    radial = jv(l3, j[:, None, None] * Rg / R)
+    angular = np.where(parity[:, None, None] == 0, np.cos(l3 * Tg), np.sin(l3 * Tg))
+    norm = np.sqrt(np.where(l == 0, 2.0 * np.pi, np.pi) * 0.5 * R**2 * jv(l + 1, j) ** 2)
+    samples = (radial * angular / norm[:, None, None]).reshape(count, -1)
+    labels = tuple(map("({},{},{})".format, l, s, np.array(["cos", "sin"])[parity]))
     res = max(R / n_r, 2.0 * np.pi * R / n_theta)
-    return ModeSpectrum(tuple(modes), node_x, node_y, weights, res)
+    return ModeSpectrum(j / R, _fix_signs(samples), labels, node_x, node_y, weights, res)
 
 
 def analytic_spectrum(cs: CrossSection, count: int) -> ModeSpectrum:
@@ -404,10 +370,10 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
                            for i in bad)
         raise ModeSolverError(f"residual contract {RESIDUAL_TOL} violated: {report}")
 
-    # samples v / h have unit discrete L2 norm: sum h^2 (v / h)^2 = 1
-    modes = tuple(Mode(i, "TM", float(np.sqrt(lam)), _fix_signs(v / h), "fd")
-                  for i, (lam, v) in enumerate(zip(eigvals, eigvecs.T), start=1))
-    return ModeSpectrum(modes, x0 + rows_i * h, y0 + cols_i * h, np.full(n, h * h), h)
+    # rows v / h have unit discrete L2 norm: sum h^2 (v / h)^2 = 1
+    samples = _fix_signs(np.ascontiguousarray(eigvecs.T) / h)
+    return ModeSpectrum(np.sqrt(eigvals), samples, ("fd",) * count,
+                        x0 + rows_i * h, y0 + cols_i * h, np.full(n, h * h), h)
 
 
 # ----------------------------------------------------------------------
@@ -424,9 +390,7 @@ def check_completeness(spectrum: ModeSpectrum, samples: np.ndarray) -> float:
     u = np.asarray(samples, dtype=float)
     if u.shape != spectrum.node_x.shape:
         raise ValueError("samples must be aligned with the spectrum nodes")
-    res = u.copy()
-    for m in spectrum.modes:
-        res -= spectrum.inner(u, m.samples) * m.samples
+    res = u - (spectrum.samples @ (spectrum.weights * u)) @ spectrum.samples
     return float(np.sqrt(np.sum(spectrum.weights * res * res)))
 
 

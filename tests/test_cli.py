@@ -362,6 +362,56 @@ def test_bad_config_value_exits_2_before_quadrature(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
 
 
+def test_gaussian_correlated_biphoton_and_its_echo(tmp_path, capsys):
+    text = (CONFIGS / "biphoton_pumped.ini").read_text().replace(
+        "family = pumped_pair\npump_center = 2.0\npump_width = 0.1\npump_scale = 2.0\n",
+        "family = gaussian_correlated\npump_center = 2.0\npump_width = 0.15\n"
+        "relative_width = 0.5\n")
+    assert "relative_width" in text
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    out, echo = tmp_path / "out", tmp_path / "echo"
+    assert run_cli("biphoton", "--config", str(cfg), "--out", str(out)) == 0
+    assert run_cli("biphoton", "--config", str(out / "config_effective.ini"),
+                   "--out", str(echo)) == 0
+    for name in ("biphoton_scan.csv", "profile.csv", "config_effective.ini"):
+        assert (out / name).read_bytes() == (echo / name).read_bytes()
+    # a negative relative width is a config error at its line
+    cfg.write_text(text.replace("relative_width = 0.5", "relative_width = -0.5"))
+    at = 1 + text.splitlines().index("relative_width = 0.5")
+    capsys.readouterr()
+    assert run_cli("biphoton", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:{at}: expected a positive value, got -0.5\n")
+
+
+def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # with no refinement level allowed the scan cannot reach 1e-12
+    monkeypatch.setattr(quadrature, "SCAN1D_MAX_LEVELS", 0)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text((CONFIGS / "single_ray.ini").read_text()
+                   .replace("quadrature_rel = 1e-9", "quadrature_rel = 1e-12"))
+    assert run_cli("single", "--config", str(cfg), "--out", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric failure in single: quadrature stalled at z = 100 ")
+
+
+def test_single_table_packet_end_to_end(tmp_path):
+    k = np.linspace(0.47, 1.03, 57)
+    g = (1 + 0.3j) * np.exp(-0.5 * ((k - 0.75) / 0.1) ** 2)
+    table = tmp_path / "packet.csv"
+    table.write_text("k,re,im\n" + "".join(f"{a:.17g},{b.real:.17g},{b.imag:.17g}\n"
+                                            for a, b in zip(k, g)))
+    cfg_text = SINGLE_CFG.replace("family = gaussian\ncenter = 0.75\nwidth = 0.1\n",
+                                  f"family = table\nfile = {table}\n")
+    assert "normalize = true" in cfg_text and "family = table" in cfg_text
+    cfg, out = write_cfg(tmp_path, cfg_text)
+    assert run_cli("single", "--config", str(cfg)) == 0
+    header, rows = read_csv(out / "single_scan.csv")
+    p = np.array([float(r[header.index("probability")]) for r in rows])
+    assert len(rows) == 41 * 2 and np.isfinite(p).all() and p.max() > 0
+
+
 def test_biphoton_outputs(tmp_path):
     cfg, out = write_cfg(tmp_path, BIPHOTON_CFG)
     assert run_cli("biphoton", "--config", str(cfg)) == 0

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import bisect
-from scipy.special import j0
+from scipy.special import j0, jn_zeros
 
 from wgcorr import (
     Disk,
@@ -54,7 +54,7 @@ def test_square_fundamental_satisfies_pde():
     m2 = ms.cutoff_masses[0] ** 2
     h = ms.resolution
     n = int(round(np.pi / h)) - 1
-    v = ms.modes[0].samples.reshape(n, n)
+    v = ms.samples[0].reshape(n, n)
     pad = np.zeros((n + 2, n + 2))
     pad[1:-1, 1:-1] = v
     lap = (pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:]
@@ -79,11 +79,9 @@ def test_two_by_one_rectangle_low_eigenvalues():
 
 def test_square_degenerate_pair_ordering():
     ms = analytic_spectrum(Rectangle(np.pi, np.pi), count=4)
-    clusters = ms.degenerate_clusters()
     # (1,2) and (2,1) share m^2 = 5 and come in lexicographic order
-    assert clusters[1] == [1, 2]
-    assert ms.modes[1].label == "(1,2)"
-    assert ms.modes[2].label == "(2,1)"
+    assert ms.degenerate_clusters().tolist() == [0, 1, 1, 2]
+    assert ms.labels[1:3] == ("(1,2)", "(2,1)")
 
 
 def test_analytic_orthonormality():
@@ -99,6 +97,17 @@ def test_spectra_sorted_and_positive():
     assert (np.diff(m) >= -1e-12).all()
 
 
+def test_disk_enumeration_bound_keeps_the_lowest_modes():
+    # oracle: count + 1 zeros of every order l <= count, well past the bound
+    # 2 l <= count, s <= count of the enumeration; l >= 1 is a cos/sin pair
+    R = 1.3
+    for count in range(1, 21):
+        zeros = np.concatenate([np.repeat(jn_zeros(ell, count + 1), 2 if ell else 1)
+                                for ell in range(count + 1)])
+        np.testing.assert_array_equal(analytic_spectrum(Disk(R), count).cutoff_masses,
+                                      np.sort(zeros)[:count] / R)
+
+
 def test_domain_monotonicity():
     small = analytic_spectrum(Rectangle(np.pi, np.pi), count=6).cutoff_masses
     big = analytic_spectrum(Rectangle(1.3 * np.pi, np.pi), count=6).cutoff_masses
@@ -108,9 +117,9 @@ def test_domain_monotonicity():
 def test_sign_convention_first_sample_positive():
     for ms in (analytic_spectrum(Rectangle(2.0, 1.0), count=5),
                analytic_spectrum(Disk(1.0), count=5)):
-        for mode in ms.modes:
-            nz = np.nonzero(np.abs(mode.samples) > 1e-12 * np.abs(mode.samples).max())[0]
-            assert mode.samples[nz[0]] > 0
+        for samples in ms.samples:
+            nz = np.nonzero(np.abs(samples) > 1e-12 * np.abs(samples).max())[0]
+            assert samples[nz[0]] > 0
 
 
 def test_raster_requires_fd_solver():
@@ -154,7 +163,7 @@ def test_fd_eigenvalue_ordering_and_degeneracy():
     assert m2[0] < m2[1] <= m2[2] * (1 + 1e-12)
     # the (1,2)/(2,1) pair stays a degenerate cluster
     clusters = ms.degenerate_clusters(rel_tol=1e-6)
-    assert [1, 2] in clusters
+    assert clusters[1] == clusters[2] != clusters[0]
 
 
 def discrete_rectangle_eigenvalues(nx, ny, h, count):
@@ -175,7 +184,7 @@ def test_fd_matches_exact_discrete_spectrum():
     rect = fd_spectrum(Rectangle((nx + 1) * h, (ny + 1) * h), count=count, spacing=h)
     raster = fd_spectrum(Raster(np.ones((nx, ny), dtype=bool), h), count=count)
     for ms in (rect, raster):
-        assert ms.modes[0].samples.size == nx * ny
+        assert ms.samples[0].size == nx * ny
         np.testing.assert_allclose(ms.cutoff_masses**2, oracle, rtol=1e-10, atol=0)
         assert ms.orthonormality_defect() <= 1e-10
     np.testing.assert_allclose(raster.cutoff_masses, rect.cutoff_masses, rtol=1e-10, atol=0)
@@ -221,7 +230,7 @@ def test_fd_count_below_smaller_colour_class():
     with pytest.raises(ValueError, match="smaller colour class of the lattice has only 144 "
                                          "nodes; count must be below 144"):
         fd_spectrum(r, count=144)
-    assert len(fd_spectrum(r, count=20).modes) == 20
+    assert len(fd_spectrum(r, count=20).samples) == 20
 
 
 @pytest.mark.parametrize("h", [np.inf, -np.inf, np.nan, 0.0, -0.05, 1e-200, 1e200])
@@ -260,7 +269,7 @@ def test_fd_reduction_matches_dense_oracle(mask, h):
     oracle = np.linalg.eigh(A.toarray())[0][:count]
     ms = fd_spectrum(Raster(mask, h), count=count)
     np.testing.assert_allclose(ms.cutoff_masses**2, oracle, rtol=1e-11, atol=0)
-    V = np.stack([m.samples for m in ms.modes], axis=1) * h  # unit Euclidean norm
+    V = ms.samples.T * h  # unit Euclidean norm
     res = np.linalg.norm(A @ V - V * oracle, axis=0) / oracle
     assert (res <= modes.RESIDUAL_TOL).all()
 
@@ -316,7 +325,7 @@ def test_fd_stop_meets_a_hundredth_of_the_residual_contract(cs, spacing):
     mask, _, _, h = modes._rasterize(cs, spacing)
     A = laplacian(mask, h)
     lam = ms.cutoff_masses**2
-    V = np.stack([m.samples for m in ms.modes], axis=1) * h  # unit Euclidean norm
+    V = ms.samples.T * h  # unit Euclidean norm
     res = np.linalg.norm(A @ V - V * lam, axis=0) / lam
     assert (res <= 1e-2 * modes.RESIDUAL_TOL).all()
 
@@ -324,8 +333,7 @@ def test_fd_stop_meets_a_hundredth_of_the_residual_contract(cs, spacing):
 def test_fd_disk_cos_sin_pairs_stay_one_cluster():
     # on the lattice the l = 1 cos/sin pair is exactly degenerate (C4 symmetry)
     ms = fd_spectrum(Disk(1.0), count=5, spacing=1 / 24)
-    clusters = ms.degenerate_clusters()
-    assert clusters[:3] == [[0], [1, 2], [3]]
+    assert ms.degenerate_clusters()[:4].tolist() == [0, 1, 1, 2]
 
 
 def test_fd_rejects_underresolved_domain():
@@ -356,8 +364,22 @@ def test_raster_rejects_squares_touching_at_a_corner():
 
 def test_projection_reproduces_basis_element():
     ms = analytic_spectrum(Rectangle(np.pi, np.pi), count=5)
-    resid = check_completeness(ms, ms.modes[2].samples)
+    resid = check_completeness(ms, ms.samples[2])
     assert resid < 1e-8
+
+
+def test_completeness_matches_mode_by_mode_projection():
+    # reference: subtract the projection on one mode at a time; the matrix
+    # products sum in another order, so agreement is to round-off only
+    ms = analytic_spectrum(Disk(1.3), count=12)
+    x, y = ms.node_x, ms.node_y
+    u = (1.69 - x**2 - y**2) * np.exp(-((x - 0.3) ** 2 + y**2))
+    res = u.copy()
+    for v in ms.samples:
+        res -= np.sum(ms.weights * u * v) * v
+    want = np.sqrt(np.sum(ms.weights * res * res))
+    assert 0.01 * np.sqrt(np.sum(ms.weights * u * u)) < want
+    assert check_completeness(ms, u) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_smooth_bump_expansion_residual():

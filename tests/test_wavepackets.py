@@ -157,6 +157,15 @@ def test_table_norm_matches_interpolant_closed_form(table):
     assert abs(packet_norm(table) ** 2 - exact) <= 1e-13 * exact
 
 
+def test_table_packet_normalization():
+    # a 57-row Gaussian table with a complex phase stays a table on its grid
+    k = np.linspace(0.47, 1.03, 57)
+    table = TablePacket(k, (1 + 0.3j) * np.exp(-0.5 * ((k - 0.75) / 0.1) ** 2))
+    g = normalized_packet(table)
+    assert isinstance(g, TablePacket) and np.array_equal(g.k, k)
+    assert abs(packet_norm(g) - 1.0) <= 1e-12
+
+
 def test_normalize_biphoton_idempotent_and_projective():
     dom = (0.1, 4.0)
     f = PumpedPair(PUMP, pump_scale=1.0)
