@@ -115,8 +115,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
-    if isinstance(value, (complex, np.complexfloating)):
-        return f"{value.real:.17g}{value.imag:+.17g}j"
     return str(value)
 
 

@@ -6,9 +6,9 @@ dispersion relation, and its eigenfunctions v_n(x, y) are the transverse
 mode profiles.  Only Dirichlet (TM-class) modes are computed.
 
 Two solvers are provided: closed-form spectra for rectangles and disks,
-and a 5-point finite-difference discretization with a shift-invert
-smallest-eigenvalue solve on one colour of the lattice for arbitrary
-raster masks.  Every returned spectrum holds one row of samples per mode
+and a 5-point finite-difference discretization with a Lanczos solve on
+the factored inverse of one colour of the lattice for arbitrary raster
+masks.  Every returned spectrum holds one row of samples per mode
 on its nodes, with discrete L2 quadrature weights, so the orthonormality
 and completeness checks are weighted matrix products.
 
@@ -136,7 +136,7 @@ def _rectangle_spectrum(cs: Rectangle, count: int):
     pick = np.lexsort((q, p, m2))[:count]
     m2, p, q = m2[pick], p[pick], q[pick]
 
-    nx = ny = max(64, 4 * int(np.maximum(p, q).max()))
+    nx, ny = max(64, 4 * int(p.max())), max(64, 4 * int(q.max()))
     hx, hy = a / nx, b / ny
     X, Y = np.meshgrid(hx * np.arange(1, nx), hy * np.arange(1, ny), indexing="ij")
     node_x, node_y = X.ravel(), Y.ravel()
@@ -281,7 +281,7 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
     """Smallest `count` Dirichlet eigenpairs of the 5-point discretization.
 
     Eigenvalues converge O(spacing^2) for lattice-aligned boundaries.  The
-    iterative solve (shift-invert Lanczos at sigma = 0) must deliver a
+    iterative solve (Lanczos on the inverse, see below) must deliver a
     relative residual ||A v - lam v|| / lam below 1e-8 for every pair on
     the full lattice, otherwise a ModeSolverError carries the residual
     report; silent inaccuracy (a NaN residual included) is not an option.
@@ -300,16 +300,22 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
     class, so S has at most half the unknowns of A and `count` must stay
     below its size.
 
-    S is factored once per call and its solve drives the Lanczos
-    iteration: SuperLU with a symmetric minimum-degree ordering of
-    S + S^T, symmetric mode and no pivoting.  Without pivoting LU is
-    stable here because S, a Schur complement of the symmetric positive
-    definite A, is symmetric positive definite itself; the symmetric
-    ordering nearly halves the fill of the default column ordering.
-    A is never assembled: B, built from the lattice edges, is dropped once
-    S is formed, so only S (CSC), the node and colour arrays, the factor
-    and ARPACK's basis are alive in the solve.  B is built again after the
-    factor is freed, for the lift and for the residual in the block form.
+    S is factored once per call: SuperLU with a symmetric minimum-degree
+    ordering of S + S^T, symmetric mode and no pivoting, stable because S,
+    a Schur complement of the symmetric positive definite A, is symmetric
+    positive definite itself; the symmetric ordering nearly halves the
+    fill of the default column ordering.  A is never assembled: B, built
+    from the lattice edges, is dropped once S is formed, and S once it is
+    factored.  ARPACK runs in standard mode on S^-1, the factor's solve,
+    for its largest eigenvalues 1/mu, so only the factor, the node and
+    colour arrays and ARPACK's basis are alive in the solve.  B is built
+    again after the factor is freed, for the lift and the block residual.
+
+    Single-vector Lanczos holds one direction per eigenvalue, so a mode
+    orthogonal to the start vector enters only through round-off and a
+    degenerate pair can lose a member.  The start sin(sqrt(2) j), j = 1..nb,
+    has no lattice symmetry, and one guard pair beyond `count` is solved
+    and dropped: a measured mitigation, not a guarantee.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -337,21 +343,22 @@ def fd_spectrum(cs: CrossSection, count: int, spacing: float | None = None) -> M
     d = 4.0 / h**2
     B = _red_black_block(mask, h, black)
     S = (sp.identity(nb, format="csr") * d - (B.T @ B) / d).tocsc()
-    del B   # only S, the node and colour arrays and then the factor live in the solve
+    del B   # only S and the node and colour arrays are alive while SuperLU factors
     lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
-    s_inv = spla.LinearOperator(S.shape, matvec=lu.solve, dtype=S.dtype)
-    v0 = np.ones(nb) / np.sqrt(nb)
-    try:
-        mu, v_black = spla.eigsh(S, k=count, sigma=0.0, which="LM", OPinv=s_inv,
-                                 v0=v0, maxiter=ITERATION_CAP, tol=1e-2 * RESIDUAL_TOL)
+    del S
+    v0 = np.sin(np.sqrt(2.0) * np.arange(1, nb + 1))   # no lattice symmetry
+    try:   # the largest eigenvalues 1/mu of S^-1, plus one guard pair
+        theta, v_black = spla.eigsh(spla.LinearOperator((nb, nb), matvec=lu.solve, dtype=float),
+                                    min(count + 1, nb - 1), which="LA", v0=v0,
+                                    maxiter=ITERATION_CAP, tol=1e-2 * RESIDUAL_TOL)
     except spla.ArpackNoConvergence as exc:
         raise ModeSolverError(
             f"eigensolver failed to converge within {ITERATION_CAP} iterations: {exc}"
         ) from exc
-    del S, lu, s_inv   # the factor is freed before B is built again
-    order = np.argsort(mu)
-    mu, v_black = mu[order], v_black[:, order]
+    del lu   # the factor is freed before B is built again
+    order = np.argsort(theta)[::-1][:count]
+    mu, v_black = 1.0 / theta[order], v_black[:, order]
 
     # a mu at (or round-off above) d has no eigenvalue below d: its lam or
     # lifted vector turns NaN and the residual contract reports the pair
@@ -410,15 +417,14 @@ def load_raster(path) -> Raster:
         _check_spacing(spacing)
     except ValueError as exc:
         raise ValueError(f"{path}:{head_no}: bad spacing {words[1]!r}: {exc}") from None
-    rows = []
+    width = len(body[0][1]) if body else 0
     for no, cells in body:
-        if rows and len(cells) != len(rows[0]):
-            raise ValueError(f"{path}:{no}: ragged row of {len(cells)} cells, "
-                             f"expected {len(rows[0])}")
+        if len(cells) != width:
+            raise ValueError(f"{path}:{no}: ragged row of {len(cells)} cells, expected {width}")
         if set(cells) - {"0", "1"}:
             raise ValueError(f"{path}:{no}: rows must contain only 0/1, got {cells!r}")
-        rows.append([c == "1" for c in cells])
+    mask = np.frombuffer("".join(c for _, c in body).encode(), dtype=np.uint8) == ord("1")
     try:
-        return Raster(np.asarray(rows, dtype=bool), spacing)
+        return Raster(mask.reshape(len(body), width), spacing)
     except ValueError as exc:
         raise ValueError(f"{path}:{body[0][0] if body else head_no}: {exc}") from None

@@ -478,15 +478,13 @@ def _cross_steps(rows: Callable, checks: np.ndarray):
         j = int(np.argmax(np.abs(res)))
         b = abs(res[j])
         if b <= tol * scale:
-            width = max(BLOCK_VALUES // checks.size, 1)
-            worst = np.max([np.abs(residual(raw_checks, checks, slice(j0, j0 + width))).max(axis=1)
-                            for j0 in range(0, n, width)], axis=0)
+            worst = np.max([np.abs(residual(raw_checks, checks, s)).max(axis=1)
+                            for s in _node_slices(n, checks.size)], axis=0)
             c = int(np.argmax(worst))
             rho = max(b, float(worst[c]))
             if rho <= tol * scale:
-                m = np.diag(md[:r])
-                off = np.arange(r - 1)
-                m[off, off + 1] = m[off + 1, off] = mo[off]
+                off = mo[:max(r - 1, 0)]
+                m = np.diag(md[:r]) + np.diag(off, 1) + np.diag(off, -1)
                 tol = (yield ut[:r].T, m, rho) * rho / scale
                 continue
             i, raw = int(checks[c]), raw_checks[c]

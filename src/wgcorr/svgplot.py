@@ -17,26 +17,20 @@ _W, _H = 800, 520
 _ML, _MR, _MT, _MB = 72, 24, 40, 56
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 6):
+def _nice_ticks(lo: float, hi: float):
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5   # about six ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
+    ticks, v = [], math.ceil(lo / step) * step
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return ticks
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def line_plot(path, x, series, title="", xlabel="", ylabel="",
@@ -96,13 +90,13 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
         out.append(f'<line x1="{X:.2f}" y1="{_MT}" x2="{X:.2f}" y2="{_H - _MB}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{X:.2f}" y="{_H - _MB + 18}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(v)}</text>')
+                   f'font-family="sans-serif" font-size="11">{v:.6g}</text>')
     for v in yt:
         Y = py(v)
         out.append(f'<line x1="{_ML}" y1="{Y:.2f}" x2="{_W - _MR}" y2="{Y:.2f}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{_ML - 6}" y="{Y + 4:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(v)}</text>')
+                   f'font-family="sans-serif" font-size="11">{v:.6g}</text>')
 
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
                f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>')

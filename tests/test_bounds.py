@@ -9,6 +9,7 @@ from wgcorr import (
     DispersionRelation,
     GaussianPacket,
     PumpedPair,
+    SlopeFit,
     SpacetimePoint,
     SymmetrizedProduct,
     biphoton_scan,
@@ -43,6 +44,12 @@ def test_slope_fit_half_width_unchanged(n, half_width):
     x = np.geomspace(1.0, 100.0, n)
     fit = decay_slope_fit(x, x**-3.0 * np.exp(0.1 * np.sin(7.0 * x)))
     assert fit.half_width_95 == pytest.approx(half_width, rel=1e-13)
+
+
+@pytest.mark.parametrize("n_used", [0, 1, 2])
+def test_slope_fit_half_width_is_infinite_below_three_samples(n_used):
+    # a line through fewer than 3 points has no residual degree of freedom
+    assert SlopeFit(-2.0, 0.1, n_used, 0).half_width_95 == np.inf
 
 
 SLOPE_PROBE = """

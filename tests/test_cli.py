@@ -412,6 +412,34 @@ def test_single_table_packet_end_to_end(tmp_path):
     assert len(rows) == 41 * 2 and np.isfinite(p).all() and p.max() > 0
 
 
+def test_missing_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "absent.ini"
+    assert run_cli("modes", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: configuration file not found\n"
+
+
+def test_unparsable_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("count = 4\n" + MODES_CFG)
+    assert run_cli("modes", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {cfg}: File contains no section headers.")
+
+
+def test_defaulted_key_error_is_anchored_at_its_section(tmp_path, capsys):
+    # `normalize` defaults to true: with no line of its own the error names
+    # [packet] normalize
+    table = tmp_path / "packet.csv"
+    table.write_text("k,re,im\n0.5,0,0\n0.75,0,0\n1.0,0,0\n")
+    gaussian = "family = gaussian\ncenter = 0.75\nwidth = 0.1\nnormalize = true\n"
+    cfg_text = SINGLE_CFG.replace(gaussian, f"family = table\nfile = {table}\n")
+    assert "normalize" not in cfg_text and "family = table" in cfg_text
+    cfg, _ = write_cfg(tmp_path, cfg_text)
+    assert run_cli("single", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == (f"config error: {cfg} [packet] normalize: "
+                                       "cannot normalize an identically zero packet\n")
+
+
 def test_biphoton_outputs(tmp_path):
     cfg, out = write_cfg(tmp_path, BIPHOTON_CFG)
     assert run_cli("biphoton", "--config", str(cfg)) == 0

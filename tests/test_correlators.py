@@ -485,3 +485,11 @@ def test_point_probabilities_are_scan_results():
                                 rel_tol=1e-6) == (pair.values[0, 0], pair.error_estimates[0, 0])
     amps, errs, panels = pair
     assert (pair.amplitudes is amps) and (pair.amp_errors is errs) and panels == pair.panels
+
+
+@pytest.mark.parametrize("t1, t2", [(0.0, 50.0), (50.0, -1.0), (np.array([50.0, 0.0]), 50.0)],
+                         ids=["t1_zero", "t2_negative", "one_t1_zero"])
+def test_pair_asymptotics_rejects_nonpositive_times(t1, t2):
+    f = SymmetrizedProduct(GaussianPacket(0.7, 0.1), GaussianPacket(1.1, 0.1))
+    with pytest.raises(ValueError, match=r"^asymptotics requires t1, t2 > 0$"):
+        asymptotic_biphoton(f, DispersionRelation(1.0), 0.3, 0.5, t1, t2)

@@ -14,6 +14,7 @@ from wgcorr import (
     DispersionRelation,
     GaussianPacket,
     PumpedPair,
+    QuadResult,
     QuadratureError,
     SymmetrizedProduct,
     TablePacket,
@@ -816,3 +817,10 @@ def test_non_finite_envelope_fails_at_first_level(rule):
         else:
             osc_tensor_scan(joint, D1, (0.5, 1.5), 10.0, 10.0, [0.0], [0.0, 5.0])
     assert len(levels) == 1
+
+
+@pytest.mark.parametrize("error, panels", [(-1e-3, 1), (1e-3, 0)],
+                         ids=["negative_error", "no_panels"])
+def test_quad_result_rejects_invalid_fields(error, panels):
+    with pytest.raises(ValueError, match=r"^invalid quadrature result fields$"):
+        QuadResult(1.0 + 0j, error, panels)

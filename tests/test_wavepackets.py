@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -227,3 +228,21 @@ def test_load_table_packet_errors_name_file_and_line(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{path}:{line}: "):
         load_table_packet(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TablePacket(np.array([0.0, 1.0]), np.array([1.0 + 0j])),
+     "table packet needs matching 1-D grids with >= 2 samples"),
+    (lambda: TablePacket(np.array([0.5]), np.array([1.0 + 0j])),
+     "table packet needs matching 1-D grids with >= 2 samples"),
+    (lambda: TablePacket(np.arange(3.0), np.zeros(3)).effective_width(),
+     "cannot define a width for an identically zero table"),
+    (lambda: CorrelatedGaussian(2.0, 0.0, 0.1), "pump_width and relative_width must be positive"),
+    (lambda: CorrelatedGaussian(2.0, 0.1, -0.1),
+     "pump_width and relative_width must be positive"),
+    (lambda: PumpedPair(PUMP, 0.0), "pump_scale must be positive"),
+], ids=["table_shapes", "table_one_sample", "table_zero_width", "pump_width",
+        "relative_width", "pump_scale"])
+def test_bad_input_fails_at_once(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
