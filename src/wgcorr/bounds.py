@@ -137,9 +137,9 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
     supremum only bounds the true constant from below:
     refinement_drift records the relative change of C when the velocity
     grids double in density (original nodes kept).
-    ``asymptotic_constant`` is the grid supremum of the large-time limit
-    of P t1 t2 (``asymptotic_biphoton`` at t1 = t2 = 1), for comparison
-    only.
+    ``asymptotic_constant`` is the supremum of the large-time limit of
+    P t1 t2 (``asymptotic_biphoton`` at t1 = t2 = 1) on the grid of C,
+    the unrefined one, for comparison only.
 
     Raises ValueError for an empty or malformed ``t_pairs`` and for a
     velocity grid that is empty, not 1-D, not finite or reaches |v| >= 1.
@@ -178,7 +178,7 @@ def fit_universal_bound(f, d: DispersionRelation, t_pairs, v1_grid, v2_grid,
         sups.append((P[::2, ::2].max() * weight, P.max() * weight))
     c_base, c_fine = (float(c) for c in np.max(sups, axis=0))
     drift = abs(c_fine - c_base) / c_base if c_base > 0 else 0.0
-    limit = asymptotic_biphoton(f, d, v1_fine[:, None], v2_fine[None, :], 1.0, 1.0)
+    limit = asymptotic_biphoton(f, d, v1_grid[:, None], v2_grid[None, :], 1.0, 1.0)
 
     desc = (f"{len(sups)} time pairs x {v1_grid.size}x{v2_grid.size} velocities "
             f"(refined {v1_fine.size}x{v2_fine.size})")

@@ -54,6 +54,7 @@ from .modes import (
     Disk,
     ModeSolverError,
     Rectangle,
+    _check_extent,
     analytic_spectrum,
     fd_spectrum,
     load_raster,
@@ -149,7 +150,7 @@ class Config:
             raise ConfigError(f"{path}: configuration file not found")
         self._raw_lines = self.path.read_text().splitlines()
         self._cp = configparser.ConfigParser(   # "[]" is no header: [DEFAULT] is unknown too
-            inline_comment_prefixes=("#", ";"), default_section="")
+            inline_comment_prefixes=("#", ";"), default_section="", interpolation=None)
         try:
             self._cp.read_string("\n".join(self._raw_lines), source=str(path))
         except configparser.Error as exc:
@@ -256,11 +257,9 @@ class Config:
             self._fail(section, key, f"unknown key '{key}' in [{section}]")
 
     def echo(self, path):
-        cp = configparser.ConfigParser()
-        for (section, key), rendered in self.resolved.items():
-            if not cp.has_section(section):
-                cp.add_section(section)
-            cp.set(section, key, rendered)
+        cp = configparser.ConfigParser(interpolation=None)   # "%" is a literal
+        cp.read_dict({s: {k: v for (s2, k), v in self.resolved.items() if s2 == s}
+                      for s, _ in self.resolved})
         with open(path, "w", encoding="utf-8") as fh:
             cp.write(fh)
 
@@ -284,10 +283,10 @@ def resolve_spectrum(cfg: Config, count: int, count_key: str = "count"):
     """The solve of the [mode] spectrum, to be called once the configuration is read."""
     source = cfg.get_choice("mode", "source", ("rectangle", "disk", "raster"))
     if source == "rectangle":
-        cs = Rectangle(cfg.get_float("mode", "a", check=_positive),
-                       cfg.get_float("mode", "b", check=_positive))
+        cs = Rectangle(cfg.get_float("mode", "a", check=_check_extent),
+                       cfg.get_float("mode", "b", check=_check_extent))
     elif source == "disk":
-        cs = Disk(cfg.get_float("mode", "radius", check=_positive))
+        cs = cfg.anchored("mode", "radius", Disk, cfg.get_float("mode", "radius"))
     else:
         cs = _load(cfg, "mode", load_raster, "raster")
     raster = source == "raster"
@@ -353,7 +352,7 @@ def resolve_biphoton(cfg: Config):
         f = cfg.anchored("biphoton", "pump_center", PumpedPair, pump, scale)
     if not cfg.get_bool("biphoton", "normalize", True):
         return f, None
-    lo, hi = f.axis_domain()
+    lo, hi = f.support
     lo = cfg.get_float("biphoton", "norm_k_min", float(lo))
     return f, (lo, cfg.get_float("biphoton", "norm_k_max", float(hi),
                                  _check(lambda k: k > lo, f"a value above norm_k_min = {lo!r}")))
@@ -588,8 +587,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = Config(args.config)
-        out = Path(args.out) if args.out else Path(cfg.get_str("output", "directory", "out"))
-        out.mkdir(parents=True, exist_ok=True)
+        out = Path(args.out or cfg.get_str("output", "directory", "out"))
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            message = f"cannot create output directory {str(out)!r}: {exc.strerror}"
+            if args.out:
+                raise ConfigError(f"--out: {message}") from exc
+            cfg._fail("output", "directory", message)
         status = _COMMANDS[args.command](cfg, out)
         cfg.echo(out / "config_effective.ini")
         return status

@@ -37,6 +37,7 @@ __all__ = [
     "load_raster",
 ]
 
+J01 = 2.4048255576957724  # first zero of J_0: the lowest disk mass is J01 / radius
 RESIDUAL_TOL = 1e-8      # relative residual contract for the iterative solver
 ITERATION_CAP = 10_000
 DEGENERACY_RTOL = 1e-8   # eigenvalues this close (relative) form one cluster
@@ -50,14 +51,25 @@ class ModeSolverError(RuntimeError):
     pass
 
 
+def _check_extent(length: float, what: str = "rectangle sides", root: float = np.pi) -> None:
+    """Reject a side (a radius, with root J01) unless it and (root/length)^2 are finite and > 0."""
+    if not length > 0:
+        raise ValueError(f"{what} must be positive")
+    with np.errstate(over="ignore", divide="ignore"):
+        term = root**2 / np.float64(length) ** 2
+    if not 0 < term < np.inf:
+        raise ValueError(f"{what} must be finite with ({root:.7g}/L)^2 finite and positive, "
+                         f"got L = {length!r}")
+
+
 @dataclass(frozen=True)
 class Rectangle:
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("rectangle sides must be positive")
+        _check_extent(self.a)
+        _check_extent(self.b)
 
 
 @dataclass(frozen=True)
@@ -65,8 +77,7 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("disk radius must be positive")
+        _check_extent(self.radius, "disk radius", J01)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ _ML, _MR, _MT, _MB = 72, 24, 40, 56
 
 
 def _nice_ticks(lo: float, hi: float):
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+    if not math.isfinite(hi - lo) or hi <= lo:   # one tick where the span overflows
         return [lo]
     raw = (hi - lo) / 5   # about six ticks
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -38,15 +38,15 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
     """Write a static multi-series line plot.
 
     ``series`` is a list of (label, y-array) pairs sharing the x grid.
-    Nonpositive values are dropped on logarithmic axes.
+    Samples that are not finite, and nonpositive ones on logarithmic axes,
+    are dropped; with none left on either axis, both span 1 to 10.
     """
     xs = [float(v) for v in x]
     finite_y = [float(v) for _, ys in series for v in ys
                 if math.isfinite(float(v)) and (not logy or float(v) > 0)]
-    fx = [v for v in xs if not logx or v > 0]
+    fx = [v for v in xs if math.isfinite(v) and (not logx or v > 0)]
     if not finite_y or not fx:
-        finite_y = [0.0, 1.0]
-        fx = [0.0, 1.0]
+        finite_y = fx = [1.0, 10.0]
 
     def tx(v):
         return math.log10(v) if logx else v
@@ -105,7 +105,8 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
         pts = []
         for xv, yv in zip(xs, ys):
             yv = float(yv)
-            if not math.isfinite(yv) or (logy and yv <= 0) or (logx and xv <= 0):
+            if (not (math.isfinite(xv) and math.isfinite(yv))
+                    or (logy and yv <= 0) or (logx and xv <= 0)):
                 continue
             pts.append(f"{px(xv):.2f},{py(yv):.2f}")
         color = _COLORS[idx % len(_COLORS)]

@@ -2,7 +2,8 @@
 
 Single-photon packets g(k) and exchange-symmetric pair amplitudes
 f(k1, k2).  All objects are immutable, callable on scalars or arrays
-(with broadcasting), and return complex values.  A pair family is a
+(with broadcasting), and return complex values; each is integrated over
+its ``support`` (lo, hi), on each axis for a pair.  A pair family is a
 constant ``phase`` times a symmetric kernel, real unless it holds a table
 packet, whose per-node factors ``rows`` computes once per node set.
 
@@ -185,9 +186,9 @@ class SymmetrizedProduct(_PairKernel):
     def _pair(self, k1, k2, n1, n2):
         return abs(self._constant()) * (0.5 * (n1[0] * n2[1] + n2[0] * n1[1]))
 
-    def axis_domain(self) -> tuple[float, float]:
-        lo1, hi1 = self.packet1.support
-        lo2, hi2 = self.packet2.support
+    @property
+    def support(self) -> tuple[float, float]:
+        (lo1, hi1), (lo2, hi2) = self.packet1.support, self.packet2.support
         return (min(lo1, lo2), max(hi1, hi2))
 
     def effective_width(self) -> float:
@@ -222,7 +223,8 @@ class CorrelatedGaussian(_PairKernel):
         ud = (k1 - k2) / self.relative_width
         return abs(self.scale) * (n1[0] * n2[0]) * np.exp(-0.5 * us * us - 0.5 * ud * ud)
 
-    def axis_domain(self) -> tuple[float, float]:
+    @property
+    def support(self) -> tuple[float, float]:
         half = CUT_SIGMAS * (self.pump_width + self.relative_width)
         return (0.5 * (self.pump_center - half), 0.5 * (self.pump_center + half))
 
@@ -264,7 +266,8 @@ class PumpedPair(_PairKernel):
         return (abs(self._constant()) * np.sqrt(6.0) * (n1[0] * n2[0])
                 * (self.pump.profile(s) * np.sqrt(np.maximum(s, 0.0))))
 
-    def axis_domain(self) -> tuple[float, float]:
+    @property
+    def support(self) -> tuple[float, float]:
         return (0.0, self.pump.support[1])
 
     def effective_width(self) -> float:
@@ -330,15 +333,14 @@ def _feature_width(obj) -> float | None:
 def _quadrature_domain(obj, domain=None, rel_tol=None):
     """Quadrature breakpoints: ``domain`` plus the interior table nodes of ``obj``.
 
-    ``domain`` defaults to the packet support or the pair's axis domain.
+    ``domain`` defaults to ``obj.support``, a pair's being that of each axis.
     A linearly interpolated table has a kink at every node, so panels
     start there; families without table packets keep the (lo, hi) pair.
     Given ``rel_tol``, a pumped pair's amplitude, which carries sqrt(k) at
     its lower edge k = 0, gets breakpoints graded toward that edge from
     half its effective width (``_graded_edge``); its |f|^2 is smooth there.
     """
-    if domain is None:
-        domain = obj.axis_domain() if hasattr(obj, "axis_domain") else obj.support
+    domain = obj.support if domain is None else domain
     if rel_tol is not None and isinstance(obj, PumpedPair):
         return _graded_edge(domain, _feature_width(obj), rel_tol)
     parts = (obj.packet1, obj.packet2) if isinstance(obj, SymmetrizedProduct) else (obj,)

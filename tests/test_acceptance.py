@@ -177,7 +177,7 @@ def test_criterion_08_exchange_symmetry():
     t1, t2 = 4.0, 6.5
     worst = {}
     for name, f in families.items():
-        lo, hi = f.axis_domain()
+        lo, hi = f.support
         vmid = D1.omega_d(0.5 * (lo + hi))
         z1 = np.sort(t1 * (vmid + rng.uniform(-0.2, 0.2, 10)))
         z2 = np.sort(t2 * (vmid + rng.uniform(-0.2, 0.2, 10)))

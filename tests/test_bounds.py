@@ -12,6 +12,7 @@ from wgcorr import (
     SlopeFit,
     SpacetimePoint,
     SymmetrizedProduct,
+    asymptotic_biphoton,
     biphoton_scan,
     check_lightcone_decay,
     decay_slope_fit,
@@ -149,6 +150,19 @@ def test_universal_bound_holds_by_construction():
     assert fit.asymptotic_constant is not None and fit.asymptotic_constant > 0
 
 
+def test_asymptotic_constant_is_taken_on_the_grid_of_the_constant():
+    # C is the supremum over the coarse velocity nodes, and so is the
+    # large-time limit it is compared with, not over the refined grid
+    f = small_pair()
+    v1, v2 = np.linspace(0.6, 0.8, 5), np.linspace(0.65, 0.75, 3)
+    fit = fit_universal_bound(f, D1, [(25.0, 25.0)], v1, v2, rel_tol=1e-5)
+    limit = asymptotic_biphoton(f, D1, v1[:, None], v2[None, :], 1.0, 1.0).probability
+    assert fit.asymptotic_constant == limit.max()
+    fine = [quadrature._midpoint_split(v, np.ones(v.size - 1, dtype=bool)) for v in (v1, v2)]
+    finer = asymptotic_biphoton(f, D1, fine[0][:, None], fine[1][None, :], 1.0, 1.0)
+    assert finer.probability.max() > fit.asymptotic_constant
+
+
 def test_homogeneity_quadratic_in_pair_amplitude():
     # P = |A|^2 with A linear in f: doubling f quadruples every constant
     f = small_pair()
@@ -161,7 +175,7 @@ def test_bound_constant_approaches_asymptotic_constant_from_below():
     # pumped pair on three velocities around the ridge v = 1/sqrt(2): the
     # quadrature sup P t^2 closes in on the stationary-phase weight as t grows
     f = small_pair()
-    f = normalize_biphoton(f, f.axis_domain())
+    f = normalize_biphoton(f, f.support)
     v = 1.0 / np.sqrt(2.0) + 0.035 * np.array([-1.0, 0.0, 1.0])
     gaps = []
     for t in (800.0, 2000.0, 4000.0):

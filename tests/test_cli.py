@@ -412,6 +412,60 @@ def test_single_table_packet_end_to_end(tmp_path):
     assert len(rows) == 41 * 2 and np.isfinite(p).all() and p.max() > 0
 
 
+def test_percent_is_a_literal_in_config_values(tmp_path, capsys):
+    # no interpolation: "5%" is a bad number at its line, and a file name
+    # with "%" is read and echoed as written
+    cfg, out = write_cfg(tmp_path, SINGLE_CFG.replace("t_values = 0, 10", "t_values = 5%"))
+    at = 1 + SINGLE_CFG.splitlines().index("t_values = 0, 10")
+    assert run_cli("single", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:{at}: expected a comma-separated list of finite numbers, "
+        "got '5%'\n")
+    k = np.linspace(0.47, 1.03, 57)
+    table = tmp_path / "sec%1.txt"
+    table.write_text("".join(f"{a:.17g},{np.exp(-50 * (a - 0.75) ** 2):.17g},0\n" for a in k))
+    text = SINGLE_CFG.replace("family = gaussian\ncenter = 0.75\nwidth = 0.1\n",
+                              f"family = table\nfile = {table}\n")
+    cfg, out = write_cfg(tmp_path, text.replace("z_count = 41", "z_count = 3"))
+    assert run_cli("single", "--config", str(cfg)) == 0
+    echo = configparser.ConfigParser(interpolation=None)
+    echo.read(out / "config_effective.ini")
+    assert echo["packet"]["file"] == str(table)
+
+
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
+    # a directory under a file: at the [output] directory line, or naming --out
+    blocker = tmp_path / "m.ini"
+    blocker.write_text("")
+    text = MODES_CFG.replace("directory = {out}", f"directory = {blocker / 'out'}")
+    cfg, _ = write_cfg(tmp_path, text)
+    at = 1 + text.splitlines().index(f"directory = {blocker / 'out'}")
+    assert run_cli("modes", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:{at}: cannot create output directory "
+        f"{str(blocker / 'out')!r}: Not a directory\n")
+    assert run_cli("modes", "--config", str(cfg), "--out", str(blocker / "x")) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --out: cannot create output directory "
+        f"{str(blocker / 'x')!r}: Not a directory\n")
+
+
+@pytest.mark.parametrize("source, keys, bad", [
+    ("rectangle", "a = 1e200\nb = 1.0", "a = 1e200"),
+    ("rectangle", "a = 1.0\nb = 1e-160", "b = 1e-160"),
+    ("disk", "radius = 1e308", "radius = 1e308"),
+], ids=["side_huge", "side_tiny", "radius_huge"])
+def test_extent_out_of_float_range_exits_2_at_its_line(tmp_path, capsys, source, keys, bad):
+    # (pi/L)^2 ((j01/L)^2 for a disk) would underflow to 0 or overflow
+    text = f"[mode]\nsource = {source}\n{keys}\ncount = 4\n\n[output]\ndirectory = {{out}}\n"
+    cfg, _ = write_cfg(tmp_path, text)
+    at = 1 + text.splitlines().index(bad)
+    what = "disk radius" if source == "disk" else "rectangle sides"
+    assert run_cli("modes", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {cfg}:{at}: {what} must be finite with (")
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "absent.ini"
     assert run_cli("modes", "--config", str(cfg)) == 2

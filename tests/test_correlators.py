@@ -235,7 +235,7 @@ def test_biphoton_probability_against_simpson_oracle():
     pt2 = SpacetimePoint(1.0, 3.0)
     p, _ = probability_biphoton(f, D1, pt1, pt2, rel_tol=1e-6)
 
-    lo, hi = f.axis_domain()
+    lo, hi = f.support
 
     def dense_value(n):
         k = np.linspace(lo, hi, n)
@@ -432,7 +432,7 @@ def test_pair_amplitude_is_homogeneous_in_scale(family, r, phase):
     # 2-D rule factors in float64; other phases take its complex path
     f = PAIR_FAMILIES[family]
     c = r * phase
-    lo, hi = f.axis_domain()
+    lo, hi = f.support
     t1, t2 = 30.0, 24.0
     v = D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.2, 0.2, 4)
     a, e, _ = biphoton_scan(f, D1, t1, t2, v * t1, v[:3] * t2, rel_tol=1e-6)

@@ -436,6 +436,25 @@ def test_bad_input_fails_at_once(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, what, root, length", [
+    (lambda: Rectangle(np.inf, 1.0), "rectangle sides", "3.141593", "inf"),
+    (lambda: Rectangle(1e200, 1.0), "rectangle sides", "3.141593", "1e+200"),
+    (lambda: Rectangle(1.0, 1e-160), "rectangle sides", "3.141593", "1e-160"),
+    (lambda: Disk(np.inf), "disk radius", "2.404826", "inf"),
+    (lambda: Disk(1e308), "disk radius", "2.404826", "1e+308"),
+], ids=["rectangle_inf", "rectangle_huge", "rectangle_tiny", "disk_inf", "disk_huge"])
+def test_extent_out_of_float_range_fails_at_once(call, what, root, length):
+    # (pi/L)^2 ((j01/L)^2 for a disk) underflows to 0 or overflows: the masses
+    # would be wrong or the spectrum would raise OverflowError
+    message = f"{what} must be finite with ({root}/L)^2 finite and positive, got L = {length}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_disk_root_constant_is_the_first_zero_of_j0():
+    assert modes.J01 == jn_zeros(0, 1)[0]
+
+
 # ----------------------------------------------------------------------
 # completeness
 # ----------------------------------------------------------------------

@@ -404,7 +404,7 @@ def spy_dense(monkeypatch):
 @pytest.mark.parametrize("family", sorted(PAIR_FAMILIES))
 def test_low_rank_scan_matches_dense_within_error(family, monkeypatch):
     f = PAIR_FAMILIES[family]
-    lo, hi = f.axis_domain()
+    lo, hi = f.support
     vmid = D1.omega_d(0.5 * (lo + hi))
     t1, t2 = 30.0, 24.0
     z1 = t1 * (vmid + np.linspace(-0.2, 0.2, 5))
@@ -424,7 +424,7 @@ def test_low_rank_l1_bounds_dense_l1(family, t):
     # the round-off scale from the factors, (w15^T |U|) |M| (|U|^T w15),
     # bounds w15^T |F| w15 from above without overstating it much
     f = PAIR_FAMILIES[family]
-    lo, hi = f.axis_domain()
+    lo, hi = f.support
     z = t * (D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.2, 0.2, 3))
     store = {}
     biphoton_scan(f, D1, t, t, z, z, rel_tol=PAIR_TOLS[family], factorizations=store)
@@ -448,7 +448,7 @@ def test_scans_share_one_factorization_per_panelization(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_symmetric_cross", counting)
     f = PAIR_FAMILIES["correlated"]
-    lo, hi = f.axis_domain()
+    lo, hi = f.support
     v = D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.2, 0.2, 5)
     big, small = 50.0, 20.0
     store = {}
@@ -559,7 +559,7 @@ def test_cross_arithmetic_follows_envelope_phase(family, dtype, data, r, phase):
     # f(k1, k2) / (8 pi sqrt(omega1 omega2)) to a few ulps
     f = random_pair(family, lambda lo, hi: data.draw(st.floats(lo, hi)))
     f = replace(f, scale=r * phase)
-    lo, hi = f.axis_domain()
+    lo, hi = f.support
     k = np.sort(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(lo, hi, 64))
     wk = D1.omega(k)
     got = _joint_envelope(f)(k, wk)(np.arange(k.size))
@@ -587,7 +587,7 @@ def test_generic_phase_scale_factors_in_float64(family, scale, monkeypatch):
     # factors in float64; the values agree with a cross of the same rows in
     # complex arithmetic
     f = replace(PAIR_FAMILIES[family], scale=scale)
-    lo, hi = f.axis_domain()
+    lo, hi = f.support
     t1, t2 = 30.0, 24.0
     z1 = t1 * (D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.2, 0.2, 5))
     z2 = t2 * (D1.omega_d(0.5 * (lo + hi)) + np.linspace(-0.15, 0.2, 4))
@@ -702,7 +702,7 @@ def test_envelope_beyond_dense_budget_raises(joint, rel_tol, reached):
 def test_exchanged_scan_is_transpose(family, monkeypatch):
     dense_levels = spy_dense(monkeypatch)
     f = PAIR_FAMILIES[family]
-    lo, hi = f.axis_domain()
+    lo, hi = f.support
     vmid = D1.omega_d(0.5 * (lo + hi))
     t1, t2 = 40.0, 15.0
     z1 = t1 * (vmid + np.linspace(-0.2, 0.2, 6))
@@ -783,7 +783,7 @@ def test_pumped_scan_errors_bound_finer_reference(t1, t2):
     # difference from a scan on panels a quarter as wide at rel_tol 1e-10
     # (by a factor of about 850 or more)
     f = PAIR_FAMILIES["pumped"]
-    lo, hi = f.axis_domain()
+    lo, hi = f.support
     vmid = D1.omega_d(0.5 * (lo + hi))
     z1 = t1 * (vmid + np.linspace(-0.2, 0.2, 5))
     z2 = t2 * (vmid + np.linspace(-0.15, 0.2, 4))
@@ -817,6 +817,31 @@ def test_non_finite_envelope_fails_at_first_level(rule):
         else:
             osc_tensor_scan(joint, D1, (0.5, 1.5), 10.0, 10.0, [0.0], [0.0, 5.0])
     assert len(levels) == 1
+
+
+@pytest.mark.parametrize("ridge", ["anti_diagonal", "diagonal"])
+def test_cross_gives_up_on_a_row_past_the_checks_that_is_not_finite(ridge):
+    # the check rows are finite, every row asked for after them is NaN: on
+    # the ridge k1 + k2 = 0.93 the candidate's diagonal is small, so the
+    # cross asks for its partner row j to choose a 2x2 pivot; on k1 = k2 it
+    # takes a 1x1 pivot and asks for the next candidate row.  Either way it
+    # gives up, and the dense level that follows raises at once
+    calls = []
+
+    def joint(k, wk):
+        def rows(idx):
+            calls.append(idx)
+            k1 = k[idx][:, None]
+            u = k1 + k - 0.93 if ridge == "anti_diagonal" else k1 - k
+            return np.exp(-u * u / 0.02) if len(calls) < 3 else np.full(u.shape, np.nan)
+        return rows
+
+    factorizations = {}
+    with pytest.raises(ValueError, match=r"^the integrand is not finite on 8 panels$"):
+        osc_tensor_scan(joint, D1, (0.0, 1.0), 0.0, 0.0, [0.0], [0.0],
+                        factorizations=factorizations)
+    assert list(factorizations.values()) == [None]
+    assert len(calls) == 4 and np.size(calls[2]) == 1   # one row past the checks, then dense
 
 
 @pytest.mark.parametrize("error, panels", [(-1e-3, 1), (1e-3, 0)],

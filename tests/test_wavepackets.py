@@ -70,10 +70,10 @@ def test_table_must_be_finite(k, values):
 
 
 def test_pumped_pair_needs_pump_support_above_zero():
-    # a pump below k1 + k2 = 0 would give a reversed axis domain
+    # a pump below k1 + k2 = 0 would give a reversed support
     with pytest.raises(ValueError, match="k1 \\+ k2 > 0"):
         PumpedPair(GaussianPacket(-1.0, 0.1), pump_scale=2.0)
-    assert PumpedPair(GaussianPacket(0.0, 0.1), pump_scale=2.0).axis_domain()[1] > 0
+    assert PumpedPair(GaussianPacket(0.0, 0.1), pump_scale=2.0).support[1] > 0
 
 
 def test_table_interpolation_is_linear():

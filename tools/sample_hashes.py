@@ -1,4 +1,4 @@
-"""Run the README's six sample runs and print the sha256 of their outputs.
+"""Run the README's eight sample runs and print the sha256 of their outputs.
 
     python tools/sample_hashes.py DIR
     python tools/sample_hashes.py --compare OLD_DIR NEW_DIR
@@ -47,6 +47,8 @@ RUNS = (
     ("biphoton", "biphoton_pumped.ini"),
     ("bounds", "bounds_pumped.ini"),
     ("validate", "modes_square.ini", "--out", "out_validate"),
+    ("single", "single_refine.ini"),       # bisects the 1-D panels
+    ("biphoton", "biphoton_dense.ini"),    # evaluates the 2-D envelope densely
 )
 
 
