@@ -148,7 +148,10 @@ class Config:
         self.path = Path(path)
         if not self.path.exists():
             raise ConfigError(f"{path}: configuration file not found")
-        self._raw_lines = self.path.read_text().splitlines()
+        try:
+            self._raw_lines = self.path.read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:   # a directory, or not UTF-8 text
+            raise ConfigError(f"{path}: cannot read configuration file: {exc}") from exc
         self._cp = configparser.ConfigParser(   # "[]" is no header: [DEFAULT] is unknown too
             inline_comment_prefixes=("#", ";"), default_section="", interpolation=None)
         try:
@@ -292,7 +295,8 @@ def resolve_spectrum(cfg: Config, count: int, count_key: str = "count"):
     raster = source == "raster"
     solver = cfg.get_choice("mode", "solver", ("fd",) if raster else ("analytic", "fd"),
                             "fd" if raster else "analytic")
-    spacing = (cfg.get_float("mode", "spacing")   # a raster's own spacing when None
+    spacing = (cfg.get_float("mode", "spacing",   # a raster's own spacing when None
+                             check=lambda h: _check_extent(h, "lattice spacing", 2.0))
                if solver == "fd" and (cfg.has("mode", "spacing") or not raster) else None)
 
     def solve():
@@ -322,11 +326,11 @@ def resolve_packet(cfg: Config):
     if cfg.get_choice("packet", "family", ("gaussian", "table"), "gaussian") == "table":
         packet = _load(cfg, "packet", load_table_packet, "table")
     else:
-        packet = GaussianPacket(
-            center=cfg.get_float("packet", "center"),
-            width=cfg.get_float("packet", "width", check=_positive),
-            amplitude=complex(cfg.get_float("packet", "amplitude_re", 1.0),
-                              cfg.get_float("packet", "amplitude_im", 0.0)))
+        packet = cfg.anchored(
+            "packet", "center", GaussianPacket, cfg.get_float("packet", "center"),
+            cfg.get_float("packet", "width", check=_positive),
+            complex(cfg.get_float("packet", "amplitude_re", 1.0),
+                    cfg.get_float("packet", "amplitude_im", 0.0)))
     return packet, cfg.get_bool("packet", "normalize", True)
 
 
@@ -335,19 +339,20 @@ def resolve_biphoton(cfg: Config):
     family = cfg.get_choice("biphoton", "family",
                             ("separable", "gaussian_correlated", "pumped_pair", "yls"))
     if family == "separable":
-        f = SymmetrizedProduct(
-            GaussianPacket(cfg.get_float("biphoton", "packet1_center"),
-                           cfg.get_float("biphoton", "packet1_width", check=_positive)),
-            GaussianPacket(cfg.get_float("biphoton", "packet2_center"),
-                           cfg.get_float("biphoton", "packet2_width", check=_positive)))
+        f = SymmetrizedProduct(*(
+            cfg.anchored("biphoton", f"packet{i}_center", GaussianPacket,
+                         cfg.get_float("biphoton", f"packet{i}_center"),
+                         cfg.get_float("biphoton", f"packet{i}_width", check=_positive))
+            for i in (1, 2)))
     elif family == "gaussian_correlated":
-        f = CorrelatedGaussian(
-            pump_center=cfg.get_float("biphoton", "pump_center"),
-            pump_width=cfg.get_float("biphoton", "pump_width", check=_positive),
-            relative_width=cfg.get_float("biphoton", "relative_width", check=_positive))
+        f = cfg.anchored(
+            "biphoton", "pump_center", CorrelatedGaussian, cfg.get_float("biphoton", "pump_center"),
+            cfg.get_float("biphoton", "pump_width", check=_positive),
+            cfg.get_float("biphoton", "relative_width", check=_positive))
     else:
-        pump = GaussianPacket(cfg.get_float("biphoton", "pump_center"),
-                              cfg.get_float("biphoton", "pump_width", check=_positive))
+        pump = cfg.anchored("biphoton", "pump_center", GaussianPacket,
+                            cfg.get_float("biphoton", "pump_center"),
+                            cfg.get_float("biphoton", "pump_width", check=_positive))
         scale = cfg.get_float("biphoton", "pump_scale", check=_positive)
         f = cfg.anchored("biphoton", "pump_center", PumpedPair, pump, scale)
     if not cfg.get_bool("biphoton", "normalize", True):

@@ -119,16 +119,15 @@ class AsymptoticSingle:
     guard_ok: bool | np.ndarray
 
 
-def _spa_factor(d: DispersionRelation, k0, v, t):
-    """One detector's stationary-phase factor, phases tied to its own frame."""
+def _stationary(d: DispersionRelation, v, t, sigma: float):
+    """One detector's stationary point k0 of group velocity v: k0, omega(k0),
+    omega''(k0), the stationary-phase factor, its phases tied to the detector's
+    own frame, and the trust measure t * omega''(k0) * sigma^2."""
+    k0 = d.stationary_point(v)
     w0 = d.omega(k0)
     wdd = d.omega_dd(k0)
-    return np.exp(-1j * (t * (w0 - k0 * v) + 0.25 * np.pi)) / (2.0 * np.sqrt(t * w0 * wdd))
-
-
-def _guard(d: DispersionRelation, k0, t, sigma: float):
-    """Stationary-phase trust measure t * omega''(k0) * sigma^2."""
-    return t * d.omega_dd(k0) * sigma * sigma
+    factor = np.exp(-1j * (t * (w0 - k0 * v) + 0.25 * np.pi)) / (2.0 * np.sqrt(t * w0 * wdd))
+    return k0, w0, wdd, factor, t * wdd * sigma * sigma
 
 
 def asymptotic_single(packet, d: DispersionRelation, v, t) -> AsymptoticSingle:
@@ -143,12 +142,11 @@ def asymptotic_single(packet, d: DispersionRelation, v, t) -> AsymptoticSingle:
     """
     if not np.all(np.greater(t, 0)):
         raise ValueError(f"asymptotics requires t > 0, got {t}")
-    k0 = d.stationary_point(v)
+    k0, w0, wdd, factor, guard = _stationary(d, v, t, packet.effective_width())
     g0 = packet(k0)
-    guard = _guard(d, k0, t, packet.effective_width())
     return AsymptoticSingle(
-        probability=np.abs(g0) ** 2 / (4.0 * t * d.omega(k0) * d.omega_dd(k0)),
-        amplitude=g0 * _spa_factor(d, k0, v, t),
+        probability=np.abs(g0) ** 2 / (4.0 * t * w0 * wdd),
+        amplitude=g0 * factor,
         stationary_momentum=k0,
         guard_value=guard,
         guard_ok=guard >= ASYMPTOTIC_GUARD,
@@ -207,17 +205,13 @@ def asymptotic_biphoton(f, d: DispersionRelation, v1, v2, t1, t2) -> AsymptoticB
     """
     if not (np.all(np.greater(t1, 0)) and np.all(np.greater(t2, 0))):
         raise ValueError("asymptotics requires t1, t2 > 0")
-    k10 = d.stationary_point(v1)
-    k20 = d.stationary_point(v2)
-    pair = f(k10, k20) + f(k20, k10)
-    amplitude = pair * _spa_factor(d, k10, v1, t1) * _spa_factor(d, k20, v2, t2)
     sigma = f.effective_width()
-    g1 = _guard(d, k10, t1, sigma)
-    g2 = _guard(d, k20, t2, sigma)
+    k10, w1, wdd1, factor1, g1 = _stationary(d, v1, t1, sigma)
+    k20, w2, wdd2, factor2, g2 = _stationary(d, v2, t2, sigma)
+    pair = f(k10, k20) + f(k20, k10)
     return AsymptoticBiphoton(
-        probability=np.abs(pair) ** 2 / (16.0 * (t1 * d.omega_dd(k10) * d.omega(k10))
-                                         * (t2 * d.omega_dd(k20) * d.omega(k20))),
-        amplitude=amplitude,
+        probability=np.abs(pair) ** 2 / (16.0 * (t1 * wdd1 * w1) * (t2 * wdd2 * w2)),
+        amplitude=pair * factor1 * factor2,
         stationary_momenta=(k10, k20),
         guard_values=(g1, g2),
         guard_ok=np.minimum(g1, g2) >= ASYMPTOTIC_GUARD,

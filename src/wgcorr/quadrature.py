@@ -171,17 +171,23 @@ def oscillation_breakpoints(
     panels on each interval, no wider than an eighth of the domain (or
     ``max_width``), every violating panel is bisected, one level at a
     time, until none violates.  Raises ValueError for a non-finite (z, t)
-    and QuadratureError if the panels would exceed ``max_panels``.
+    and QuadratureError if the panels, initial ones too, exceed ``max_panels``.
     """
     zt = np.asarray(phase_params, dtype=float).reshape(-1, 2)
     if not np.isfinite(zt).all():
         raise ValueError(f"detector positions and times must be finite, got {phase_params}")
     edges = np.asarray(domain, dtype=float)
     span = edges[-1] - edges[0]
-    width0 = _initial_width(span, max_width)
-    breaks = np.concatenate(
-        [np.linspace(a, b, max(int(np.ceil((b - a) / width0)), 1) + 1)[:-1]
-         for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]])
+    counts = np.maximum(np.ceil(np.diff(edges) / _initial_width(span, max_width)), 1)
+
+    def check_budget(panels, had):
+        if panels > max_panels:
+            raise QuadratureError(f"panel budget {max_panels} exhausted while resolving "
+                                  f"oscillation on {domain}", QuadResult(0j, np.inf, had))
+
+    check_budget(counts.sum(), counts.size)   # before building them: they may not fit in memory
+    breaks = np.concatenate([np.linspace(a, b, int(n) + 1)[:-1]
+                             for a, b, n in zip(edges[:-1], edges[1:], counts)] + [edges[-1:]])
     tiny = span * 1e-13
     while True:
         rate = np.abs(d.phase_rate(breaks, zt[:, :1], zt[:, 1:])).max(axis=0)
@@ -190,11 +196,7 @@ def oscillation_breakpoints(
         n_split = int(split.sum())
         if n_split == 0:
             return breaks
-        if w.size + n_split > max_panels:
-            raise QuadratureError(
-                f"panel budget {max_panels} exhausted while resolving oscillation on {domain}",
-                QuadResult(0.0 + 0.0j, np.inf, w.size),
-            )
+        check_budget(w.size + n_split, w.size)
         breaks = _midpoint_split(breaks, split)
 
 

@@ -8,6 +8,7 @@ no timestamps, no randomized ids, fixed float formatting throughout.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["line_plot"]
 
@@ -41,10 +42,12 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
     Samples that are not finite, and nonpositive ones on logarithmic axes,
     are dropped; with none left on either axis, both span 1 to 10.
     """
+    placed = lambda v, log: math.isfinite(v) and (not log or v > 0)   # the one sample rule
+    half = lambda lo, hi: hi / 2 - lo / 2   # (hi - lo) / 2, finite where hi - lo overflows
     xs = [float(v) for v in x]
-    finite_y = [float(v) for _, ys in series for v in ys
-                if math.isfinite(float(v)) and (not logy or float(v) > 0)]
-    fx = [v for v in xs if math.isfinite(v) and (not logx or v > 0)]
+    yss = [[float(v) for v in ys] for _, ys in series]
+    finite_y = [v for ys in yss for v in ys if placed(v, logy)]
+    fx = [v for v in xs if placed(v, logx)]
     if not finite_y or not fx:
         finite_y = fx = [1.0, 10.0]
 
@@ -56,16 +59,15 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
 
     x_lo, x_hi = min(map(tx, fx)), max(map(tx, fx))
     y_lo, y_hi = min(map(ty, finite_y)), max(map(ty, finite_y))
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
+    if x_hi <= x_lo:   # one value: a unit span, or a few ulps where x_lo + 1 is x_lo
+        x_hi = x_lo + max(1.0, 1e-15 * abs(x_lo))
     if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+        y_hi = y_lo + max(1.0, 1e-15 * abs(y_lo))
+    pad = 0.1 * half(y_lo, y_hi)
+    y_lo, y_hi = max(y_lo - pad, -sys.float_info.max), min(y_hi + pad, sys.float_info.max)
 
-    px = lambda v: _ML + (tx(v) - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
-    py = lambda v: _H - _MB - (ty(v) - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+    px = lambda v: _ML + half(x_lo, tx(v)) / half(x_lo, x_hi) * (_W - _ML - _MR)
+    py = lambda v: _H - _MB - half(y_lo, ty(v)) / half(y_lo, y_hi) * (_H - _MT - _MB)
 
     out = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -101,14 +103,9 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
                f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>')
 
-    for idx, (label, ys) in enumerate(series):
-        pts = []
-        for xv, yv in zip(xs, ys):
-            yv = float(yv)
-            if (not (math.isfinite(xv) and math.isfinite(yv))
-                    or (logy and yv <= 0) or (logx and xv <= 0)):
-                continue
-            pts.append(f"{px(xv):.2f},{py(yv):.2f}")
+    for idx, ((label, _), ys) in enumerate(zip(series, yss)):
+        pts = [f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(xs, ys)
+               if placed(xv, logx) and placed(yv, logy)]
         color = _COLORS[idx % len(_COLORS)]
         if pts:
             out.append(f'<polyline points="{" ".join(pts)}" fill="none" '

@@ -41,6 +41,14 @@ SUPPORT_CUT = 1e-12
 CUT_SIGMAS = float(np.sqrt(-2.0 * np.log(SUPPORT_CUT)))
 
 
+def _check_support(support: tuple[float, float], what: str) -> None:
+    """Reject a support whose ends are not finite and increasing, as when a
+    width is not positive or the floats near the center cannot resolve it."""
+    lo, hi = map(float, support)
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"the {what} support ({lo!r}, {hi!r}) must have finite increasing ends")
+
+
 # ----------------------------------------------------------------------
 # single-photon packets
 # ----------------------------------------------------------------------
@@ -53,9 +61,8 @@ class GaussianPacket:
     width: float
     amplitude: complex = 1.0 + 0.0j
 
-    def __post_init__(self):
-        if not (self.width > 0 and np.isfinite(self.width)):
-            raise ValueError(f"packet width must be positive, got {self.width}")
+    def __post_init__(self):   # a width that is not positive reverses the support
+        _check_support(self.support, "packet")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -211,6 +218,7 @@ class CorrelatedGaussian(_PairKernel):
     def __post_init__(self):
         if not (self.pump_width > 0 and self.relative_width > 0):
             raise ValueError("pump_width and relative_width must be positive")
+        _check_support(self.support, "pair")
 
     def _constant(self):
         return self.scale

@@ -463,13 +463,25 @@ def test_extent_out_of_float_range_exits_2_at_its_line(tmp_path, capsys, source,
     what = "disk radius" if source == "disk" else "rectangle sides"
     assert run_cli("modes", "--config", str(cfg)) == 2
     assert capsys.readouterr().err.startswith(
-        f"config error: {cfg}:{at}: {what} must be finite with (")
+        f"config error: {cfg}:{at}: {what} must be finite and positive, as must (")
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "absent.ini"
     assert run_cli("modes", "--config", str(cfg)) == 2
     assert capsys.readouterr().err == f"config error: {cfg}: configuration file not found\n"
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin1"])
+def test_config_that_cannot_be_read_exits_2(tmp_path, capsys, kind):
+    cfg = tmp_path / "cfg.ini"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(MODES_CFG.replace("rectangle", "r\xe9ctangle").encode("latin-1"))
+    assert run_cli("modes", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {cfg}: cannot read configuration file: ")
 
 
 def test_unparsable_config_exits_2(tmp_path, capsys):
@@ -761,3 +773,67 @@ def test_bad_value_is_anchored(tmp_path, capsys, monkeypatch, config, old, new, 
     else:
         at = f"{cfg}:{1 + next(i for i, ln in enumerate(text.splitlines()) if ln.startswith(anchor))}"
     assert _config_error_at(capsys, SAMPLE_COMMANDS[config], cfg, tmp_path / "out", [at])
+
+
+@pytest.mark.parametrize("bad", ["spacing = 1e200", "spacing = 1e-200", "spacing = -0.05"])
+def test_spacing_is_checked_when_it_is_read(tmp_path, capsys, checks_only, bad):
+    # the error is at the spacing line, not the unknown key read after it:
+    # the solver never sees the spacing
+    text = MODES_FD_CFG.replace("spacing = 0.05", bad).replace("count = 4", "count = 4\ncuont = 4")
+    cfg, out = write_cfg(tmp_path, text)
+    at = 1 + text.splitlines().index(bad)
+    assert run_cli("modes", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {cfg}:{at}: lattice spacing must be finite and positive, "
+        f"as must (2/L)^2, got L = ")
+
+
+UNRESOLVED = "family = gaussian_correlated\npump_center = 1e18\npump_width = 0.1\n" \
+             "relative_width = 0.1\n"
+
+
+@pytest.mark.parametrize("command, template, edits, anchor", [
+    ("single", SINGLE_CFG, {"center = 0.75": "center = 1e18",
+                            "normalize = true": "normalize = false"}, "center = 1e18"),
+    ("single", SINGLE_CFG, {"width = 0.1": "width = 1e-300"}, "center = 0.75"),
+    ("biphoton", BIPHOTON_CFG, {"family = separable": UNRESOLVED.rstrip(),
+                                "packet1_center = 0.6\npacket1_width = 0.3\n"
+                                "packet2_center = 1.0\npacket2_width = 0.25\n": ""},
+     "pump_center = 1e18"),
+], ids=["packet_far_centre", "packet_subnormal_width", "pair_far_pump"])
+def test_support_that_cannot_be_resolved_exits_2_at_the_centre(tmp_path, capsys, checks_only,
+                                                               command, template, edits, anchor):
+    # the support's ends round to one float; with normalize = true the error
+    # was at the normalize line, with normalize = false a traceback
+    text = template
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new, 1)
+    cfg, out = write_cfg(tmp_path, text)
+    at = 1 + text.splitlines().index(anchor)
+    assert _config_error_at(capsys, command, cfg, out, [f"{cfg}:{at}"])
+
+
+@pytest.mark.parametrize("family", [
+    "family = separable\npacket1_center = 0.6\npacket1_width = 0.3\n"
+    "packet2_center = 1e18\npacket2_width = 1e4\n",
+    "family = pumped_pair\npump_center = 1e18\npump_width = 1e4\npump_scale = 2.0\n",
+], ids=["separable", "pumped_pair"])
+def test_support_too_wide_for_the_panel_budget_exits_3(tmp_path, capsys, family):
+    # some 1e14 initial panels, more than numpy can allocate: the budget
+    # refuses them before they are built
+    text = BIPHOTON_CFG.replace("family = separable\npacket1_center = 0.6\npacket1_width = 0.3\n"
+                                "packet2_center = 1.0\npacket2_width = 0.25\n", family)
+    assert family in text
+    cfg, _ = write_cfg(tmp_path, text)
+    assert run_cli("biphoton", "--config", str(cfg)) == 3
+    assert capsys.readouterr().err.startswith("numeric failure in biphoton: panel budget ")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("single", "single_table"), ("modes", "modes_raster_fd"), ("modes", "modes_disk")])
+def test_sample_runs_with_data_files_run_from_the_repository_root(tmp_path, monkeypatch,
+                                                                  command, name):
+    monkeypatch.chdir(CONFIGS.parent)
+    assert run_cli(command, "--config", f"configs/{name}.ini", "--out", str(tmp_path)) == 0
+    assert (tmp_path / ("single_scan.csv" if command == "single" else "modes.csv")).exists()

@@ -1,6 +1,7 @@
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,18 @@ def test_bad_spacing_rejected_at_once(h):
         fd_spectrum(Rectangle(1.0, 1.0), count=1, spacing=h)
 
 
+@pytest.mark.parametrize("radius", [0.9519282711387005, 1.109465542418679],
+                         ids=["bench_seed_2903", "bench_seed_3002"])
+def test_fd_disk_degenerate_pair_meets_the_residual_contract(radius):
+    # disks of the modes_fd benchmark, 180 cells per radius (101,753 nodes):
+    # with Lanczos stopped at a hundredth of the contract, a (1,1) cos/sin
+    # pair came out at a residual of 2.3e-8 and the solve raised
+    ms = fd_spectrum(Disk(radius), 6, radius / 180)
+    assert ms.degenerate_clusters().tolist() == [0, 1, 1, 2, 3, 4]
+    exact = analytic_spectrum(Disk(radius), 6).cutoff_masses
+    assert np.abs(ms.cutoff_masses / exact - 1).max() < 0.01
+
+
 def annulus_mask():
     i, j = np.mgrid[0:25, 0:25] - 12
     return (i**2 + j**2 < 12**2) & (i**2 + j**2 >= 5**2)
@@ -415,8 +428,10 @@ def test_raster_rejects_squares_touching_at_a_corner():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: Rectangle(0.0, 1.0), "rectangle sides must be positive"),
-    (lambda: Disk(-1.0), "disk radius must be positive"),
+    (lambda: Rectangle(0.0, 1.0),
+     "rectangle sides must be finite and positive, as must (3.141593/L)^2, got L = 0.0"),
+    (lambda: Disk(-1.0),
+     "disk radius must be finite and positive, as must (2.404826/L)^2, got L = -1.0"),
     (lambda: Raster(np.zeros((20, 20), dtype=bool), 0.05),
      "raster mask must be a non-empty 2-D boolean grid"),
     (lambda: Raster(np.ones(20, dtype=bool), 0.05),
@@ -446,9 +461,19 @@ def test_bad_input_fails_at_once(call, message):
 def test_extent_out_of_float_range_fails_at_once(call, what, root, length):
     # (pi/L)^2 ((j01/L)^2 for a disk) underflows to 0 or overflows: the masses
     # would be wrong or the spectrum would raise OverflowError
-    message = f"{what} must be finite with ({root}/L)^2 finite and positive, got L = {length}"
+    message = f"{what} must be finite and positive, as must ({root}/L)^2, got L = {length}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("radius", [1e154, 1.3e154])
+def test_disk_modes_stay_normalized_up_to_the_largest_radius(radius):
+    # the check admits radii up to about 1.34e154, where R**2 still fits a
+    # float; a normalization that squared R overflowed from 0.75e154 on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ms = analytic_spectrum(Disk(radius), 3)
+    assert ms.orthonormality_defect() < 1e-12
 
 
 def test_disk_root_constant_is_the_first_zero_of_j0():

@@ -133,6 +133,15 @@ def test_breakpoints_equal_scalar_reference():
                                         max_panels=ref.size - 2)
 
 
+def test_initial_panels_count_against_the_budget():
+    # a million initial panels are refused before any is built, as a
+    # centre of 1e18 would ask for some 1e15 of them
+    with pytest.raises(QuadratureError, match="^panel budget 1000 exhausted "):
+        oscillation_breakpoints(D1, (0.0, 1.0), [(0.0, 0.0)], max_width=1e-6, max_panels=1000)
+    assert oscillation_breakpoints(D1, (0.0, 1.0), [(0.0, 0.0)], max_width=1e-3,
+                                   max_panels=1000).size == 1001
+
+
 def test_breakpoints_keep_domain_breakpoints():
     # every domain breakpoint stays a panel edge; each interval starts as
     # equal panels no wider than an eighth of the whole domain

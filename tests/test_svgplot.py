@@ -46,3 +46,33 @@ def test_overflowing_span_gets_one_tick_and_the_plot_is_written(tmp_path):
     text = path.read_text()
     assert text.endswith("</svg>\n")
     assert [t for t in tick_labels(text) if "e+308" in t] == ["-1e+308"]
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [-1e308, 1e308]),
+    ([0.0, 1.0], [-1.7e308, 1.7e308]),   # the padded frame would pass the float range
+    ([-1e308, 1e308], [1.0, 2.0]),
+], ids=["y_span", "y_span_at_the_float_limit", "x_span"])
+def test_overflowing_span_places_every_sample_in_the_frame(tmp_path, x, y):
+    path = tmp_path / "p.svg"
+    line_plot(path, x, [("P", y)], title="decay (verdict: ok)")
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    assert "decay (verdict: ok)</text>" in text
+    (line,) = points(text)
+    assert len(line) == 2
+    assert all(72.0 <= px <= 776.0 and 40.0 <= py <= 464.0 for px, py in line)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [4.4e16, 4.4e16]),   # the one mass of a 1e-16 square section
+    ([1e17], [1.0]),
+], ids=["one_y", "one_x"])
+def test_one_value_where_adding_one_changes_nothing_gets_a_frame(tmp_path, x, y):
+    # the unit span of a single value vanished in round-off and the mapping
+    # divided by zero
+    path = tmp_path / "p.svg"
+    line_plot(path, x, [("m", y)])
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    assert len(points(text)[0]) == len(x)

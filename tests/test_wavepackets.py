@@ -246,3 +246,15 @@ def test_load_table_packet_errors_name_file_and_line(tmp_path, text, line):
 def test_bad_input_fails_at_once(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GaussianPacket(1e18, 0.1),
+    lambda: GaussianPacket(0.75, 1e-300),
+    lambda: CorrelatedGaussian(1e18, 0.1, 0.1),
+], ids=["packet_far_centre", "packet_subnormal_width", "pair_far_pump"])
+def test_support_the_floats_cannot_resolve_fails_at_once(make):
+    # the support ends round to one float: quadrature on it would raise
+    # "domain must be finite increasing breakpoints" only when it is integrated
+    with pytest.raises(ValueError, match=r"support \(.*\) must have finite increasing ends$"):
+        make()

@@ -1,12 +1,14 @@
-"""Run the README's eight sample runs and print the sha256 of their outputs.
+"""Run the README's eleven sample runs and print the sha256 of their outputs.
 
     python tools/sample_hashes.py DIR
     python tools/sample_hashes.py --compare OLD_DIR NEW_DIR
 
 Each run starts in DIR, so the output directories named by the sample
 configs (``out_modes``, ``out_modes_fd``, ``out_single``, ...) and
-``out_validate`` land there.  The program is imported from the ``src/``
-of the checkout that holds this script.  Afterwards the sha256 of every
+``out_validate`` land there.  The checkout's ``configs/`` is copied to
+``DIR/configs`` first, and each run reads its config and data files from
+that copy, as a run from the repository root does.  The program is
+imported from the ``src/`` of the checkout that holds this script.  Afterwards the sha256 of every
 CSV, ``config_effective.ini``, SVG plot and text summary under
 ``DIR/out_*/`` is printed in ``sha256sum`` format, sorted by path, so two
 checkouts compare with ``diff``.  Exits 1 if any run ends with a non-zero
@@ -35,6 +37,7 @@ import csv
 import hashlib
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +52,9 @@ RUNS = (
     ("validate", "modes_square.ini", "--out", "out_validate"),
     ("single", "single_refine.ini"),       # bisects the 1-D panels
     ("biphoton", "biphoton_dense.ini"),    # evaluates the 2-D envelope densely
+    ("single", "single_table.ini"),        # a table packet read from a CSV file
+    ("modes", "modes_raster_fd.ini"),      # a raster file through the FD solver
+    ("modes", "modes_disk.ini"),           # the closed-form disk spectrum
 )
 
 
@@ -153,11 +159,12 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    shutil.copytree(ROOT / "configs", work / "configs", dirs_exist_ok=True)
     failed = False
     for command, config, *extra in RUNS:
         status = subprocess.run(
             [sys.executable, "-m", "wgcorr.cli", command,
-             "--config", str(ROOT / "configs" / config), *extra],
+             "--config", str(Path("configs") / config), *extra],
             cwd=work, env=env, stdout=subprocess.DEVNULL).returncode
         if status:
             print(f"wgcorr {command} exited with status {status}", file=sys.stderr)
