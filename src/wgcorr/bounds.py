@@ -19,7 +19,7 @@ and excluded from slope fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,7 +57,7 @@ class BoundFit:
     asymptotic_constant: float | None = None
     n_points: int = 0
     n_below_floor: int = 0
-    diagnostics: dict = field(default_factory=dict)
+    onset_radius: float | None = None     # outside_lightcone: first |z| of the decaying tail
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ def check_lightcone_decay(source, d: DispersionRelation, ray: Ray, orders,
         orders=(n, 0 if ray.frozen is None else n),
         n_points=P.size,
         n_below_floor=int((~usable).sum()),
-        diagnostics={"onset_radii": [r]},
+        onset_radius=r,
     ) for n, r in zip(orders, onsets))
     return LightconeReport(fits=fits, verdict=verdict, slope=slope, probabilities=P)
 
@@ -310,18 +310,11 @@ _CSV_COLUMNS = ("bound_kind", "order_1", "order_2", "constant", "t_offset",
 
 def bound_fit_csv_rows(fits) -> tuple[tuple[str, ...], list[tuple]]:
     """Stable (header, rows) rendering of BoundFit records for CSV output."""
-    rows = []
-    for f in fits:
-        o1, o2 = f.orders if f.orders is not None else ("", "")
-        rows.append((
-            f.bound_kind, o1, o2, f.constant,
-            "" if f.t_offset is None else f.t_offset,
-            f.max_violation,
-            "" if f.refinement_drift is None else f.refinement_drift,
-            "" if f.asymptotic_constant is None else f.asymptotic_constant,
-            f.n_points, f.n_below_floor, f.grid_descriptor,
-        ))
-    return _CSV_COLUMNS, rows
+    rows = [(f.bound_kind, *(f.orders or (None, None)), f.constant, f.t_offset,
+             f.max_violation, f.refinement_drift, f.asymptotic_constant, f.n_points,
+             f.n_below_floor, f.grid_descriptor) for f in fits]
+    # a field the fit does not carry (None) is an empty cell
+    return _CSV_COLUMNS, [tuple("" if v is None else v for v in row) for row in rows]
 
 
 def summarize_bound_fits(fits) -> str:
@@ -343,6 +336,6 @@ def summarize_bound_fits(fits) -> str:
         lines.append(f"  grid: {f.grid_descriptor}")
         if f.n_below_floor:
             lines.append(f"  below_floor_points: {f.n_below_floor}")
-        for key, val in sorted(f.diagnostics.items()):
-            lines.append(f"  {key}: {val}")
+        if f.onset_radius is not None:
+            lines.append(f"  onset_radii: [{f.onset_radius}]")
     return "\n".join(lines) + "\n"

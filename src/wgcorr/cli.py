@@ -422,7 +422,7 @@ def cmd_single(cfg: Config, out: Path) -> int:
         write_csv(out / "asymptotic_comparison.csv",
                   ("t", "v", "z", "p_quadrature", "p_error", "p_asymptotic",
                    "rel_diff", "guard_value", "guard_ok"),
-                  _rows(ts, v, v * ts, pq, pe, pa, rel, asym.guard_value, asym.guard_ok))
+                  _rows(ts, v, v * ts, pq, pe, pa, rel, asym.guard_values[0], asym.guard_ok))
         svgplot.line_plot(out / "asymptotic_comparison.svg", ts,
                           [("t * P quadrature", ts * pq), ("t * P asymptotic", ts * pa)],
                           title="ray probability against the large-time form",
@@ -608,6 +608,9 @@ def main(argv=None) -> int:
         return 2
     except (QuadratureError, ModeSolverError) as exc:
         print(f"numeric failure in {args.command}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory in {args.command}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -29,8 +29,7 @@ from .wavepackets import _feature_width, _quadrature_domain
 __all__ = [
     "SpacetimePoint",
     "CorrelationResult",
-    "AsymptoticSingle",
-    "AsymptoticBiphoton",
+    "Asymptotic",
     "amplitude_single",
     "probability_single",
     "asymptotic_single",
@@ -108,14 +107,16 @@ def probability_single(packet, d: DispersionRelation, pt: SpacetimePoint,
 
 
 @dataclass(frozen=True)
-class AsymptoticSingle:
-    """Scalars for scalar (v, t); otherwise each field is an array shaped by
-    broadcasting the arguments it depends on (stationary_momentum: v only)."""
+class Asymptotic:
+    """Stationary-phase value for one detector or a pair; ``stationary_momenta``
+    and ``guard_values`` hold one entry per detector.  Scalars for scalar
+    arguments; otherwise each field is an array shaped by broadcasting the
+    arguments it depends on (k_i0: v_i; guard value i: v_i, t_i)."""
 
     probability: float | np.ndarray
     amplitude: complex | np.ndarray
-    stationary_momentum: float | np.ndarray
-    guard_value: float | np.ndarray
+    stationary_momenta: tuple
+    guard_values: tuple
     guard_ok: bool | np.ndarray
 
 
@@ -130,7 +131,7 @@ def _stationary(d: DispersionRelation, v, t, sigma: float):
     return k0, w0, wdd, factor, t * wdd * sigma * sigma
 
 
-def asymptotic_single(packet, d: DispersionRelation, v, t) -> AsymptoticSingle:
+def asymptotic_single(packet, d: DispersionRelation, v, t) -> Asymptotic:
     """Leading stationary-phase value of P(v t, t) for large t.
 
     P ~ |g(k0)|^2 / (4 t omega(k0) omega''(k0)) with k0 the momentum whose
@@ -140,15 +141,15 @@ def asymptotic_single(packet, d: DispersionRelation, v, t) -> AsymptoticSingle:
     the leading term can be badly off and the value is advisory only.
     ``v`` and ``t`` may be arrays; they broadcast against each other.
     """
-    if not np.all(np.greater(t, 0)):
-        raise ValueError(f"asymptotics requires t > 0, got {t}")
+    if not np.all(np.isfinite(t) & np.greater(t, 0)):
+        raise ValueError(f"asymptotics requires a finite t > 0, got {t}")
     k0, w0, wdd, factor, guard = _stationary(d, v, t, packet.effective_width())
     g0 = packet(k0)
-    return AsymptoticSingle(
+    return Asymptotic(
         probability=np.abs(g0) ** 2 / (4.0 * t * w0 * wdd),
         amplitude=g0 * factor,
-        stationary_momentum=k0,
-        guard_value=guard,
+        stationary_momenta=(k0,),
+        guard_values=(guard,),
         guard_ok=guard >= ASYMPTOTIC_GUARD,
     )
 
@@ -177,19 +178,7 @@ def probability_biphoton(f, d: DispersionRelation, pt1: SpacetimePoint,
     return float(r.values[0, 0]), float(r.error_estimates[0, 0])
 
 
-@dataclass(frozen=True)
-class AsymptoticBiphoton:
-    """Scalars for scalar arguments; otherwise each field is an array shaped by
-    broadcasting the arguments it depends on (k_i0: v_i; guard_values: v_i, t_i)."""
-
-    probability: float | np.ndarray
-    amplitude: complex | np.ndarray
-    stationary_momenta: tuple
-    guard_values: tuple
-    guard_ok: bool | np.ndarray
-
-
-def asymptotic_biphoton(f, d: DispersionRelation, v1, v2, t1, t2) -> AsymptoticBiphoton:
+def asymptotic_biphoton(f, d: DispersionRelation, v1, v2, t1, t2) -> Asymptotic:
     """Leading two-term stationary-phase value of the joint probability.
 
     Each exchange term of the joint amplitude is evaluated at the same
@@ -203,13 +192,13 @@ def asymptotic_biphoton(f, d: DispersionRelation, v1, v2, t1, t2) -> AsymptoticB
     ``v1``, ``v2``, ``t1`` and ``t2`` may be arrays; they broadcast
     against each other.
     """
-    if not (np.all(np.greater(t1, 0)) and np.all(np.greater(t2, 0))):
+    if not all(np.all(np.isfinite(t) & np.greater(t, 0)) for t in (t1, t2)):
         raise ValueError("asymptotics requires t1, t2 > 0")
     sigma = f.effective_width()
     k10, w1, wdd1, factor1, g1 = _stationary(d, v1, t1, sigma)
     k20, w2, wdd2, factor2, g2 = _stationary(d, v2, t2, sigma)
     pair = f(k10, k20) + f(k20, k10)
-    return AsymptoticBiphoton(
+    return Asymptotic(
         probability=np.abs(pair) ** 2 / (16.0 * (t1 * wdd1 * w1) * (t2 * wdd2 * w2)),
         amplitude=pair * factor1 * factor2,
         stationary_momenta=(k10, k20),

@@ -138,10 +138,17 @@ def _fix_signs(samples: np.ndarray) -> np.ndarray:
 # closed-form spectra
 # ----------------------------------------------------------------------
 
+def _ramps(n: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n_i - 1 for each entry n_i of n, concatenated."""
+    return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+
+
 def _rectangle_spectrum(cs: Rectangle, count: int):
     a, b = cs.a, cs.b
-    # p, q <= count + 1 cover the lowest `count`; ties in (p, q) lexicographic order
-    p, q = np.indices((count + 1, count + 1)).reshape(2, -1) + 1
+    # the p q - 1 pairs (p', q') <= (p, q) other than (p, q) lie strictly below it,
+    # so only p q <= count can be among the lowest `count`; ties in (p, q) order
+    n = count // np.arange(1, count + 1)
+    p, q = np.repeat(np.arange(1, count + 1), n), _ramps(n) + 1
     m2 = np.pi**2 * (p**2 / a**2 + q**2 / b**2)
     pick = np.lexsort((q, p, m2))[:count]
     m2, p, q = m2[pick], p[pick], q[pick]
@@ -161,13 +168,14 @@ def _rectangle_spectrum(cs: Rectangle, count: int):
 def _disk_spectrum(cs: Disk, count: int):
     from scipy.special import jn_zeros, jv
     R = cs.radius
-    # j_{l,1} grows with l and every order l >= 1 holds a cos and a sin mode,
-    # so a mode of order l among the lowest `count` needs 2 l <= count, and
-    # one of zero number s needs s <= count
-    orders = count // 2 + 1
-    l, s, parity = np.indices((orders, count, 2)).reshape(3, -1)
+    # j_{l,s} grows with l and s, and every order l >= 1 holds a cos and a sin mode,
+    # so the s (2 l + 1) modes of order <= l and zero number <= s lie at or below
+    # j_{l,s}: one among the lowest `count` needs s (2 l + 1) <= count + 1
+    n = (count + 1) // np.arange(1, count + 2, 2)    # zero numbers per order l
+    l = np.repeat(np.arange(n.size), 2 * n)
+    s, parity = np.divmod(_ramps(2 * n), 2)
     s += 1
-    j = np.repeat([jn_zeros(ell, count) for ell in range(orders)], 2)   # j_{l,s} per parity
+    j = np.repeat(np.concatenate([jn_zeros(ell, k) for ell, k in enumerate(n)]), 2)
     j[(l == 0) & (parity == 1)] = np.inf   # order 0 has no sin partner
     pick = np.lexsort((parity, s, l, j))[:count]
     j, l, s, parity = j[pick], l[pick], s[pick], parity[pick]
@@ -183,9 +191,10 @@ def _disk_spectrum(cs: Disk, count: int):
     node_y = (Rg * np.sin(Tg)).ravel()
     weights = (wr[:, None] * Rg * (2.0 * np.pi / n_theta)).ravel()
 
+    # J_l varies with r only and cos, sin with theta only: evaluated per axis, not per node
     l3 = l[:, None, None]
-    radial = jv(l3, j[:, None, None] * Rg / R)
-    angular = np.where(parity[:, None, None] == 0, np.cos(l3 * Tg), np.sin(l3 * Tg))
+    radial = jv(l3, j[:, None, None] * r[:, None] / R)
+    angular = np.where(parity[:, None, None] == 0, np.cos(l3 * theta), np.sin(l3 * theta))
     # R stays outside the square root: R**2 overflows for R near the largest allowed
     norm = R * np.sqrt(np.where(l == 0, 2.0 * np.pi, np.pi) * 0.5 * jv(l + 1, j) ** 2)
     samples = (radial * angular / norm[:, None, None]).reshape(count, -1)

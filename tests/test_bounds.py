@@ -289,7 +289,7 @@ def test_lightcone_onset_follows_last_failing_window(monkeypatch):
     assert local[0] <= -4.0
     onset_4 = z[np.flatnonzero(local > -4.0)[-1] + 1]
     assert 35.0 > onset_4 > 15.0
-    radii = [f.diagnostics["onset_radii"][0] for f in report.fits]
+    radii = [f.onset_radius for f in report.fits]
     np.testing.assert_array_equal(radii, [10.0, onset_4, np.nan])
     assert report.verdict == "fail"
 

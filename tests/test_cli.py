@@ -396,6 +396,23 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
         "numeric failure in single: quadrature stalled at z = 100 ")
 
 
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # a unit square with count = 100000 enumerates its p q <= count candidates,
+    # then needs about 1.5 TiB of mode samples; the test raises a MemoryError
+    # where the sample grid is built instead of attempting the allocation
+    message = ("Unable to allocate 1.48 TiB for an array with shape (100000, 2036329) "
+               "and data type float64")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(np, "meshgrid", out_of_memory)
+    cfg, out = write_cfg(tmp_path, MODES_CFG.replace("count = 4", "count = 100000")
+                         .replace("3.141592653589793", "1.0"))
+    assert run_cli("modes", "--config", str(cfg)) == 3
+    assert capsys.readouterr().err == f"out of memory in modes: {message}\n"
+
+
 def test_single_table_packet_end_to_end(tmp_path):
     k = np.linspace(0.47, 1.03, 57)
     g = (1 + 0.3j) * np.exp(-0.5 * ((k - 0.75) / 0.1) ** 2)

@@ -76,6 +76,19 @@ def test_probability_parity_for_centered_packet():
 
 
 @settings(max_examples=20, deadline=None)
+@given(width=st.floats(0.05, 0.5), phase=st.floats(0.0, 2.0 * np.pi),
+       z=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6), t=st.floats(-40.0, 40.0))
+def test_probability_parity_on_random_centred_packets(width, phase, z, t):
+    # g(-k) = g(k) for a packet centred at k = 0, so P(-z, t) = P(z, t)
+    # within the error estimates of the two scans
+    g = GaussianPacket(0.0, width, amplitude=np.exp(1j * phase))
+    plus = single_scan(g, D1, z, t)
+    minus = single_scan(g, D1, -np.asarray(z), t)
+    assert (np.abs(plus.values - minus.values)
+            <= plus.error_estimates + minus.error_estimates).all()
+
+
+@settings(max_examples=20, deadline=None)
 @given(center=st.floats(-2.0, 2.0), width=st.floats(0.05, 0.5),
        z=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6),
        t=st.floats(-40.0, 40.0))
@@ -92,18 +105,18 @@ def test_asymptotic_single_known_values():
     g_unit = GaussianPacket(0.0, 0.5)        # |g(0)|^2 = 1 at its peak
     r = asymptotic_single(g_unit, D1, v=0.0, t=20.0)
     assert r.probability == pytest.approx(0.25 / 20.0, rel=1e-12)
-    assert r.stationary_momentum == 0.0
+    assert r.stationary_momenta == (0.0,)
 
     g = GaussianPacket(0.75, 0.1)            # |g(0.75)|^2 = 1
     r = asymptotic_single(g, D1, v=0.6, t=100.0)
     # 1 / (4 * 100 * 1.25 * 0.512)
     assert r.probability == pytest.approx(3.90625e-3, rel=1e-12)
-    assert r.stationary_momentum == pytest.approx(0.75, abs=1e-15)
+    assert r.stationary_momenta[0] == pytest.approx(0.75, abs=1e-15)
     assert abs(r.amplitude) ** 2 == pytest.approx(r.probability, rel=1e-12)
     # the amplitude carries the quarter-turn phase lag of the quadratic
     # stationary point on top of the travelling phase
-    w0 = D1.omega(r.stationary_momentum)
-    expected_phase = np.exp(-1j * (100.0 * (w0 - r.stationary_momentum * 0.6) + np.pi / 4))
+    w0 = D1.omega(r.stationary_momenta[0])
+    expected_phase = np.exp(-1j * (100.0 * (w0 - r.stationary_momenta[0] * 0.6) + np.pi / 4))
     assert r.amplitude / abs(r.amplitude) == pytest.approx(expected_phase, rel=1e-12)
 
 
@@ -140,7 +153,7 @@ def test_asymptotic_guard_flags_narrow_packet():
     g = GaussianPacket(0.75, 0.1)
     r = asymptotic_single(g, D1, v=0.6, t=200.0)
     assert not r.guard_ok
-    assert r.guard_value == pytest.approx(200 * 0.512 * 0.01, rel=1e-12)
+    assert r.guard_values == pytest.approx((200 * 0.512 * 0.01,), rel=1e-12)
 
 
 def test_asymptotic_single_broadcasts_like_scalar_calls():
@@ -150,9 +163,10 @@ def test_asymptotic_single_broadcasts_like_scalar_calls():
     r = asymptotic_single(g, D1, v, t)
     for i, j in np.ndindex(5, 3):
         s = asymptotic_single(g, D1, float(v[i, 0]), float(t[0, j]))
-        for field in ("probability", "amplitude", "stationary_momentum", "guard_value"):
-            got = np.broadcast_to(getattr(r, field), (5, 3))[i, j]
-            assert got == pytest.approx(getattr(s, field), rel=1e-13)
+        for got, want in ((r.probability, s.probability), (r.amplitude, s.amplitude),
+                          (r.stationary_momenta[0], s.stationary_momenta[0]),
+                          (r.guard_values[0], s.guard_values[0])):
+            assert np.broadcast_to(got, (5, 3))[i, j] == pytest.approx(want, rel=1e-13)
         assert r.guard_ok[i, j] == s.guard_ok
 
 
@@ -485,6 +499,17 @@ def test_point_probabilities_are_scan_results():
                                 rel_tol=1e-6) == (pair.values[0, 0], pair.error_estimates[0, 0])
     amps, errs, panels = pair
     assert (pair.amplitudes is amps) and (pair.amp_errors is errs) and panels == pair.panels
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan, np.array([50.0, np.inf])])
+def test_asymptotics_reject_a_time_that_is_not_finite(t):
+    # at t = inf the single value was P = 0 with a NaN amplitude and guard_ok True
+    with pytest.raises(ValueError, match="^asymptotics requires a finite t > 0, got"):
+        asymptotic_single(GaussianPacket(0.75, 0.1), D1, 0.5, t)
+    f = SymmetrizedProduct(GaussianPacket(0.7, 0.1), GaussianPacket(1.1, 0.1))
+    for t1, t2 in ((t, 10.0), (10.0, t)):
+        with pytest.raises(ValueError, match=r"^asymptotics requires t1, t2 > 0$"):
+            asymptotic_biphoton(f, D1, 0.5, 0.5, t1, t2)
 
 
 @pytest.mark.parametrize("t1, t2", [(0.0, 50.0), (50.0, -1.0), (np.array([50.0, 0.0]), 50.0)],

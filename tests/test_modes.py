@@ -1,5 +1,6 @@
 import os
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -102,13 +103,52 @@ def test_spectra_sorted_and_positive():
 
 def test_disk_enumeration_bound_keeps_the_lowest_modes():
     # oracle: count + 1 zeros of every order l <= count, well past the bound
-    # 2 l <= count, s <= count of the enumeration; l >= 1 is a cos/sin pair
+    # s (2 l + 1) <= count + 1 of the enumeration; l >= 1 is a cos/sin pair
     R = 1.3
     for count in range(1, 21):
         zeros = np.concatenate([np.repeat(jn_zeros(ell, count + 1), 2 if ell else 1)
                                 for ell in range(count + 1)])
         np.testing.assert_array_equal(analytic_spectrum(Disk(R), count).cutoff_masses,
                                       np.sort(zeros)[:count] / R)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (20.0, 1.0), (1.0, 3.7),
+                                  (np.pi, np.e)])
+def test_rectangle_bounded_picks_equal_the_full_enumeration(a, b):
+    # oracle: every p, q <= 121, past the (count + 1)^2 grid of any count here,
+    # in (m^2, p, q) order
+    p, q = np.indices((121, 121)).reshape(2, -1) + 1
+    m2 = np.pi**2 * (p**2 / a**2 + q**2 / b**2)
+    order = np.lexsort((q, p, m2))
+    for count in (*range(1, 30), 120):
+        ms = analytic_spectrum(Rectangle(a, b), count)
+        pick = order[:count]
+        np.testing.assert_array_equal(ms.cutoff_masses, np.sqrt(m2[pick]))
+        assert ms.labels == tuple(f"({i},{k})" for i, k in zip(p[pick], q[pick]))
+
+
+def test_disk_count_1000_keeps_the_lowest_modes_in_under_two_seconds():
+    # enumerating count zeros for each of the count // 2 + 1 orders took 27-33 s
+    # on a 2-core VM; oracle: every zero of every order up to the top mass
+    start = time.perf_counter()
+    ms = analytic_spectrum(Disk(1.0), 1000)
+    assert time.perf_counter() - start < 2.0
+    top = ms.cutoff_masses[-1]
+    rows = []
+    for ell in range(1001):
+        k = 1
+        while (zeros := jn_zeros(ell, k))[-1] <= top:
+            k *= 2
+        if k == 1 and zeros[0] > top:
+            break
+        rows += [(j, ell, s, parity) for s, j in enumerate(zeros, 1)
+                 for parity in ((0, 1) if ell else (0,))]
+    j, l, s, parity = np.array(rows).T
+    pick = np.lexsort((parity, s, l, j))[:1000]
+    np.testing.assert_array_equal(ms.cutoff_masses, j[pick])
+    assert ms.labels == tuple(f"({ell},{n},{('cos', 'sin')[par]})"
+                              for ell, n, par in zip(l[pick].astype(int), s[pick].astype(int),
+                                                     parity[pick].astype(int)))
 
 
 def test_elongated_rectangle_samples_each_axis_on_its_own_grid():

@@ -723,6 +723,26 @@ def test_exchanged_scan_is_transpose(family, monkeypatch):
     assert np.abs(e12 - e21.T).max() <= 1e-14 * np.abs(a12).max()
 
 
+@pytest.mark.parametrize("family", [*sorted(PAIR_FAMILIES), "complex"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), t1=st.floats(-30.0, 30.0), t2=st.floats(-30.0, 30.0))
+def test_exchanged_scan_is_transpose_on_random_pairs(family, data, t1, t2):
+    # detectors on random rays z_i = t_i omega'(k_i) of the support, plus the
+    # rays of the peak of |f|: the exchange reassociates the contraction, so the
+    # two scans agree to the round-off of the sums, which that peak sets
+    f = random_pair(family, lambda lo, hi: data.draw(st.floats(lo, hi)))
+    lo, hi = f.support
+    k = np.linspace(lo, hi, 65)
+    peak = np.unravel_index(np.abs(f(k[:, None], k[None, :])).argmax(), (65, 65))
+    k1, k2 = (np.array([k[i], *data.draw(st.lists(st.floats(lo, hi), max_size=3))])
+              for i in peak)
+    z1, z2 = t1 * D1.omega_d(k1), t2 * D1.omega_d(k2)
+    a12, e12, _ = biphoton_scan(f, D1, t1, t2, z1, z2, rel_tol=1e-7)
+    a21, e21, _ = biphoton_scan(f, D1, t2, t1, z2, z1, rel_tol=1e-7)
+    assert np.abs(a12 - a21.T).max() <= 1e-14 * np.abs(a12).max()
+    assert np.abs(e12 - e21.T).max() <= 1e-14 * np.abs(a12).max()
+
+
 def spy_cross_rows(monkeypatch):
     """Record the row indices every cross evaluates, and how many calls of
     the rows callable each ``_symmetric_cross`` made before it returned."""

@@ -81,3 +81,24 @@ def test_compare_counts_plots_and_summaries_apart(tmp_path, capsys):
     (tmp_path / "new" / "out_bounds" / "lightcone_scan.svg").unlink()
     assert tool.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 1
     assert f"only in {tmp_path / 'old'}" in capsys.readouterr().out
+
+
+def readme_sample_runs() -> list[tuple[str, ...]]:
+    """The README's block of sample commands as ``RUNS`` entries: the
+    subcommand, the config's file name and any further arguments."""
+    blocks = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8").split("```")[1::2]
+    [block] = [b for b in blocks if b.startswith("sh\nwgcorr ")]
+    runs = []
+    for line in block.splitlines()[1:]:
+        command, subcommand, flag, config, *rest = line.split("#", 1)[0].split()
+        assert (command, flag) == ("wgcorr", "--config") and config.startswith("configs/")
+        runs.append((subcommand, config.removeprefix("configs/"), *rest))
+    return runs
+
+
+def test_readme_sample_runs_are_the_hashed_runs_and_cover_every_config():
+    runs = load_tool().RUNS
+    assert readme_sample_runs() == list(runs)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert {run[1] for run in runs} == {p.name for p in configs.glob("*.ini")}
